@@ -5,12 +5,16 @@ python) and prints a comparison table:
 
     python benchmarks/bench_backends.py [--quick]
 
+When the compiled core is not built, it says so and times the python
+backend alone.
+
 Workloads: batched Hermitian eigensolves, a fixed-grid propagation of the
 rotating spin-half model, the step-doubling adaptive propagator, and an
 eigenframe construction with couplings.
 """
 
 import argparse
+import importlib.machinery
 import json
 import os
 import subprocess
@@ -60,6 +64,12 @@ def _workloads(quick):
     return out
 
 
+def _compiled_built():
+    pkg = os.path.join(SRC, "adiakit")
+    return any(os.path.exists(os.path.join(pkg, "_kernels" + suffix))
+               for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+
+
 def _run_worker(backend, quick):
     env = dict(os.environ, ADIAKIT_BACKEND=backend)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -85,6 +95,17 @@ def main():
         results = _workloads(args.quick)
         results["_backend"] = adiakit.backend_name()
         print(json.dumps(results))
+        return
+
+    if not _compiled_built():
+        print("compiled core (adiakit._kernels) is not built; "
+              "timing the python backend alone")
+        fallback = _run_worker("python", args.quick)
+        assert fallback.pop("_backend") == "python"
+        width = max(len(k) for k in fallback)
+        print(f"{'workload':<{width}}  {'python':>10}")
+        for key, tp in fallback.items():
+            print(f"{key:<{width}}  {tp:>9.3f}s")
         return
 
     compiled = _run_worker("compiled", args.quick)

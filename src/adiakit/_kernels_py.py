@@ -3,8 +3,9 @@
 Same four entry points as ``adiakit._kernels`` (eigh, eigh_batch, expm_herm,
 propagate_steps), built on numpy's stacked LAPACK eigensolver instead of the
 compiled cyclic Jacobi. Selected automatically when the extension is not
-built; force with ``ADIAKIT_BACKEND=python``. Expect roughly an order of
-magnitude slower propagation loops (see benchmarks/bench_backends.py).
+built; force with ``ADIAKIT_BACKEND=python``. ``propagate_steps`` chains its
+step exponentials with the blocked prefix product ``chain_steps``, which the
+adaptive integrator also uses under either backend.
 """
 
 import numpy as np
@@ -47,6 +48,39 @@ def expm_herm(H, alpha):
     return (v * np.exp(-1j * alpha * w)) @ v.conj().T
 
 
+def step_exponentials(w, v, alphas):
+    """exp(-i alpha_k H_k) from the stacked eigenpairs (W, V) of H_k."""
+    phases = np.exp(-1j * alphas[:, None] * w)
+    return np.einsum("kij,kj,klj->kil", v, phases, v.conj())
+
+
+def chain_steps(steps, u0):
+    """Prefix product in place: steps[k] <- steps[k] ... steps[0] u0.
+
+    ``steps`` is a C-contiguous (m, n, n) array, m >= 1.
+
+    Blocked scan (Blelloch, *Prefix sums and their applications*, 1990):
+    blocks of b ~ sqrt(m) steps are chained batched across blocks, one short
+    sequential pass carries the block totals, and a second batched pass
+    applies the carries; the remainder of fewer than b steps is chained
+    sequentially. Every temporary holds at most one matrix per block.
+    """
+    m = steps.shape[0]
+    b = max(1, int(np.sqrt(m)))
+    nb = m // b
+    blocks = steps[:nb * b].reshape((nb, b) + steps.shape[1:])
+    for j in range(1, b):
+        np.matmul(blocks[:, j], blocks[:, j - 1], out=blocks[:, j])
+    carries = np.empty((nb,) + steps.shape[1:], dtype=steps.dtype)
+    carries[0] = u0
+    for i in range(1, nb):
+        carries[i] = blocks[i - 1, -1] @ carries[i - 1]
+    for j in range(b):
+        np.matmul(blocks[:, j], carries, out=blocks[:, j])
+    for k in range(nb * b, m):
+        steps[k] = steps[k] @ steps[k - 1]
+
+
 def propagate_steps(Hmid, coef, ds, U0, record_every):
     """Chain midpoint exponentials: U <- exp(-i coef ds_k H_k) U.
 
@@ -61,17 +95,13 @@ def propagate_steps(Hmid, coef, ds, U0, record_every):
         raise ValueError("ds length must match step count")
     if record_every <= 0 or m % record_every != 0:
         raise ValueError("record_every must divide the step count")
-    w, v = np.linalg.eigh(_hermitize(h))
-    phases = np.exp(-1j * coef * d[:, None] * w)
-    steps = np.einsum("kij,kj,klj->kil", v, phases, v.conj())
     u = np.array(U0, dtype=np.complex128)
     if u.shape != (n, n):
         raise ValueError("U0 dimension mismatch")
-    records = np.empty((m // record_every, n, n), dtype=np.complex128)
-    rec = 0
-    for k in range(m):
-        u = steps[k] @ u
-        if (k + 1) % record_every == 0:
-            records[rec] = u
-            rec += 1
-    return records, u
+    if m == 0:
+        return np.empty((0, n, n), dtype=np.complex128), u
+    w, v = np.linalg.eigh(_hermitize(h))
+    steps = step_exponentials(w, v, coef * d)
+    chain_steps(steps, u)
+    # fresh arrays, so the step buffer is released on return
+    return steps[record_every - 1::record_every].copy(), steps[-1].copy()

@@ -23,9 +23,8 @@ from typing import Optional
 import numpy as np
 
 from ._backend import kernels
-from .exceptions import (EigenvalueCrossingError, NonHermitianError,
-                         ProjectorDiscontinuityError)
-from .linalg import dagger, hermitize
+from .exceptions import EigenvalueCrossingError, ProjectorDiscontinuityError
+from .linalg import check_hermitian, dagger, hermitize
 from .paths import HamiltonianPath
 from .transforms import TransformedHamiltonianPath
 
@@ -133,13 +132,6 @@ def _min_pairwise_gap(values: np.ndarray):
     return float(per_point[k]), k
 
 
-def _check_hermitian_stack(H: np.ndarray, rtol: float):
-    scale = max(float(np.max(np.linalg.norm(H, axis=(1, 2)))), 1e-300)
-    defect = float(np.max(np.linalg.norm(H - dagger(H), axis=(1, 2))))
-    if defect > rtol * scale:
-        raise NonHermitianError(defect, rtol * scale)
-
-
 def _align_initial(values, vectors, initial_vectors, overlap_floor):
     """Permute levels and fix per-level constant phases to match s=0 vectors."""
     ov0 = initial_vectors.conj().T @ vectors[0]
@@ -202,7 +194,7 @@ def _discrete_frame(path, tau, grid, initial_vectors, gap_floor,
         fine = grid
 
     H = path.eval_batch(fine, tau)
-    _check_hermitian_stack(H, HERMITICITY_FRAME_RTOL)
+    check_hermitian(H, HERMITICITY_FRAME_RTOL)
     W, V = kernels.eigh_batch(hermitize(H))
     W, V = _track_levels(W, V, fine, overlap_floor)
 

@@ -21,11 +21,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 
-def frobenius(M: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(M))
-
-
 def dagger(M: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(M, -1, -2))
 
@@ -39,6 +34,15 @@ def hermiticity_defect(M: np.ndarray) -> float:
     """|| M - M^dagger ||_F."""
     M = np.asarray(M, dtype=complex)
     return float(np.linalg.norm(M - dagger(M)))
+
+
+def check_hermitian(H: np.ndarray, rtol: float):
+    """Raise NonHermitianError unless max_k ||H_k - H_k^dagger||_F is at most
+    ``rtol * max_k ||H_k||_F``; ``H`` is one matrix or a stack (..., n, n)."""
+    scale = max(float(np.max(np.linalg.norm(H, axis=(-2, -1)))), 1e-300)
+    defect = float(np.max(np.linalg.norm(H - dagger(H), axis=(-2, -1))))
+    if defect > rtol * scale:
+        raise NonHermitianError(defect, rtol * scale)
 
 
 def unitarity_defect(U: np.ndarray) -> float:
@@ -73,30 +77,14 @@ def herm_eig(M: np.ndarray, rtol: float = HERMITICITY_RTOL) -> HermEig:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("herm_eig expects a square matrix")
-    scale = frobenius(M)
-    defect = hermiticity_defect(M)
-    if defect > rtol * max(scale, 1e-300):
-        raise NonHermitianError(defect, rtol * scale)
+    check_hermitian(M, rtol)
     w, v = kernels.eigh(hermitize(M))
     return HermEig(values=w, vectors=v)
-
-
-def herm_eig_batch(Ms: np.ndarray, rtol: float = HERMITICITY_RTOL):
-    """Stacked eigendecomposition of (N, n, n) Hermitian matrices."""
-    Ms = np.asarray(Ms, dtype=complex)
-    scale = max(float(np.max(np.linalg.norm(Ms, axis=(1, 2)))), 1e-300)
-    defect = float(np.max(np.linalg.norm(Ms - dagger(Ms), axis=(1, 2))))
-    if defect > rtol * scale:
-        raise NonHermitianError(defect, rtol * scale)
-    return kernels.eigh_batch(hermitize(Ms))
 
 
 def unitary_exp(H: np.ndarray, alpha: float,
                 rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     """exp(-i * alpha * H) for Hermitian H; unitary by construction."""
     H = np.asarray(H, dtype=complex)
-    scale = frobenius(H)
-    defect = hermiticity_defect(H)
-    if defect > rtol * max(scale, 1e-300):
-        raise NonHermitianError(defect, rtol * scale)
+    check_hermitian(H, rtol)
     return kernels.expm_herm(hermitize(H), float(alpha))

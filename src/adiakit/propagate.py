@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._backend import kernels
-from .exceptions import NonHermitianError, StepLimitError
-from .linalg import dagger
+from ._kernels_py import chain_steps, step_exponentials
+from .exceptions import StepLimitError
+from .linalg import check_hermitian
 from .paths import HamiltonianPath
 
 STEP_CAP = 10**7
@@ -46,13 +47,6 @@ class PropagationResult:
         if abs(self.grid[k] - s) > 1e-9 * max(1.0, abs(s)):
             raise ValueError(f"s={s} is not a grid point")
         return self.unitaries[k]
-
-
-def _check_hermitian_chunk(H, rtol=_HERM_RTOL):
-    scale = max(float(np.max(np.linalg.norm(H, axis=(1, 2)))), 1e-300)
-    defect = float(np.max(np.linalg.norm(H - dagger(H), axis=(1, 2))))
-    if defect > rtol * scale:
-        raise NonHermitianError(defect, rtol * scale)
 
 
 def _max_unitarity_defect(us: np.ndarray) -> float:
@@ -101,7 +95,7 @@ def propagate(path: HamiltonianPath, tau: float, grid,
         mids = (lefts[:, None] + offsets).ravel()
         ds = np.repeat(dsub, substeps)
         H = path.eval_batch(mids, tau)
-        _check_hermitian_chunk(H)
+        check_hermitian(H, _HERM_RTOL)
         # kernels symmetrize their working copies; no pre-hermitization needed
         records, ucur = kernels.propagate_steps(H, coef, ds, ucur, substeps)
         unitaries[pos + 1:hi + 1] = records
@@ -124,8 +118,10 @@ def propagate_adaptive(path: HamiltonianPath, tau: float, s_end: float,
     a step of size h is accepted when that difference is at most ``tol * h``
     (or below the floating-point noise floor of the comparison, where the
     doubling estimate stops carrying information). The comparisons are
-    evaluated ``batch`` steps at a time through the kernel backend; the
-    accepted state follows the half-step chain. Returns U on the
+    evaluated ``batch`` steps at a time: one stacked eigensolve gives every
+    full- and half-step exponential of the batch directly, and the accepted
+    half-step pairs are chained onto the current state with the blocked
+    prefix product of ``_kernels_py.chain_steps``. Returns U on the
     accepted-step grid.
     """
     if tol <= 0:
@@ -137,11 +133,10 @@ def propagate_adaptive(path: HamiltonianPath, tau: float, s_end: float,
     h_floor = max(1e-13 * span, 8.0 * np.finfo(float).eps * (abs(s_start) + span))
     n = path.dim
     coef = float(tau)
-    eye = np.eye(n, dtype=complex)
 
-    grid = [s_start]
-    us = [eye]
-    ucur = eye
+    grids = [np.array([s_start])]
+    us = [np.eye(n, dtype=complex)[None]]
+    ucur = us[0][0]
     s = s_start
     trials = 0
     while s < s_end - 1e-14 * span:
@@ -153,20 +148,16 @@ def propagate_adaptive(path: HamiltonianPath, tau: float, s_end: float,
             raise StepLimitError(step_cap,
                                  f"step-doubling exceeded cap {step_cap} "
                                  f"(tolerance {tol} may be unreachable)")
-        mids_full = s + (np.arange(m) + 0.5) * heff
-        mids_half = s + (np.arange(2 * m) + 0.5) * (0.5 * heff)
-        Hf = path.eval_batch(mids_full, tau)
-        Hh = path.eval_batch(mids_half, tau)
-        _check_hermitian_chunk(Hh)  # kernels symmetrize their working copies
-        rec_f, _ = kernels.propagate_steps(Hf, coef, np.full(m, heff), eye, 1)
-        rec_h, _ = kernels.propagate_steps(Hh, coef,
-                                           np.full(2 * m, 0.5 * heff), eye, 2)
-        # per-step operators over each interval: S_k = U_k U_{k-1}^dagger
-        step_f = rec_f.copy()
-        step_f[1:] = rec_f[1:] @ dagger(rec_f[:-1])
-        step_h = rec_h.copy()
-        step_h[1:] = rec_h[1:] @ dagger(rec_h[:-1])
-        local = np.linalg.norm(step_f - step_h, axis=(1, 2))
+        # m full steps, then the 2m half steps covering the same interval
+        mids = np.concatenate([s + (np.arange(m) + 0.5) * heff,
+                               s + (np.arange(2 * m) + 0.5) * (0.5 * heff)])
+        dts = np.repeat([heff, 0.5 * heff], [m, 2 * m])
+        H = path.eval_batch(mids, tau)
+        check_hermitian(H, _HERM_RTOL)  # kernels symmetrize their working copies
+        W, V = kernels.eigh_batch(H)
+        steps = step_exponentials(W, V, coef * dts)
+        step_h = steps[m + 1::2] @ steps[m::2]
+        local = np.linalg.norm(steps[:m] - step_h, axis=(1, 2))
         target = tol * heff
         if target <= _NOISE_FLOOR:
             # the doubling comparison is below its own floating-point noise:
@@ -185,14 +176,14 @@ def propagate_adaptive(path: HamiltonianPath, tau: float, s_end: float,
             factor = (target / worst) ** (1.0 / 3.0)
             h = max(heff * min(2.0, max(0.2, safety * factor)), h_floor)
         if naccept > 0:
-            new_us = rec_h[:naccept] @ ucur
-            for k in range(naccept):
-                grid.append(s + (k + 1) * heff)
-                us.append(new_us[k])
+            new_us = step_h[:naccept]
+            chain_steps(new_us, ucur)
+            grids.append(s + np.arange(1, naccept + 1) * heff)
+            us.append(new_us)
             ucur = new_us[-1]
             s += naccept * heff
 
-    unitaries = np.array(us)
-    return PropagationResult(grid=np.array(grid), unitaries=unitaries,
+    unitaries = np.concatenate(us)
+    return PropagationResult(grid=np.concatenate(grids), unitaries=unitaries,
                              max_unitarity_defect=_max_unitarity_defect(unitaries),
                              steps_taken=trials // 3, tau=float(tau))

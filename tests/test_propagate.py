@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import adiakit as ak
-from adiakit import spinhalf
-from adiakit.exceptions import StepLimitError
+from adiakit import _kernels_py, spinhalf
+from adiakit.exceptions import NonHermitianError, StepLimitError
 from adiakit.paths import HamiltonianPath, constant_hamiltonian
 
 THETA, OMEGA0 = np.pi / 4, 1.0
@@ -146,3 +146,63 @@ def test_adaptive_nonzero_start():
     right = ak.propagate_adaptive(h, tau, WINDOW, tol=1e-8, s_start=np.pi)
     assert abs(right.grid[0] - np.pi) <= 1e-12
     assert np.linalg.norm(right.final() @ left.final() - full.final()) <= 1e-7
+
+
+def _random_hermitian_stack(rng, m, dim):
+    a = rng.standard_normal((m, dim, dim)) + 1j * rng.standard_normal((m, dim, dim))
+    return 0.5 * (a + np.conj(np.swapaxes(a, 1, 2)))
+
+
+def _sequential_steps(H, coef, ds, U0, record_every):
+    """Reference: one exponential per step, chained in a plain loop."""
+    u = np.array(U0, dtype=complex)
+    records = []
+    for k in range(len(H)):
+        w, v = np.linalg.eigh(H[k])
+        u = (v * np.exp(-1j * coef * ds[k] * w)) @ v.conj().T @ u
+        if (k + 1) % record_every == 0:
+            records.append(u)
+    return np.array(records), u
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 7, 64, 128, 1000, 4099])
+def test_python_kernel_matches_sequential_loop(dim, m):
+    rng = np.random.default_rng(1000 * dim + m)
+    H = _random_hermitian_stack(rng, m, dim)
+    ds = rng.uniform(0.01, 0.1, m)
+    U0 = ak.unitary_exp(_random_hermitian_stack(rng, 1, dim)[0], 1.0)
+    H_before = H.copy()
+    for record_every in (1, 2, 5):
+        if m % record_every:
+            continue
+        records, final = _kernels_py.propagate_steps(H, 3.0, ds, U0, record_every)
+        ref_records, ref_final = _sequential_steps(H, 3.0, ds, U0, record_every)
+        assert records.shape == (m // record_every, dim, dim)
+        assert np.max(np.abs(records - ref_records)) <= 1e-12
+        assert np.max(np.abs(final - ref_final)) <= 1e-12
+    assert np.array_equal(H, H_before)
+
+
+def _non_hermitian_path():
+    h = spinhalf.hamiltonian(THETA, OMEGA0)
+    skew = np.array([[0.0, 1e-3], [0.0, 0.0]], dtype=complex)
+    return HamiltonianPath(2, lambda s, t: h.eval(s, t) + skew,
+                           batch_eval_fn=lambda sv, t: h.eval_batch(sv, t) + skew)
+
+
+def test_non_hermitian_path_rejected():
+    bad = _non_hermitian_path()
+    with pytest.raises(NonHermitianError):
+        ak.propagate(bad, 10.0, np.linspace(0, 1, 11))
+    with pytest.raises(NonHermitianError):
+        ak.propagate_adaptive(bad, 10.0, 1.0, tol=1e-6)
+
+
+def test_adaptive_grid_and_shapes():
+    h = spinhalf.hamiltonian(THETA, OMEGA0)
+    res = ak.propagate_adaptive(h, 10.0, 1.0, tol=1e-5, s_start=0.25)
+    assert res.grid[0] == 0.25 and abs(res.grid[-1] - 1.0) <= 1e-12
+    assert np.all(np.diff(res.grid) > 0)
+    assert res.unitaries.shape == (len(res.grid), 2, 2)
+    assert np.array_equal(res.unitaries[0], np.eye(2))
