@@ -27,8 +27,6 @@ def _add_common(sub):
                      help="output directory (overrides config output.directory)")
     sub.add_argument("--grid", type=int, default=None,
                      help="grid points per window (overrides config)")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="reserved for stochastic extensions; recorded only")
     sub.add_argument("--threads", type=int, default=1,
                      help="parallel workers across tau entries")
 
@@ -66,8 +64,6 @@ def _run_or_scan(args, scan_mode):
     cfg = _load_config(args.config)
     if args.grid is not None:
         cfg["grid"] = args.grid
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     entry = scenario.scan if scan_mode else scenario.run
     report, series = entry(cfg, threads=max(1, args.threads))
     out_dir = args.out or report["config"]["output"]["directory"]

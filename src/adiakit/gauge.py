@@ -24,8 +24,9 @@ import numpy as np
 
 from ._backend import kernels
 from .exceptions import EigenvalueCrossingError, ProjectorDiscontinuityError
-from .linalg import check_hermitian, dagger, hermitize
-from .paths import HamiltonianPath
+from .linalg import check_hermitian, dagger
+from .paths import (FD4_CENTRAL_NUMERATORS, FD4_DENOMINATOR,
+                    FD4_FORWARD_NUMERATORS, HamiltonianPath, fd4_derivative)
 from .transforms import TransformedHamiltonianPath
 
 GAP_FLOOR = 1e-8
@@ -74,12 +75,6 @@ class EigenFrame:
         ov = np.einsum("kij,kij->kj", self.vectors[:-1].conj(), self.vectors[1:])
         ds = np.diff(self.grid)[:, None]
         return float(np.max(np.abs(ov.imag) / ds))
-
-    def curvature_quotient(self) -> float:
-        """max |<v_n(s_k)| (v_n(s_k+1)-v_n(s_k))/ds >|; curvature, not gauge."""
-        ov = np.einsum("kij,kij->kj", self.vectors[:-1].conj(), self.vectors[1:])
-        ds = np.diff(self.grid)[:, None]
-        return float(np.max(np.abs(ov - 1.0) / ds))
 
     def phase_integrals(self) -> np.ndarray:
         """tau * cumulative-trapezoid of the level values; shape (N, n)."""
@@ -195,7 +190,7 @@ def _discrete_frame(path, tau, grid, initial_vectors, gap_floor,
 
     H = path.eval_batch(fine, tau)
     check_hermitian(H, HERMITICITY_FRAME_RTOL)
-    W, V = kernels.eigh_batch(hermitize(H))
+    W, V = kernels.eigh_batch(H)
     W, V = _track_levels(W, V, fine, overlap_floor)
 
     gap, kmin = _min_pairwise_gap(W)
@@ -299,13 +294,9 @@ def _check_transport_generator(path, tau, grid, rtol):
         path.unitary.eval(float(probe[0]) + 0.5 * h, tau)
     except ValueError:
         return  # grid-locked unitary: generator consistency is caller-asserted
-    worst = 0.0
-    for k, s in enumerate(probe):
-        stencil = s + h * np.array([-2.0, -1.0, 1.0, 2.0])
-        samples = path.unitary.eval_batch(stencil, tau)
-        dU = (samples[0] - 8 * samples[1] + 8 * samples[2] - samples[3]) / (12 * h)
-        G = (1j / tau) * dU @ dagger(path.unitary.eval(float(s), tau))
-        worst = max(worst, float(np.linalg.norm(G - G_ref[k])))
+    dU = fd4_derivative(path.unitary, probe, tau, h)
+    G = (1j / tau) * dU @ dagger(path.unitary.eval_batch(probe, tau))
+    worst = float(np.max(np.linalg.norm(G - G_ref, axis=(1, 2))))
     if worst > rtol * scale * 10.0:
         raise ValueError(
             f"transported frame generator mismatch {worst:.3e} (tolerance "
@@ -384,9 +375,11 @@ def _derivative_fd4(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     if not np.allclose(np.diff(x), h, rtol=1e-9, atol=0):
         raise ValueError("finite-difference route needs a uniform grid")
     out = np.empty_like(y)
-    out[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
+    c = FD4_CENTRAL_NUMERATORS
+    out[2:-2] = (c[0] * y[:-4] + c[1] * y[1:-3] + c[2] * y[3:-1]
+                 + c[3] * y[4:]) / (FD4_DENOMINATOR * h)
     # one-sided 4th-order stencils at the edges
-    fwd = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
+    fwd = FD4_FORWARD_NUMERATORS / FD4_DENOMINATOR
     for i in (0, 1):
         out[i] = sum(c * y[i + k] for k, c in enumerate(fwd)) / h
     for i in (-2, -1):

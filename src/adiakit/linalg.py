@@ -71,14 +71,15 @@ class HermEig:
 def herm_eig(M: np.ndarray, rtol: float = HERMITICITY_RTOL) -> HermEig:
     """Eigendecomposition of a Hermitian matrix via the active backend.
 
-    Rejects matrices whose Hermiticity defect exceeds ``rtol * ||M||_F``.
+    Rejects matrices whose Hermiticity defect exceeds ``rtol * ||M||_F``;
+    every kernel then works on the Hermitian part (M + M^dagger) / 2.
     Deterministic: identical input gives bit-identical output.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("herm_eig expects a square matrix")
     check_hermitian(M, rtol)
-    w, v = kernels.eigh(hermitize(M))
+    w, v = kernels.eigh(M)
     return HermEig(values=w, vectors=v)
 
 
@@ -87,4 +88,4 @@ def unitary_exp(H: np.ndarray, alpha: float,
     """exp(-i * alpha * H) for Hermitian H; unitary by construction."""
     H = np.asarray(H, dtype=complex)
     check_hermitian(H, rtol)
-    return kernels.expm_herm(hermitize(H), float(alpha))
+    return kernels.expm_herm(H, float(alpha))

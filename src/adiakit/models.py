@@ -33,7 +33,6 @@ def driven_two_level(omega0: float, amplitude: float, drive_frequency: float,
         return np.ones_like(s), np.zeros_like(s)
 
     def _eval_batch(s, tau):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
         nu = _phase_rate(tau)
         g, _ = _envelope(s)
         drive = amplitude * g * np.cos(nu * s)
@@ -41,7 +40,6 @@ def driven_two_level(omega0: float, amplitude: float, drive_frequency: float,
                 - drive[:, None, None] * SIGMA_X[None])
 
     def _deriv_batch(s, tau):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
         nu = _phase_rate(tau)
         g, gdot = _envelope(s)
         ddrive = amplitude * (gdot * np.cos(nu * s) - g * nu * np.sin(nu * s))
@@ -49,12 +47,7 @@ def driven_two_level(omega0: float, amplitude: float, drive_frequency: float,
 
     kind = "scaled" if scaled_frequency else "real"
     return HamiltonianPath(
-        2,
-        lambda s, tau: _eval_batch(np.array([s]), tau)[0],
-        derivative_fn=lambda s, tau: _deriv_batch(np.array([s]), tau)[0],
-        tau_dependent=not scaled_frequency,
-        batch_eval_fn=_eval_batch,
-        batch_derivative_fn=_deriv_batch,
+        2, _eval_batch, derivative_fn=_deriv_batch,
         name=f"driven_two_level(A={amplitude:.3g}, f={drive_frequency:.3g}, "
              f"{kind})")
 
@@ -77,7 +70,6 @@ def random_smooth_hamiltonian(dim: int, rng: np.random.Generator,
     sin_coeff = [wobble / (j * j) * _random_herm() for j in range(1, modes + 1)]
 
     def _eval_batch(s, tau):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
         out = np.broadcast_to(base, (len(s), dim, dim)).copy()
         for j, (cj, sj) in enumerate(zip(cos_coeff, sin_coeff), start=1):
             out += np.cos(j * freq * s)[:, None, None] * cj
@@ -85,7 +77,6 @@ def random_smooth_hamiltonian(dim: int, rng: np.random.Generator,
         return out
 
     def _deriv_batch(s, tau):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
         out = np.zeros((len(s), dim, dim), dtype=complex)
         for j, (cj, sj) in enumerate(zip(cos_coeff, sin_coeff), start=1):
             w = j * freq
@@ -94,9 +85,5 @@ def random_smooth_hamiltonian(dim: int, rng: np.random.Generator,
         return out
 
     return HamiltonianPath(
-        dim,
-        lambda s, tau: _eval_batch(np.array([s]), tau)[0],
-        derivative_fn=lambda s, tau: _deriv_batch(np.array([s]), tau)[0],
-        batch_eval_fn=_eval_batch,
-        batch_derivative_fn=_deriv_batch,
+        dim, _eval_batch, derivative_fn=_deriv_batch,
         name=f"random_smooth(dim={dim})")

@@ -8,6 +8,11 @@ With hbar = 1 the scaled Schrodinger equation reads
 so tau -> infinity is the adiabatic limit. For the rotating spin-half model
 one field rotation spans s in [0, 2*pi] and tau = 1/omega.
 
+Every path callable is a batch callable: ``fn(s_values, tau)`` takes a 1-D
+array of s values and returns the (len(s_values), n, n) stack of matrices
+at those points. Anything else raises ValueError. ``eval`` and
+``derivative`` at a single s are one-row views of the batch calls.
+
 Paths are immutable after construction and evaluation is pure; concurrent
 evaluation at distinct (s, tau) is safe.
 """
@@ -18,117 +23,126 @@ import numpy as np
 
 from .linalg import dagger
 
-# default finite-difference step for path derivatives (4th-order central)
+BatchFn = Callable[[np.ndarray, float], np.ndarray]
+
+# default finite-difference step for path derivatives
 FD_STEP = 1e-4
 
-_FD4_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
-_FD4_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
+# 4th-order finite-difference stencils as integer weights over a common
+# denominator: central at s + h * (-2, -1, 1, 2), one-sided (forward) at
+# s + h * (0, 1, 2, 3, 4)
+FD4_DENOMINATOR = 12.0
+FD4_CENTRAL_NUMERATORS = np.array([1.0, -8.0, 8.0, -1.0])
+FD4_FORWARD_NUMERATORS = np.array([-25.0, 48.0, -36.0, 16.0, -3.0])
+
+_FD4_STENCILS = (
+    (np.array([-2.0, -1.0, 1.0, 2.0]), FD4_CENTRAL_NUMERATORS / FD4_DENOMINATOR),
+    (np.arange(5.0), FD4_FORWARD_NUMERATORS / FD4_DENOMINATOR),
+)
+
+
+def _call_batch(fn: BatchFn, s_values: np.ndarray, tau: float,
+                dim: int) -> np.ndarray:
+    if s_values.ndim != 1:
+        raise ValueError(f"s_values must be a 1-D array, got shape {s_values.shape}")
+    out = np.asarray(fn(s_values, float(tau)), dtype=complex)
+    expected = (len(s_values), dim, dim)
+    if out.shape != expected:
+        raise ValueError(
+            f"path callable must map an array of {len(s_values)} s values to "
+            f"a stack of shape {expected}, got shape {out.shape}")
+    return out
+
+
+def fd4_derivative(path, s_values, tau: float, h: float,
+                   s_min: Optional[float] = None) -> np.ndarray:
+    """4th-order finite-difference d/ds of ``path.eval_batch`` at every s.
+
+    Central stencil, except at points within 2h of ``s_min``, which take the
+    one-sided 5-point forward stencil so that no sample falls below s_min.
+    ``path`` is any object with ``dim`` and ``eval_batch(s_values, tau)``.
+    """
+    s_values = np.asarray(s_values, dtype=float)
+    near = (np.zeros(len(s_values), dtype=bool) if s_min is None
+            else s_values - 2 * h < s_min)
+    out = np.empty((len(s_values), path.dim, path.dim), dtype=complex)
+    for rows, (offsets, weights) in zip((~near, near), _FD4_STENCILS):
+        if not rows.any():
+            continue
+        s = s_values[rows]
+        samples = path.eval_batch((s[:, None] + h * offsets[None, :]).ravel(),
+                                  tau)
+        samples = samples.reshape(len(s), len(offsets), path.dim, path.dim)
+        out[rows] = np.tensordot(samples, weights, axes=(1, 0)) / h
+    return out
 
 
 class HamiltonianPath:
-    """Map (s, tau) -> Hermitian matrix, with optional analytic derivative."""
+    """Map (s, tau) -> Hermitian matrix, with optional analytic derivative.
 
-    def __init__(self, dim: int,
-                 eval_fn: Callable[[float, float], np.ndarray],
-                 derivative_fn: Optional[Callable[[float, float], np.ndarray]] = None,
-                 tau_dependent: bool = False,
-                 batch_eval_fn: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
-                 batch_derivative_fn: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
-                 name: str = ""):
+    ``eval_fn`` and ``derivative_fn`` are batch callables (see module doc);
+    without ``derivative_fn`` the derivative is ``fd4_derivative``.
+    """
+
+    def __init__(self, dim: int, eval_fn: BatchFn,
+                 derivative_fn: Optional[BatchFn] = None, name: str = ""):
         self.dim = int(dim)
         if self.dim <= 0:
             raise ValueError("dim must be positive")
-        self._eval = eval_fn
-        self._deriv = derivative_fn
-        self._batch_eval = batch_eval_fn
-        self._batch_deriv = batch_derivative_fn
-        self.tau_dependent = bool(tau_dependent)
+        self._eval_fn = eval_fn
+        self._deriv_fn = derivative_fn
         self.name = name
 
-    @property
-    def has_derivative(self) -> bool:
-        return self._deriv is not None or self._batch_deriv is not None
-
     def eval(self, s: float, tau: float = 1.0) -> np.ndarray:
-        return np.asarray(self._eval(float(s), float(tau)), dtype=complex)
+        return self.eval_batch(np.array([float(s)]), tau)[0]
 
     def eval_batch(self, s_values: np.ndarray, tau: float = 1.0) -> np.ndarray:
         s_values = np.asarray(s_values, dtype=float)
-        if self._batch_eval is not None:
-            out = np.asarray(self._batch_eval(s_values, float(tau)), dtype=complex)
-        else:
-            out = np.empty((len(s_values), self.dim, self.dim), dtype=complex)
-            for k, s in enumerate(s_values):
-                out[k] = self.eval(s, tau)
-        return out
+        return _call_batch(self._eval_fn, s_values, tau, self.dim)
 
     def derivative(self, s: float, tau: float = 1.0,
                    h: float = FD_STEP) -> np.ndarray:
-        """dH/ds, analytic when registered, else 4th-order central difference."""
-        if self._deriv is not None:
-            return np.asarray(self._deriv(float(s), float(tau)), dtype=complex)
-        if self._batch_deriv is not None:
-            return np.asarray(
-                self._batch_deriv(np.array([float(s)]), float(tau)), dtype=complex)[0]
-        samples = self.eval_batch(s + h * _FD4_OFFSETS, tau)
-        return np.tensordot(_FD4_WEIGHTS, samples, axes=(0, 0)) / h
+        return self.derivative_batch(np.array([float(s)]), tau, h)[0]
 
     def derivative_batch(self, s_values: np.ndarray, tau: float = 1.0,
                          h: float = FD_STEP) -> np.ndarray:
+        """dH/ds, analytic when registered, else 4th-order central difference."""
         s_values = np.asarray(s_values, dtype=float)
-        if self._batch_deriv is not None:
-            return np.asarray(self._batch_deriv(s_values, float(tau)), dtype=complex)
-        if self._deriv is not None:
-            out = np.empty((len(s_values), self.dim, self.dim), dtype=complex)
-            for k, s in enumerate(s_values):
-                out[k] = self._deriv(float(s), float(tau))
-            return out
-        stencil = (s_values[:, None] + h * _FD4_OFFSETS[None, :]).ravel()
-        samples = self.eval_batch(stencil, tau).reshape(
-            len(s_values), 4, self.dim, self.dim)
-        return np.tensordot(samples, _FD4_WEIGHTS, axes=(1, 0)) / h
+        if self._deriv_fn is None:
+            return fd4_derivative(self, s_values, tau, h)
+        return _call_batch(self._deriv_fn, s_values, tau, self.dim)
 
 
 class UnitaryPath:
     """Map (s, tau) -> unitary matrix with U(0, tau) = identity.
 
-    ``generator`` is, when known, the Hamiltonian path G satisfying
-    i dU/ds = tau * G(s, tau) * U; transformed-frame constructions need it.
+    ``eval_fn`` is a batch callable (see module doc). ``generator`` is, when
+    known, the Hamiltonian path G satisfying i dU/ds = tau * G(s, tau) * U;
+    transformed-frame constructions need it.
     """
 
-    def __init__(self, dim: int,
-                 eval_fn: Callable[[float, float], np.ndarray],
-                 batch_eval_fn: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
-                 generator: Optional[HamiltonianPath] = None,
-                 name: str = ""):
+    def __init__(self, dim: int, eval_fn: BatchFn,
+                 generator: Optional[HamiltonianPath] = None, name: str = ""):
         self.dim = int(dim)
-        self._eval = eval_fn
-        self._batch_eval = batch_eval_fn
+        self._eval_fn = eval_fn
         self.generator = generator
         self.name = name
 
     def eval(self, s: float, tau: float = 1.0) -> np.ndarray:
-        return np.asarray(self._eval(float(s), float(tau)), dtype=complex)
+        return self.eval_batch(np.array([float(s)]), tau)[0]
 
     def eval_batch(self, s_values: np.ndarray, tau: float = 1.0) -> np.ndarray:
         s_values = np.asarray(s_values, dtype=float)
-        if self._batch_eval is not None:
-            return np.asarray(self._batch_eval(s_values, float(tau)), dtype=complex)
-        out = np.empty((len(s_values), self.dim, self.dim), dtype=complex)
-        for k, s in enumerate(s_values):
-            out[k] = self.eval(s, tau)
-        return out
+        return _call_batch(self._eval_fn, s_values, tau, self.dim)
 
     def with_generator(self, generator: HamiltonianPath) -> "UnitaryPath":
-        return UnitaryPath(self.dim, self._eval, self._batch_eval,
-                           generator=generator, name=self.name)
+        return UnitaryPath(self.dim, self._eval_fn, generator=generator,
+                           name=self.name)
 
     def adjoint(self, name: str = "") -> "UnitaryPath":
         """Pointwise Hermitian conjugate path (origin stays the identity)."""
         return UnitaryPath(
-            self.dim,
-            lambda s, tau: dagger(self.eval(s, tau)),
-            batch_eval_fn=lambda sv, tau: dagger(self.eval_batch(sv, tau)),
+            self.dim, lambda sv, tau: dagger(self.eval_batch(sv, tau)),
             name=name or (self.name + "^dagger"))
 
     def compose(self, other: "UnitaryPath", name: str = "") -> "UnitaryPath":
@@ -137,8 +151,7 @@ class UnitaryPath:
             raise ValueError("dimension mismatch")
         return UnitaryPath(
             self.dim,
-            lambda s, tau: self.eval(s, tau) @ other.eval(s, tau),
-            batch_eval_fn=lambda sv, tau: np.einsum(
+            lambda sv, tau: np.einsum(
                 "kij,kjl->kil", self.eval_batch(sv, tau), other.eval_batch(sv, tau)),
             name=name)
 
@@ -146,19 +159,15 @@ class UnitaryPath:
 def constant_hamiltonian(H0: np.ndarray, name: str = "constant") -> HamiltonianPath:
     H0 = np.asarray(H0, dtype=complex)
     dim = H0.shape[0]
-    zero = np.zeros_like(H0)
     return HamiltonianPath(
         dim,
-        lambda s, tau: H0,
-        derivative_fn=lambda s, tau: zero,
-        batch_eval_fn=lambda sv, tau: np.broadcast_to(H0, (len(sv), dim, dim)).copy(),
+        lambda sv, tau: np.broadcast_to(H0, (len(sv), dim, dim)).copy(),
+        derivative_fn=lambda sv, tau: np.zeros((len(sv), dim, dim), dtype=complex),
         name=name)
 
 
 def identity_unitary(dim: int) -> UnitaryPath:
     eye = np.eye(dim, dtype=complex)
     return UnitaryPath(
-        dim,
-        lambda s, tau: eye,
-        batch_eval_fn=lambda sv, tau: np.broadcast_to(eye, (len(sv), dim, dim)).copy(),
+        dim, lambda sv, tau: np.broadcast_to(eye, (len(sv), dim, dim)).copy(),
         name="identity")

@@ -31,7 +31,8 @@ from .exceptions import ConfigError, ScalingUndefinedError
 from .gauge import couplings, eigenframe
 from .linalg import hermiticity_defect
 from .models import driven_two_level
-from .paths import HamiltonianPath, UnitaryPath
+from .paths import (HamiltonianPath, UnitaryPath, constant_hamiltonian,
+                    identity_unitary)
 from .propagate import propagate
 from .transforms import dual_of, negate, transform
 
@@ -180,27 +181,21 @@ def custom_matrix_path(sgrid, matrices) -> HamiltonianPath:
     dim = mats.shape[1]
 
     def _eval_batch(s, tau):
-        s = np.clip(np.atleast_1d(np.asarray(s, dtype=float)),
-                    sgrid[0], sgrid[-1])
+        s = np.clip(s, sgrid[0], sgrid[-1])
         idx = np.clip(np.searchsorted(sgrid, s, side="right") - 1,
                       0, len(sgrid) - 2)
         t = (s - sgrid[idx]) / (sgrid[idx + 1] - sgrid[idx])
         return (1.0 - t)[:, None, None] * mats[idx] + t[:, None, None] * mats[idx + 1]
 
     def _deriv_batch(s, tau):
-        s = np.clip(np.atleast_1d(np.asarray(s, dtype=float)),
-                    sgrid[0], sgrid[-1])
+        s = np.clip(s, sgrid[0], sgrid[-1])
         idx = np.clip(np.searchsorted(sgrid, s, side="right") - 1,
                       0, len(sgrid) - 2)
         return ((mats[idx + 1] - mats[idx])
                 / (sgrid[idx + 1] - sgrid[idx])[:, None, None])
 
-    return HamiltonianPath(
-        dim,
-        lambda s, tau: _eval_batch(np.array([s]), tau)[0],
-        batch_eval_fn=_eval_batch,
-        batch_derivative_fn=_deriv_batch,
-        name="custom_matrix_path")
+    return HamiltonianPath(dim, _eval_batch, derivative_fn=_deriv_batch,
+                           name="custom_matrix_path")
 
 
 class _RecordedUnitary(UnitaryPath):
@@ -208,8 +203,7 @@ class _RecordedUnitary(UnitaryPath):
 
     def __init__(self, result):
         self._result = result
-        super().__init__(result.dim, self._eval_one,
-                         batch_eval_fn=self._eval_many,
+        super().__init__(result.dim, self._eval_many,
                          name="numeric_propagator")
 
     def _indices(self, s_values):
@@ -223,10 +217,7 @@ class _RecordedUnitary(UnitaryPath):
         return pick
 
     def _eval_many(self, s_values, tau):
-        return self._result.unitaries[self._indices(np.asarray(s_values, dtype=float))]
-
-    def _eval_one(self, s, tau):
-        return self._eval_many(np.array([float(s)]), tau)[0]
+        return self._result.unitaries[self._indices(s_values)]
 
 
 class SystemBundle:
@@ -293,28 +284,19 @@ class SystemBundle:
         if kind == "base_propagator":
             return u_base
         if kind == "identity":
-            from .paths import identity_unitary
             return identity_unitary(base.dim)
         rate = float(tr["rate"])
-        gen = HamiltonianPath(
-            2, lambda s, tau: np.diag([rate / 2.0, -rate / 2.0]).astype(complex),
-            derivative_fn=lambda s, tau: np.zeros((2, 2), dtype=complex),
-            batch_eval_fn=lambda sv, tau: np.broadcast_to(
-                np.diag([rate / 2.0, -rate / 2.0]).astype(complex),
-                (len(sv), 2, 2)).copy(),
-            name="rotating_z_generator")
+        gen = constant_hamiltonian(np.diag([rate / 2.0, -rate / 2.0]),
+                                   name="rotating_z_generator")
 
         def _u_batch(sv, tau):
-            sv = np.asarray(sv, dtype=float)
             ph = np.exp(-0.5j * rate * tau * sv)
             out = np.zeros((len(sv), 2, 2), dtype=complex)
             out[:, 0, 0] = ph
             out[:, 1, 1] = ph.conj()
             return out
 
-        return UnitaryPath(2, lambda s, tau: _u_batch(np.array([s]), tau)[0],
-                           batch_eval_fn=_u_batch, generator=gen,
-                           name="rotating_z").with_generator(gen)
+        return UnitaryPath(2, _u_batch, generator=gen, name="rotating_z")
 
     def path_for(self, tau: float) -> HamiltonianPath:
         if self.path is not None:

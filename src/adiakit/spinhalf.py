@@ -25,7 +25,6 @@ def hamiltonian(theta: float, omega0: float) -> HamiltonianPath:
     st, ct = np.sin(theta), np.cos(theta)
 
     def _eval_batch(s, tau):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
         out = -(omega0 / 2.0) * (
             SIGMA_X[None] * (st * np.cos(s))[:, None, None]
             + SIGMA_Y[None] * (st * np.sin(s))[:, None, None]
@@ -33,17 +32,12 @@ def hamiltonian(theta: float, omega0: float) -> HamiltonianPath:
         return out
 
     def _deriv_batch(s, tau):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
         return -(omega0 / 2.0) * st * (
             -SIGMA_X[None] * np.sin(s)[:, None, None]
             + SIGMA_Y[None] * np.cos(s)[:, None, None])
 
     return HamiltonianPath(
-        2,
-        lambda s, tau: _eval_batch(np.array([s]), tau)[0],
-        derivative_fn=lambda s, tau: _deriv_batch(np.array([s]), tau)[0],
-        batch_eval_fn=_eval_batch,
-        batch_derivative_fn=_deriv_batch,
+        2, _eval_batch, derivative_fn=_deriv_batch,
         name=f"spin_half(theta={theta:.6g}, omega0={omega0:.6g})")
 
 
@@ -79,10 +73,7 @@ def exact_propagator(theta: float, omega0: float) -> UnitaryPath:
     """Exact propagator as a UnitaryPath; omega is read off as 1/tau."""
     h = hamiltonian(theta, omega0)
     return UnitaryPath(
-        2,
-        lambda s, tau: propagator_matrix(theta, omega0, 1.0 / tau, s),
-        batch_eval_fn=lambda sv, tau: propagator_matrix(
-            theta, omega0, 1.0 / tau, np.asarray(sv, dtype=float)),
+        2, lambda sv, tau: propagator_matrix(theta, omega0, 1.0 / tau, sv),
         generator=h,
         name=f"U_spin_half(theta={theta:.6g}, omega0={omega0:.6g})")
 
@@ -201,7 +192,4 @@ def negated_dual_propagator(theta: float, omega0: float) -> UnitaryPath:
         return np.einsum("kji,kjl->kil", ua.conj(), w)
 
     return UnitaryPath(
-        2,
-        lambda s, tau: _eval_batch(np.array([float(s)]), tau)[0],
-        batch_eval_fn=_eval_batch,
-        name=f"U_negated_dual(theta={theta:.6g})")
+        2, _eval_batch, name=f"U_negated_dual(theta={theta:.6g})")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .exceptions import NonSmoothUnitaryError
 from .linalg import dagger, hermitize
-from .paths import _FD4_OFFSETS, _FD4_WEIGHTS, HamiltonianPath, UnitaryPath
+from .paths import HamiltonianPath, UnitaryPath, fd4_derivative
 
 
 class TransformedHamiltonianPath(HamiltonianPath):
@@ -35,24 +35,14 @@ class TransformedHamiltonianPath(HamiltonianPath):
         self.unitary = unitary
         self.sign = int(sign)
         super().__init__(
-            base.dim,
-            self._eval_one,
-            derivative_fn=self._deriv_one if self._has_analytic_derivative() else None,
-            tau_dependent=True,
-            batch_eval_fn=self._eval_many,
-            batch_derivative_fn=self._deriv_many if self._has_analytic_derivative() else None,
+            base.dim, self._eval_many,
+            derivative_fn=self._deriv_many if unitary.generator is not None else None,
             name=name or f"{'-' if sign < 0 else ''}U^dag({base.name})U")
-
-    def _has_analytic_derivative(self) -> bool:
-        return self.unitary.generator is not None
 
     def _eval_many(self, s_values, tau):
         H = self.base.eval_batch(s_values, tau)
         U = self.unitary.eval_batch(s_values, tau)
         return self.sign * np.einsum("kji,kjl,klm->kim", U.conj(), H, U)
-
-    def _eval_one(self, s, tau):
-        return self._eval_many(np.array([s]), tau)[0]
 
     def _deriv_many(self, s_values, tau):
         Hd = self.base.derivative_batch(s_values, tau)
@@ -65,9 +55,6 @@ class TransformedHamiltonianPath(HamiltonianPath):
             H = self.base.eval_batch(s_values, tau)
             inner = Hd + 1j * tau * (G @ H - H @ G)
         return self.sign * np.einsum("kji,kjl,klm->kim", U.conj(), inner, U)
-
-    def _deriv_one(self, s, tau):
-        return self._deriv_many(np.array([s]), tau)[0]
 
 
 def transform(base: HamiltonianPath, unitary: UnitaryPath, sign: int,
@@ -99,11 +86,8 @@ def negate(path: HamiltonianPath, name: str = "") -> HamiltonianPath:
                                           name=name or f"-({path.name})")
     return HamiltonianPath(
         path.dim,
-        lambda s, tau: -path.eval(s, tau),
-        derivative_fn=lambda s, tau: -path.derivative(s, tau),
-        tau_dependent=path.tau_dependent,
-        batch_eval_fn=lambda sv, tau: -path.eval_batch(sv, tau),
-        batch_derivative_fn=lambda sv, tau: -path.derivative_batch(sv, tau),
+        lambda sv, tau: -path.eval_batch(sv, tau),
+        derivative_fn=lambda sv, tau: -path.derivative_batch(sv, tau),
         name=name or f"-({path.name})")
 
 
@@ -117,27 +101,11 @@ class GeneratorPath(HamiltonianPath):
         self._h = float(h)
         self._s_min = s_min
         self.residual_threshold = float(residual_threshold)
-        super().__init__(
-            unitary.dim,
-            self._eval_one,
-            tau_dependent=True,
-            batch_eval_fn=self._eval_many,
-            name=name or f"generator({unitary.name})")
+        super().__init__(unitary.dim, self._eval_many,
+                         name=name or f"generator({unitary.name})")
 
     def _raw(self, s_values, tau):
-        s_values = np.asarray(s_values, dtype=float)
-        h = self._h
-        dU = np.empty((len(s_values), self.dim, self.dim), dtype=complex)
-        for k, s in enumerate(s_values):
-            if self._s_min is not None and s - 2 * h < self._s_min:
-                # one-sided 4th-order stencil near the left boundary
-                offs = s + h * np.arange(5)
-                samples = self.unitary.eval_batch(offs, tau)
-                w = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-                dU[k] = np.tensordot(w, samples, axes=(0, 0)) / h
-            else:
-                samples = self.unitary.eval_batch(s + h * _FD4_OFFSETS, tau)
-                dU[k] = np.tensordot(_FD4_WEIGHTS, samples, axes=(0, 0)) / h
+        dU = fd4_derivative(self.unitary, s_values, tau, self._h, self._s_min)
         U = self.unitary.eval_batch(s_values, tau)
         return (1j / tau) * np.einsum("kij,klj->kil", dU, U.conj())
 
@@ -153,11 +121,8 @@ class GeneratorPath(HamiltonianPath):
         if resid[worst] > self.residual_threshold:
             raise NonSmoothUnitaryError(float(resid[worst]),
                                         self.residual_threshold,
-                                        float(np.asarray(s_values)[worst]))
+                                        float(s_values[worst]))
         return hermitize(raw)
-
-    def _eval_one(self, s, tau):
-        return self._eval_many(np.array([s]), tau)[0]
 
 
 def generator_of(unitary: UnitaryPath, tau: Optional[float] = None,

@@ -171,8 +171,7 @@ def test_classification_basis_invariance():
     path = driven_two_level(1.0, 0.3, 1.0)
     from adiakit.paths import HamiltonianPath
     rotated = HamiltonianPath(
-        2, lambda s, tau: q.conj().T @ path.eval(s, tau) @ q,
-        batch_eval_fn=lambda sv, tau: np.einsum(
+        2, lambda sv, tau: np.einsum(
             "ji,kjl,lm->kim", q.conj(), path.eval_batch(sv, tau), q))
     grid = np.linspace(0, WINDOW, 8193)
     for tau in (20.0, 40.0):

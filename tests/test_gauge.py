@@ -98,7 +98,10 @@ def test_grid_refinement_stability(spin_frame):
 
 def test_crossing_detected_and_named():
     def h_eval(s, tau):
-        return np.diag([s - 0.5, 0.5 - s]).astype(complex)
+        out = np.zeros((len(s), 2, 2), dtype=complex)
+        out[:, 0, 0] = s - 0.5
+        out[:, 1, 1] = 0.5 - s
+        return out
 
     path = HamiltonianPath(2, h_eval)
     with pytest.raises(EigenvalueCrossingError) as exc:
@@ -109,9 +112,9 @@ def test_crossing_detected_and_named():
 
 def test_discontinuous_projector_detected():
     def h_eval(s, tau):
-        if s < 0.5:
-            return np.diag([-1.0, 1.0]).astype(complex)
-        return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        return np.where((s < 0.5)[:, None, None],
+                        np.diag([-1.0, 1.0]).astype(complex),
+                        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 
     path = HamiltonianPath(2, h_eval)
     with pytest.raises(ProjectorDiscontinuityError):

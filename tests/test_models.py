@@ -25,9 +25,6 @@ def test_driven_two_level_structure():
     p = driven_two_level(1.0, 0.4, 2.0, envelope=True)
     H0 = p.eval(0.0, 10.0)
     assert np.allclose(H0, -0.5 * np.array(ak.SIGMA_Z), atol=1e-14)
-    assert p.tau_dependent
-    p2 = driven_two_level(1.0, 0.4, 2.0, scaled_frequency=True)
-    assert not p2.tau_dependent
     # Hermitian everywhere
     H = p.eval_batch(np.linspace(0, 2 * np.pi, 200), 10.0)
     assert np.max(np.abs(H - np.conj(np.swapaxes(H, 1, 2)))) <= 1e-14

@@ -69,8 +69,7 @@ def test_composition_consistency():
 def test_rescaled_coupling_commutes():
     tau = 10.0
     h = spinhalf.hamiltonian(THETA, OMEGA0)
-    h2 = HamiltonianPath(2, lambda s, t: 2.0 * h.eval(s, t),
-                         batch_eval_fn=lambda sv, t: 2.0 * h.eval_batch(sv, t))
+    h2 = HamiltonianPath(2, lambda sv, t: 2.0 * h.eval_batch(sv, t))
     grid = np.linspace(0, WINDOW, 101)
     ra = ak.propagate(h, 2 * tau, grid, substeps=4)
     rb = ak.propagate(h2, tau, grid, substeps=4)
@@ -187,8 +186,7 @@ def test_python_kernel_matches_sequential_loop(dim, m):
 def _non_hermitian_path():
     h = spinhalf.hamiltonian(THETA, OMEGA0)
     skew = np.array([[0.0, 1e-3], [0.0, 0.0]], dtype=complex)
-    return HamiltonianPath(2, lambda s, t: h.eval(s, t) + skew,
-                           batch_eval_fn=lambda sv, t: h.eval_batch(sv, t) + skew)
+    return HamiltonianPath(2, lambda sv, t: h.eval_batch(sv, t) + skew)
 
 
 def test_non_hermitian_path_rejected():
