@@ -4,7 +4,7 @@
 Cyclic Jacobi eigensolver for dense complex Hermitian matrices (dimension
 <= 32) and the sequential midpoint-exponential propagation loop. The pure
 Python twin of this module is ``adiakit._kernels_py``; both expose the same
-four functions and are selected at import time by ``adiakit._backend``.
+two functions and are selected at import time by ``adiakit._backend``.
 """
 
 import numpy as np
@@ -168,26 +168,6 @@ JACOBI_TOL = 1e-14
 JACOBI_MAX_SWEEPS = 60
 
 
-def eigh(H):
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix."""
-    cdef cnp.ndarray[cplx, ndim=2, mode="c"] a = np.array(
-        H, dtype=np.complex128, order="C")
-    cdef int n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError("matrix must be square")
-    if n > MAXDIM:
-        raise ValueError(f"dimension {n} exceeds kernel limit {MAXDIM}")
-    cdef cnp.ndarray[double, ndim=1] w = np.empty(n, dtype=np.float64)
-    cdef cnp.ndarray[cplx, ndim=2, mode="c"] v = np.empty(
-        (n, n), dtype=np.complex128)
-    cdef int sweeps
-    with nogil:
-        sweeps = _jacobi(&a[0, 0], &v[0, 0], &w[0], n, _JTOL, _JSWEEPS)
-    if sweeps < 0:
-        raise RuntimeError("Jacobi eigensolver did not converge")
-    return w, v
-
-
 def eigh_batch(Hs):
     """Stacked eigh: ``Hs`` has shape (N, n, n); returns (W, V)."""
     cdef cnp.ndarray[cplx, ndim=3, mode="c"] a = np.array(
@@ -212,29 +192,6 @@ def eigh_batch(Hs):
     if bad != -2:
         raise RuntimeError(f"Jacobi eigensolver did not converge at index {bad}")
     return W, V
-
-
-def expm_herm(H, double alpha):
-    """exp(-i * alpha * H) for Hermitian H, via eigendecomposition."""
-    cdef cnp.ndarray[cplx, ndim=2, mode="c"] a = np.array(
-        H, dtype=np.complex128, order="C")
-    cdef int n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError("matrix must be square")
-    if n > MAXDIM:
-        raise ValueError(f"dimension {n} exceeds kernel limit {MAXDIM}")
-    cdef cnp.ndarray[cplx, ndim=2, mode="c"] u = np.empty(
-        (n, n), dtype=np.complex128)
-    cdef double w[MAXDIM]
-    cdef cplx v[MAXDIM * MAXDIM]
-    cdef int sweeps
-    with nogil:
-        sweeps = _jacobi(&a[0, 0], v, w, n, _JTOL, _JSWEEPS)
-    if sweeps < 0:
-        raise RuntimeError("Jacobi eigensolver did not converge")
-    with nogil:
-        _reconstruct_exp(&u[0, 0], v, w, alpha, n)
-    return u
 
 
 def propagate_steps(Hmid, double coef, ds, U0, Py_ssize_t record_every):

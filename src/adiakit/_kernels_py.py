@@ -1,11 +1,11 @@
 """Pure Python twin of the compiled kernels.
 
-Same four entry points as ``adiakit._kernels`` (eigh, eigh_batch, expm_herm,
-propagate_steps), built on numpy's stacked LAPACK eigensolver instead of the
-compiled cyclic Jacobi. Selected automatically when the extension is not
-built; force with ``ADIAKIT_BACKEND=python``. ``propagate_steps`` chains its
-step exponentials with the blocked prefix product ``chain_steps``, which the
-adaptive integrator also uses under either backend.
+Same two entry points as ``adiakit._kernels`` (eigh_batch, propagate_steps),
+built on numpy's stacked LAPACK eigensolver instead of the compiled cyclic
+Jacobi. Selected automatically when the extension is not built; force with
+``ADIAKIT_BACKEND=python``. The numpy helpers below serve either backend:
+``hermitize`` (re-exported by ``adiakit.linalg``), ``step_exponentials``
+and the blocked prefix product ``chain_steps``.
 """
 
 import numpy as np
@@ -22,30 +22,19 @@ def _check_square(a, name="matrix"):
         raise ValueError(f"dimension {a.shape[-1]} exceeds kernel limit {MAXDIM}")
 
 
-def _hermitize(a):
-    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
-
-
-def eigh(H):
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix."""
-    a = np.asarray(H, dtype=np.complex128)
-    _check_square(a)
-    w, v = np.linalg.eigh(_hermitize(a))
-    return w, v
+def hermitize(a):
+    """Hermitian part (a + a^dagger) / 2 of a matrix or a stack (..., n, n)."""
+    out = a + np.conj(np.swapaxes(a, -1, -2))
+    out *= 0.5
+    return out
 
 
 def eigh_batch(Hs):
     """Stacked eigh: ``Hs`` has shape (N, n, n); returns (W, V)."""
     a = np.asarray(Hs, dtype=np.complex128)
     _check_square(a)
-    w, v = np.linalg.eigh(_hermitize(a))
+    w, v = np.linalg.eigh(hermitize(a))
     return w, v
-
-
-def expm_herm(H, alpha):
-    """exp(-i * alpha * H) for Hermitian H, via eigendecomposition."""
-    w, v = eigh(H)
-    return (v * np.exp(-1j * alpha * w)) @ v.conj().T
 
 
 def step_exponentials(w, v, alphas):
@@ -100,7 +89,7 @@ def propagate_steps(Hmid, coef, ds, U0, record_every):
         raise ValueError("U0 dimension mismatch")
     if m == 0:
         return np.empty((0, n, n), dtype=np.complex128), u
-    w, v = np.linalg.eigh(_hermitize(h))
+    w, v = np.linalg.eigh(hermitize(h))
     steps = step_exponentials(w, v, coef * d)
     chain_steps(steps, u)
     # fresh arrays, so the step buffer is released on return

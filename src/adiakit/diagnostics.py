@@ -16,7 +16,7 @@ import numpy as np
 from .exceptions import ScalingUndefinedError
 from .gauge import (EigenFrame, _cumtrapz, couplings, dynamical_phase,
                     eigenframe, kato_operator, kernel_coefficients)
-from .paths import HamiltonianPath
+from .paths import HamiltonianPath, grid_index, is_uniform, midpoint_refined
 from .propagate import PropagationResult
 
 PHASE_PER_STEP_LIMIT = 0.3
@@ -88,21 +88,14 @@ def _richardson_trapz(y: np.ndarray, x: np.ndarray) -> complex:
     """Trapezoid value with one Richardson step where the grid allows it
     (uniform spacing, even interval count >= 4); plain trapezoid otherwise."""
     t_h = np.trapezoid(y, x)
-    dx = np.diff(x)
-    uniform = np.allclose(dx, dx[0], rtol=1e-9, atol=0.0)
-    if uniform and len(x) >= 5 and (len(x) - 1) % 2 == 0:
+    if is_uniform(x) and len(x) >= 5 and (len(x) - 1) % 2 == 0:
         t_2h = np.trapezoid(y[::2], x[::2])
         return t_h + (t_h - t_2h) / 3.0
     return t_h
 
 
 def _end_index(grid: np.ndarray, s_end: Optional[float]) -> int:
-    if s_end is None:
-        return len(grid) - 1
-    k = int(np.argmin(np.abs(grid - s_end)))
-    if abs(grid[k] - s_end) > 1e-9 * max(1.0, abs(s_end)):
-        raise ValueError(f"s_end={s_end} is not a grid point")
-    return k
+    return len(grid) - 1 if s_end is None else grid_index(grid, s_end)
 
 
 def resonance_integral(frame: EigenFrame, m: int, n: int,
@@ -124,9 +117,7 @@ def resonance_series_refined(frame: EigenFrame, m: int, n: int,
     otherwise.
     """
     g = _pair_integrand(frame, m, n, C)
-    dx = np.diff(frame.grid)
-    uniform = np.allclose(dx, dx[0], rtol=1e-9, atol=0.0)
-    if not uniform or (len(frame.grid) - 1) % 2 != 0:
+    if not is_uniform(frame.grid) or (len(frame.grid) - 1) % 2 != 0:
         return frame.grid, _cumtrapz(g, frame.grid)
     s_h = _cumtrapz(g, frame.grid)
     s_2h = _cumtrapz(g[::2], frame.grid[::2])
@@ -279,9 +270,7 @@ def premise_checks(path: HamiltonianPath, tau: float, grid,
     ds/2 should agree within a factor of two when the derivatives exist).
     """
     grid = np.asarray(grid, dtype=float)
-    fine = np.empty(2 * len(grid) - 1)
-    fine[0::2] = grid
-    fine[1::2] = 0.5 * (grid[:-1] + grid[1:])
+    fine = midpoint_refined(grid)
 
     fr_c = eigenframe(path, tau, grid, gap_floor=gap_floor)
     fr_f = eigenframe(path, tau, fine, gap_floor=gap_floor)

@@ -24,14 +24,18 @@ import numpy as np
 
 from ._backend import kernels
 from .exceptions import EigenvalueCrossingError, ProjectorDiscontinuityError
-from .linalg import check_hermitian, dagger
+from .linalg import check_hermitian, dagger, dagger_dot, unitarity_defect
 from .paths import (FD4_CENTRAL_NUMERATORS, FD4_DENOMINATOR,
-                    FD4_FORWARD_NUMERATORS, HamiltonianPath, fd4_derivative)
+                    FD4_FORWARD_NUMERATORS, HamiltonianPath, check_grid,
+                    fd4_derivative, is_uniform, midpoint_refined)
 from .transforms import TransformedHamiltonianPath
 
 GAP_FLOOR = 1e-8
 OVERLAP_FLOOR = 0.9
 HERMITICITY_FRAME_RTOL = 1e-10
+# the scenario runner and the verification suite build frames with
+# Richardson refinement only below this many grid points
+REFINE_MAX_POINTS = 200000
 
 
 @dataclass
@@ -65,14 +69,11 @@ class EigenFrame:
 
     def completeness_defect(self) -> float:
         """max_k || sum_n P_n(s_k) - I ||_F (= frame orthonormality defect)."""
-        v = self.vectors
-        gram = np.einsum("kji,kjl->kil", v.conj(), v)
-        eye = np.eye(self.dim)
-        return float(np.max(np.linalg.norm(gram - eye, axis=(1, 2))))
+        return unitarity_defect(self.vectors)
 
     def gauge_residual(self) -> float:
         """max_k,n |Im <v_n(s_k)|v_n(s_k+1)>| / ds: the discrete <E|Edot>."""
-        ov = np.einsum("kij,kij->kj", self.vectors[:-1].conj(), self.vectors[1:])
+        ov = _neighbor_overlaps(self.vectors)
         ds = np.diff(self.grid)[:, None]
         return float(np.max(np.abs(ov.imag) / ds))
 
@@ -92,6 +93,12 @@ def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     out[0] = 0.0
     np.cumsum(inc, axis=0, out=out[1:])
     return out
+
+
+def _neighbor_overlaps(V: np.ndarray, step: int = 1) -> np.ndarray:
+    """<v_n(s_k)|v_n(s_k+step)> per level n along the subsequence of every
+    ``step``-th frame; shape (ceil(N / step) - 1, n)."""
+    return np.einsum("kij,kij->kj", V[:-step:step].conj(), V[step::step])
 
 
 def _accumulated_phase_factors(units: np.ndarray) -> np.ndarray:
@@ -156,7 +163,7 @@ def _default_initial_phase(vectors):
 
 def _track_levels(W, V, grid, overlap_floor):
     """Reorder eigh output so levels are continuous in s."""
-    ov = np.einsum("kij,kij->kj", V[:-1].conj(), V[1:])
+    ov = _neighbor_overlaps(V)
     bad = np.where(np.abs(ov).min(axis=1) < overlap_floor)[0]
     if len(bad) == 0:
         return W, V
@@ -181,12 +188,7 @@ def _track_levels(W, V, grid, overlap_floor):
 
 def _discrete_frame(path, tau, grid, initial_vectors, gap_floor,
                     overlap_floor, refine):
-    if refine:
-        fine = np.empty(2 * len(grid) - 1)
-        fine[0::2] = grid
-        fine[1::2] = 0.5 * (grid[:-1] + grid[1:])
-    else:
-        fine = grid
+    fine = midpoint_refined(grid) if refine else grid
 
     H = path.eval_batch(fine, tau)
     check_hermitian(H, HERMITICITY_FRAME_RTOL)
@@ -202,7 +204,7 @@ def _discrete_frame(path, tau, grid, initial_vectors, gap_floor,
     # multiplicative discrete transport: accumulate neighbor-overlap phases
     # as unit complexes (an angle cumsum would lose precision once the raw
     # solver phases random-walk to many radians)
-    ov = np.einsum("kij,kij->kj", V[:-1].conj(), V[1:])
+    ov = _neighbor_overlaps(V)
     absov = np.abs(ov)
     if absov.min() < overlap_floor:
         k = int(np.argmin(absov.min(axis=1)))
@@ -214,7 +216,7 @@ def _discrete_frame(path, tau, grid, initial_vectors, gap_floor,
     if refine:
         # Richardson: compare against transport on the coarse subsequence to
         # cancel the O(ds^2) secular phase error
-        ov_c = np.einsum("kij,kij->kj", V[:-2:2].conj(), V[2::2])
+        ov_c = _neighbor_overlaps(V, step=2)
         gauge_coarse = _accumulated_phase_factors(ov_c / np.abs(ov_c))
         delta = np.angle(gauge_fine[0::2] * gauge_coarse.conj())
         # vectors are multiplied by conj(gauge): +delta/3 here lands as the
@@ -247,8 +249,7 @@ def _transported_frame(path, tau, grid, initial_vectors, gap_floor,
                             gap_floor=gap_floor, overlap_floor=overlap_floor,
                             refine=refine)
     U = path.unitary.eval_batch(grid, tau)
-    gram = np.einsum("kji,kjl->kil", U.conj(), U) - np.eye(path.dim)
-    udefect = float(np.max(np.linalg.norm(gram, axis=(1, 2))))
+    udefect = unitarity_defect(U)
     if udefect > 1e-9:
         raise ValueError(f"transforming path is not unitary on the grid "
                          f"(defect {udefect:.2e} > 1e-9)")
@@ -264,7 +265,7 @@ def _transported_frame(path, tau, grid, initial_vectors, gap_floor,
                       base_frame.vectors).real
     phi = tau * _cumtrapz(f, np.asarray(grid, dtype=float))
 
-    vecs = np.einsum("kji,kjl->kil", U.conj(), base_frame.vectors)
+    vecs = dagger_dot(U, base_frame.vectors)
     vecs = vecs * np.exp(-1j * phi)[:, None, :]
     values = path.sign * base_frame.values
 
@@ -315,11 +316,7 @@ def eigenframe(path: HamiltonianPath, tau: float, grid,
     generic per-point construction; "discrete"/"transported" force a route.
     ``initial_vectors`` pins level order and phases at s = 0 (columns).
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 3:
-        raise ValueError("grid must be a 1-D array with at least 3 points")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly ascending")
+    grid = check_grid(grid, min_points=3)
     if transport not in ("auto", "discrete", "transported"):
         raise ValueError(f"unknown transport mode {transport!r}")
 
@@ -371,9 +368,9 @@ def couplings(frame: EigenFrame, method: str = "auto",
 
 def _derivative_fd4(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """4th-order finite-difference d/dx along axis 0 on a uniform grid."""
-    h = x[1] - x[0]
-    if not np.allclose(np.diff(x), h, rtol=1e-9, atol=0):
+    if not is_uniform(x):
         raise ValueError("finite-difference route needs a uniform grid")
+    h = x[1] - x[0]
     out = np.empty_like(y)
     c = FD4_CENTRAL_NUMERATORS
     out[2:-2] = (c[0] * y[:-4] + c[1] * y[1:-3] + c[2] * y[3:-1]

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._backend import kernels
+from ._kernels_py import hermitize, step_exponentials  # hermitize re-exported
 from .exceptions import NonHermitianError
 
 HERMITICITY_RTOL = 1e-12
@@ -25,31 +26,36 @@ def dagger(M: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(M, -1, -2))
 
 
-def hermitize(M: np.ndarray) -> np.ndarray:
-    """Hermitian part (M + M^dagger) / 2."""
-    return 0.5 * (M + dagger(M))
-
-
 def hermiticity_defect(M: np.ndarray) -> float:
-    """|| M - M^dagger ||_F."""
+    """max_k || M_k - M_k^dagger ||_F; ``M`` is one matrix or a stack
+    (..., n, n)."""
     M = np.asarray(M, dtype=complex)
-    return float(np.linalg.norm(M - dagger(M)))
+    return float(np.max(np.linalg.norm(M - dagger(M), axis=(-2, -1))))
 
 
 def check_hermitian(H: np.ndarray, rtol: float):
-    """Raise NonHermitianError unless max_k ||H_k - H_k^dagger||_F is at most
+    """Raise NonHermitianError unless ``hermiticity_defect(H)`` is at most
     ``rtol * max_k ||H_k||_F``; ``H`` is one matrix or a stack (..., n, n)."""
     scale = max(float(np.max(np.linalg.norm(H, axis=(-2, -1)))), 1e-300)
-    defect = float(np.max(np.linalg.norm(H - dagger(H), axis=(-2, -1))))
+    defect = hermiticity_defect(H)
     if defect > rtol * scale:
         raise NonHermitianError(defect, rtol * scale)
 
 
+def dagger_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A_k^dagger B_k for every k of two (K, n, n) stacks."""
+    return np.einsum("kji,kjl->kil", A.conj(), B)
+
+
 def unitarity_defect(U: np.ndarray) -> float:
-    """|| U^dagger U - I ||_F."""
+    """max_k || U_k^dagger U_k - I ||_F; ``U`` is one matrix or a stack
+    (..., n, n). For a frame of eigenvector columns this is the
+    orthonormality (completeness) defect."""
     U = np.asarray(U, dtype=complex)
     n = U.shape[-1]
-    return float(np.linalg.norm(dagger(U) @ U - np.eye(n)))
+    U = U.reshape((-1, n, n))
+    return float(np.max(np.linalg.norm(dagger_dot(U, U) - np.eye(n),
+                                       axis=(1, 2))))
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,8 @@ class HermEig:
 
 
 def herm_eig(M: np.ndarray, rtol: float = HERMITICITY_RTOL) -> HermEig:
-    """Eigendecomposition of a Hermitian matrix via the active backend.
+    """Eigendecomposition of a Hermitian matrix: one row of the active
+    backend's ``eigh_batch``.
 
     Rejects matrices whose Hermiticity defect exceeds ``rtol * ||M||_F``;
     every kernel then works on the Hermitian part (M + M^dagger) / 2.
@@ -79,13 +86,13 @@ def herm_eig(M: np.ndarray, rtol: float = HERMITICITY_RTOL) -> HermEig:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("herm_eig expects a square matrix")
     check_hermitian(M, rtol)
-    w, v = kernels.eigh(M)
-    return HermEig(values=w, vectors=v)
+    w, v = kernels.eigh_batch(M[None])
+    return HermEig(values=w[0], vectors=v[0])
 
 
 def unitary_exp(H: np.ndarray, alpha: float,
                 rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     """exp(-i * alpha * H) for Hermitian H; unitary by construction."""
-    H = np.asarray(H, dtype=complex)
-    check_hermitian(H, rtol)
-    return kernels.expm_herm(H, float(alpha))
+    e = herm_eig(H, rtol)
+    return step_exponentials(e.values[None], e.vectors[None],
+                             np.array([float(alpha)]))[0]

@@ -41,6 +41,42 @@ _FD4_STENCILS = (
 )
 
 
+def check_grid(grid, min_points: int) -> np.ndarray:
+    """``grid`` as a float array; ValueError unless it is 1-D, strictly
+    ascending and has at least ``min_points`` points."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or len(grid) < min_points:
+        raise ValueError(
+            f"grid must be a 1-D array with at least {min_points} points")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be strictly ascending")
+    return grid
+
+
+def grid_index(grid: np.ndarray, s: float) -> int:
+    """Index of the grid point equal to ``s`` within 1e-9 * max(1, |s|);
+    ValueError if there is none."""
+    k = int(np.argmin(np.abs(grid - s)))
+    if abs(grid[k] - s) > 1e-9 * max(1.0, abs(s)):
+        raise ValueError(f"s={s} is not a grid point")
+    return k
+
+
+def is_uniform(x: np.ndarray) -> bool:
+    """True when every spacing of ``x`` equals the first to rtol 1e-9."""
+    dx = np.diff(x)
+    return bool(np.allclose(dx, dx[0], rtol=1e-9, atol=0.0))
+
+
+def midpoint_refined(grid: np.ndarray) -> np.ndarray:
+    """``grid`` with every interval midpoint inserted: 2N - 1 points, the
+    original ones at the even indices."""
+    fine = np.empty(2 * len(grid) - 1)
+    fine[0::2] = grid
+    fine[1::2] = 0.5 * (grid[:-1] + grid[1:])
+    return fine
+
+
 def _call_batch(fn: BatchFn, s_values: np.ndarray, tau: float,
                 dim: int) -> np.ndarray:
     if s_values.ndim != 1:

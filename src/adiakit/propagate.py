@@ -16,8 +16,8 @@ import numpy as np
 from ._backend import kernels
 from ._kernels_py import chain_steps, step_exponentials
 from .exceptions import StepLimitError
-from .linalg import check_hermitian
-from .paths import HamiltonianPath
+from .linalg import check_hermitian, unitarity_defect
+from .paths import HamiltonianPath, check_grid, grid_index
 
 STEP_CAP = 10**7
 _CHUNK_TARGET = 65536
@@ -43,16 +43,7 @@ class PropagationResult:
         return self.unitaries[-1]
 
     def at(self, s: float) -> np.ndarray:
-        k = int(np.argmin(np.abs(self.grid - s)))
-        if abs(self.grid[k] - s) > 1e-9 * max(1.0, abs(s)):
-            raise ValueError(f"s={s} is not a grid point")
-        return self.unitaries[k]
-
-
-def _max_unitarity_defect(us: np.ndarray) -> float:
-    eye = np.eye(us.shape[-1])
-    gram = np.einsum("kji,kjl->kil", us.conj(), us)
-    return float(np.max(np.linalg.norm(gram - eye, axis=(1, 2))))
+        return self.unitaries[grid_index(self.grid, s)]
 
 
 def propagate(path: HamiltonianPath, tau: float, grid,
@@ -62,11 +53,7 @@ def propagate(path: HamiltonianPath, tau: float, grid,
     Each grid interval is subdivided into ``substeps`` midpoint-exponential
     micro-steps. Global error is O(ds^2) in the micro-step size.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2:
-        raise ValueError("grid must contain at least two points")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly ascending")
+    grid = check_grid(grid, min_points=2)
     substeps = int(substeps)
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -102,7 +89,7 @@ def propagate(path: HamiltonianPath, tau: float, grid,
         pos = hi
 
     return PropagationResult(grid=grid, unitaries=unitaries,
-                             max_unitarity_defect=_max_unitarity_defect(unitaries),
+                             max_unitarity_defect=unitarity_defect(unitaries),
                              steps_taken=total, tau=float(tau))
 
 
@@ -185,5 +172,5 @@ def propagate_adaptive(path: HamiltonianPath, tau: float, s_end: float,
 
     unitaries = np.concatenate(us)
     return PropagationResult(grid=np.concatenate(grids), unitaries=unitaries,
-                             max_unitarity_defect=_max_unitarity_defect(unitaries),
+                             max_unitarity_defect=unitarity_defect(unitaries),
                              steps_taken=trials // 3, tau=float(tau))

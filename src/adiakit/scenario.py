@@ -11,6 +11,7 @@ refined in powers of four until the largest dynamical phase advance per step
 is below 0.3 rad (capped); oscillatory integrals would otherwise alias.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -28,8 +29,8 @@ from .diagnostics import (Thresholds, classify, f_norm, f_norm_max,
                           resonance_max_abs, resonance_series, scaling_slope,
                           w_deviation)
 from .exceptions import ConfigError, ScalingUndefinedError
-from .gauge import couplings, eigenframe
-from .linalg import hermiticity_defect
+from .gauge import REFINE_MAX_POINTS, couplings, eigenframe
+from .linalg import dagger, hermiticity_defect, hermitize
 from .models import driven_two_level
 from .paths import (HamiltonianPath, UnitaryPath, constant_hamiltonian,
                     identity_unitary)
@@ -102,7 +103,7 @@ def normalize_config(cfg: dict) -> dict:
         _require(np.all(np.diff(sgrid) > 0),
                  "parameters.grid must be strictly ascending")
         mats = _parse_matrices(p["matrices"], len(sgrid))
-        worst = max(hermiticity_defect(m) for m in mats)
+        worst = hermiticity_defect(mats)
         _require(worst <= 1e-9 * max(1.0, float(np.max(np.abs(mats)))),
                  f"custom matrices are not Hermitian (defect {worst:.2e})")
         _require(system in ("a", "b", "c"),
@@ -127,6 +128,9 @@ def normalize_config(cfg: dict) -> dict:
     out.setdefault("propagator", "auto")
     _require(out["propagator"] in ("auto", "closed_form", "numeric"),
              "propagator must be auto, closed_form or numeric")
+    _require(out["propagator"] != "closed_form"
+             or (model == "spin_half" and system in ("a", "b", "c")),
+             "propagator closed_form exists only for spin_half systems a, b, c")
 
     diags = out.get("diagnostics") or list(DEFAULT_DIAGNOSTICS)
     for d in diags:
@@ -134,12 +138,11 @@ def normalize_config(cfg: dict) -> dict:
     out["diagnostics"] = list(diags)
 
     th = dict(out.get("thresholds") or {})
-    defaults = Thresholds()
-    th.setdefault("eps_q", defaults.eps_q)
-    th.setdefault("eps_r", defaults.eps_r)
-    th.setdefault("slope_tol", defaults.slope_tol)
-    th.setdefault("decay_slope", defaults.decay_slope)
-    out["thresholds"] = th
+    defaults = dataclasses.asdict(Thresholds())
+    unknown = sorted(set(th) - set(defaults))
+    _require(not unknown, f"unknown thresholds {unknown}; "
+                          f"allowed keys are {sorted(defaults)}")
+    out["thresholds"] = {**defaults, **th}
 
     output = dict(out.get("output") or {})
     output.setdefault("directory", "adiakit-out")
@@ -337,7 +340,7 @@ class SystemBundle:
         probe = np.linspace(0.0, self.window, 33)
         path = self.base
         H = path.eval_batch(probe, tau)
-        w = np.linalg.eigvalsh(0.5 * (H + np.conj(np.swapaxes(H, 1, 2))))
+        w = np.linalg.eigvalsh(hermitize(H))
         return float(np.max(w[:, -1] - w[:, 0]))
 
     def unitaries_for(self, tau: float, grid: np.ndarray):
@@ -350,7 +353,7 @@ class SystemBundle:
             # U_dual = U_base^dagger, and the negated dual by
             # U_base^dagger @ (solution at doubled coupling)
             u_base = _RecordedUnitary(self._propagate_base(tau))
-            ub = np.conj(np.swapaxes(u_base.eval_batch(grid, tau), 1, 2))
+            ub = dagger(u_base.eval_batch(grid, tau))
             if system == "b":
                 return ub
             w = _RecordedUnitary(self._propagate_base(tau, doubled=True))
@@ -366,7 +369,7 @@ def _entry_for_tau(bundle: SystemBundle, tau: float, config: dict) -> dict:
     frame = eigenframe(path, tau, grid,
                        initial_vectors=bundle.initial_vectors,
                        transport=bundle.transport,
-                       refine=len(grid) < 200000)
+                       refine=len(grid) < REFINE_MAX_POINTS)
     diags = config["diagnostics"]
     C = couplings(frame)
     entry: dict = {
@@ -428,35 +431,23 @@ _SCALING_KEYS = ("qac_max", "f_norm_max", "projector_drift",
 def _append_scaling(report: dict, thresholds: Thresholds):
     entries = report["entries"]
     taus = [e["tau"] for e in entries]
+    samples = {key: [e.get(key) for e in entries] for key in _SCALING_KEYS}
+    samples["resonance_max"] = [
+        max(v["max_abs"] for v in e["resonance_integrals"].values())
+        if "resonance_integrals" in e else None for e in entries]
     scaling = {}
-    if len(taus) >= 2:
-        for key in _SCALING_KEYS:
-            vals = [e.get(key) for e in entries]
-            if any(v is None for v in vals):
-                continue
-            try:
-                fit = scaling_slope(taus, vals, min_points=2)
-                scaling[key] = {"slope": fit.slope, "residual": fit.residual}
-            except ScalingUndefinedError as exc:
-                scaling[key] = {"undefined": str(exc)}
-        res_max = [
-            max(v["max_abs"] for v in e["resonance_integrals"].values())
-            for e in entries if "resonance_integrals" in e
-        ]
-        if len(res_max) == len(entries):
-            try:
-                fit = scaling_slope(taus, res_max, min_points=2)
-                scaling["resonance_max"] = {"slope": fit.slope,
-                                            "residual": fit.residual}
-            except ScalingUndefinedError as exc:
-                scaling["resonance_max"] = {"undefined": str(exc)}
+    for key, vals in samples.items():
+        if len(taus) < 2 or any(v is None for v in vals):
+            continue
+        try:
+            fit = scaling_slope(taus, vals, min_points=2)
+            scaling[key] = {"slope": fit.slope, "residual": fit.residual}
+        except ScalingUndefinedError as exc:
+            scaling[key] = {"undefined": str(exc)}
     report["scaling"] = scaling
 
-    first = entries[0]
-    qac = first.get("qac_max")
-    rmax = None
-    if "resonance_integrals" in first:
-        rmax = max(v["max_abs"] for v in first["resonance_integrals"].values())
+    qac = entries[0].get("qac_max")
+    rmax = samples["resonance_max"][0]
     f_slope = scaling.get("f_norm_max", {}).get("slope")
     report["classification_inputs"] = {
         "qac_max": qac, "max_resonance": rmax, "f_norm_slope": f_slope,
@@ -471,7 +462,7 @@ def _append_scaling(report: dict, thresholds: Thresholds):
         report["classification"] = None
 
 
-def _run_entries(config: dict, threads: int = 1):
+def _run_normalized(config: dict, threads: int):
     bundle = SystemBundle(config)
     taus = config["parameters"]["tau_list"]
     if threads > 1:
@@ -480,13 +471,7 @@ def _run_entries(config: dict, threads: int = 1):
                 lambda t: _entry_for_tau(bundle, t, config), taus))
     else:
         results = [_entry_for_tau(bundle, t, config) for t in taus]
-    entries = [r[0] for r in results]
-    series = [r[1] for r in results]
-    return entries, series
-
-
-def _base_report(config: dict) -> dict:
-    return {
+    report = {
         "schema": REPORT_SCHEMA,
         "config": config,
         "provenance": {
@@ -497,18 +482,15 @@ def _base_report(config: dict) -> dict:
             "norm": "frobenius",
             "phase_per_step_target": PHASE_PER_STEP_TARGET,
         },
+        "entries": [r[0] for r in results],
     }
+    _append_scaling(report, Thresholds(**config["thresholds"]))
+    return report, [r[1] for r in results]
 
 
 def run(config: dict, threads: int = 1):
     """Run the scenario at every configured tau; returns (report, series)."""
-    config = normalize_config(config)
-    report = _base_report(config)
-    entries, series = _run_entries(config, threads)
-    report["entries"] = entries
-    th = Thresholds(**config["thresholds"])
-    _append_scaling(report, th)
-    return report, series
+    return _run_normalized(normalize_config(config), threads)
 
 
 def scan(config: dict, threads: int = 1):
@@ -516,7 +498,7 @@ def scan(config: dict, threads: int = 1):
     config = normalize_config(config)
     if len(config["parameters"]["tau_list"]) < 3:
         raise ConfigError("scan needs at least 3 tau values")
-    return run(config, threads)
+    return _run_normalized(config, threads)
 
 
 def write_report(report: dict, series, out_dir: str) -> List[str]:
@@ -543,16 +525,15 @@ def write_report(report: dict, series, out_dir: str) -> List[str]:
 
 def _write_series_csv(path: str, system: str, entry: dict, ser: dict) -> str:
     names = [k for k in ser if k != "s"]
-    n = len(ser["s"])
-    stride = max(1, math.ceil(n / SERIES_MAX_ROWS))
+    stride = max(1, math.ceil(len(ser["s"]) / SERIES_MAX_ROWS))
+    columns = [np.asarray(ser[k][::stride], dtype=float).tolist()
+               for k in ["s"] + names]
     with open(path, "w") as fh:
         header = ",".join(["s"] + [f"{system}.{name}" for name in names])
         fh.write(f"# tau={entry['tau']!r}\n")
         fh.write(header + "\n")
-        for i in range(0, n, stride):
-            row = [repr(float(ser["s"][i]))]
-            row += [repr(float(ser[name][i])) for name in names]
-            fh.write(",".join(row) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n"
+                      for row in zip(*columns))
     return path
 
 

@@ -14,7 +14,7 @@ upper (+omega0/2); analytic eigenvector phases obey parallel transport.
 
 import numpy as np
 
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger_dot
 from .paths import HamiltonianPath, UnitaryPath
 
 
@@ -187,9 +187,8 @@ def negated_dual_propagator(theta: float, omega0: float) -> UnitaryPath:
     base = exact_propagator(theta, omega0)
 
     def _eval_batch(sv, tau):
-        ua = base.eval_batch(sv, tau)
-        w = base.eval_batch(sv, 2.0 * tau)
-        return np.einsum("kji,kjl->kil", ua.conj(), w)
+        return dagger_dot(base.eval_batch(sv, tau),
+                          base.eval_batch(sv, 2.0 * tau))
 
     return UnitaryPath(
         2, _eval_batch, name=f"U_negated_dual(theta={theta:.6g})")

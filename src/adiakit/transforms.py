@@ -116,13 +116,14 @@ class GeneratorPath(HamiltonianPath):
 
     def _eval_many(self, s_values, tau):
         raw = self._raw(s_values, tau)
-        resid = np.linalg.norm(raw - hermitize(raw), axis=(1, 2))
+        herm = hermitize(raw)
+        resid = np.linalg.norm(raw - herm, axis=(1, 2))
         worst = int(np.argmax(resid))
         if resid[worst] > self.residual_threshold:
             raise NonSmoothUnitaryError(float(resid[worst]),
                                         self.residual_threshold,
                                         float(s_values[worst]))
-        return hermitize(raw)
+        return herm
 
 
 def generator_of(unitary: UnitaryPath, tau: Optional[float] = None,

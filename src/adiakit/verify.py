@@ -17,7 +17,8 @@ from .diagnostics import (Classification, Thresholds, classify, f_norm_max,
                           scaling_slope, w_deviation)
 from .diagnostics import _pair_integrand
 from .exceptions import ScalingUndefinedError
-from .gauge import couplings, eigenframe, kato_operator
+from .gauge import REFINE_MAX_POINTS, couplings, eigenframe, kato_operator
+from .linalg import unitarity_defect
 from .models import driven_two_level, random_smooth_hamiltonian
 from .propagate import propagate_adaptive
 from .transforms import dual_of, negate
@@ -44,7 +45,7 @@ def _spin_frames(theta, omega0, tau, npts, systems=("a",)):
     paths = {"a": h, "b": dual_of(h, ua), "c": negate(dual_of(h, ua))}
     for sys_ in systems:
         out[sys_] = eigenframe(paths[sys_], tau, grid, initial_vectors=iv,
-                               refine=npts < 200000)
+                               refine=npts < REFINE_MAX_POINTS)
     return out, grid
 
 
@@ -66,9 +67,7 @@ def check_propagator_unitarity(tol=1e-12):
     theta, omega0, omega = np.pi / 4, 1.0, 0.1
     s = np.linspace(0.0, WINDOW, 100)
     U = spinhalf.propagator_matrix(theta, omega0, omega, s)
-    gram = np.einsum("kji,kjl->kil", U.conj(), U) - np.eye(2)
-    return _result("propagator_unitarity",
-                   float(np.max(np.linalg.norm(gram, axis=(1, 2)))), tol)
+    return _result("propagator_unitarity", unitarity_defect(U), tol)
 
 
 def check_coupling_closed_form(tol=1e-6):

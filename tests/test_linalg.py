@@ -69,6 +69,27 @@ def test_defect_values():
     assert np.isclose(ak.unitarity_defect(2 * np.eye(2)), 3 * np.sqrt(2))
 
 
+def test_unitarity_defect_is_per_matrix_max_on_stacks():
+    # largest per-matrix defect 3 sqrt(2), not the norm of the stack (6)
+    stack = np.stack([2 * np.eye(2), 2 * np.eye(2)])
+    assert np.isclose(ak.unitarity_defect(stack), 3 * np.sqrt(2))
+    mixed = np.stack([np.eye(2), 2 * np.eye(2), np.eye(2)])
+    assert ak.unitarity_defect(mixed) == ak.unitarity_defect(2 * np.eye(2))
+    assert ak.unitarity_defect(np.stack([np.eye(3)] * 4)) == 0.0
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert ak.hermiticity_defect(np.stack([skew, 2 * skew])) == \
+        ak.hermiticity_defect(2 * skew) == 2 * np.sqrt(2)
+
+
+def test_herm_eig_is_a_row_of_eigh_batch():
+    from adiakit._backend import kernels
+    M = random_hermitian(4, seed=11)
+    e = ak.herm_eig(M)
+    W, V = kernels.eigh_batch(M[None])
+    assert np.array_equal(e.values, W[0])
+    assert np.array_equal(e.vectors, V[0])
+
+
 def test_unitary_exp_trivials():
     H = random_hermitian(3, seed=1)
     assert np.allclose(ak.unitary_exp(H, 0.0), np.eye(3), atol=1e-15)

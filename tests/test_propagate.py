@@ -204,3 +204,16 @@ def test_adaptive_grid_and_shapes():
     assert np.all(np.diff(res.grid) > 0)
     assert res.unitaries.shape == (len(res.grid), 2, 2)
     assert np.array_equal(res.unitaries[0], np.eye(2))
+
+
+def test_result_at_looks_up_grid_points_only():
+    h = spinhalf.hamiltonian(THETA, OMEGA0)
+    grid = np.linspace(0.0, 1.0, 11)
+    res = ak.propagate(h, 5.0, grid)
+    assert np.array_equal(res.at(0.3 + 1e-12), res.unitaries[3])
+    with pytest.raises(ValueError, match="not a grid point"):
+        res.at(0.35)
+    with pytest.raises(ValueError, match="at least 2 points"):
+        ak.propagate(h, 5.0, [0.0])
+    with pytest.raises(ValueError, match="strictly ascending"):
+        ak.propagate(h, 5.0, [0.0, 0.5, 0.5])

@@ -33,7 +33,10 @@ def test_normalize_fills_defaults():
     assert cfg["schema"] == sc.SCHEMA
     assert cfg["parameters"]["tau_list"] == [100.0]
     assert cfg["diagnostics"] == list(sc.DEFAULT_DIAGNOSTICS)
-    assert cfg["thresholds"]["eps_q"] == 0.05
+    assert cfg["thresholds"] == {"eps_q": 0.05, "eps_r": 0.1,
+                                 "slope_tol": 0.15, "decay_slope": -0.5}
+    cfg = sc.normalize_config(base_config(thresholds={"eps_r": 0.2}))
+    assert cfg["thresholds"]["eps_r"] == 0.2
 
 
 @pytest.mark.parametrize("mutate,msg", [
@@ -46,6 +49,9 @@ def test_normalize_fills_defaults():
     (lambda c: c.update(diagnostics=["nope"]), "diagnostic"),
     (lambda c: c["parameters"].pop("omega"), "exactly one"),
     (lambda c: c["parameters"].update(tau_list=[1.0]), "exactly one"),
+    (lambda c: c.update(system="x", transform={"sign": -1},
+                        propagator="closed_form"), "closed_form"),
+    (lambda c: c.update(thresholds={"foo": 1}), "allowed keys"),
 ])
 def test_invalid_configs_rejected(mutate, msg):
     cfg = base_config()
@@ -266,6 +272,21 @@ def test_cli_config_error_exit_code(tmp_path):
     proc = run_cli("run", str(cfgp))
     assert proc.returncode == cli.EXIT_CONFIG
     assert "config error" in proc.stderr
+
+
+def test_series_csv_cells_are_float_reprs(tmp_path):
+    rng = np.random.default_rng(3)
+    n = 3 * sc.SERIES_MAX_ROWS + 5
+    ser = {"s": np.linspace(0.0, 1.0, n),
+           "x": rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+           "y": np.arange(n)}
+    path = sc._write_series_csv(str(tmp_path / "s.csv"), "a", {"tau": 2.5}, ser)
+    lines = (tmp_path / "s.csv").read_text().splitlines()
+    assert lines[:2] == ["# tau=2.5", "s,a.x,a.y"]
+    stride = 4
+    expected = [",".join(repr(float(ser[k][i])) for k in ("s", "x", "y"))
+                for i in range(0, n, stride)]
+    assert lines[2:] == expected
 
 
 def test_cli_missing_config_file():
