@@ -1,26 +1,12 @@
-"""Backend selection: compiled extension if available, pure Python otherwise.
+"""The kernel module, under the name the package and its benchmark read.
 
-``ADIAKIT_BACKEND`` forces the choice ("compiled" or "python"); anything else
-raises at import so misconfiguration is loud.
+There is one implementation, the numpy kernels of ``_kernels_py``.
 """
 
-import os
-
-_forced = os.environ.get("ADIAKIT_BACKEND")
-
-if _forced == "python":
-    from . import _kernels_py as kernels
-elif _forced == "compiled":
-    from . import _kernels as kernels  # type: ignore[no-redef]
-elif _forced is None:
-    try:
-        from . import _kernels as kernels  # type: ignore[no-redef]
-    except ImportError:
-        from . import _kernels_py as kernels  # type: ignore[no-redef]
-else:
-    raise ImportError(f"unknown ADIAKIT_BACKEND={_forced!r}")
+from . import _kernels_py as kernels
 
 
 def backend_name() -> str:
-    """Name of the active kernel backend ("compiled" or "python")."""
-    return kernels.BACKEND
+    """Name of the kernel implementation, recorded in report provenance:
+    always "python"."""
+    return "python"

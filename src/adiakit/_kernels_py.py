@@ -1,25 +1,17 @@
-"""Pure Python twin of the compiled kernels.
+"""The numpy kernels: every eigensolve and step product of the package.
 
-Same two entry points as ``adiakit._kernels`` (eigh_batch, propagate_steps),
-built on numpy's stacked LAPACK eigensolver instead of the compiled cyclic
-Jacobi. Selected automatically when the extension is not built; force with
-``ADIAKIT_BACKEND=python``. The numpy helpers below serve either backend:
-``hermitize`` (re-exported by ``adiakit.linalg``), ``step_exponentials``
-and the blocked prefix product ``chain_steps``.
+Two batched entry points, ``eigh_batch`` and ``propagate_steps``, on numpy's
+stacked LAPACK eigensolver, plus the helpers they share with the rest of the
+package: ``hermitize`` (re-exported by ``adiakit.linalg``),
+``step_exponentials`` and the blocked prefix product ``chain_steps``.
 """
 
 import numpy as np
-
-BACKEND = "python"
-
-MAXDIM = 32
 
 
 def _check_square(a, name="matrix"):
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square")
-    if a.shape[-1] > MAXDIM:
-        raise ValueError(f"dimension {a.shape[-1]} exceeds kernel limit {MAXDIM}")
 
 
 def hermitize(a):
@@ -73,8 +65,8 @@ def chain_steps(steps, u0):
 def propagate_steps(Hmid, coef, ds, U0, record_every):
     """Chain midpoint exponentials: U <- exp(-i coef ds_k H_k) U.
 
-    Mirrors the compiled kernel: records U after every ``record_every``
-    steps (the step count must be divisible by it).
+    Records U after every ``record_every`` steps (the step count must be
+    divisible by it).
     """
     h = np.asarray(Hmid, dtype=np.complex128)
     _check_square(h, "step matrices")

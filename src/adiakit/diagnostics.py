@@ -36,7 +36,6 @@ class Thresholds:
 
     eps_q: float = 0.05
     eps_r: float = 0.1
-    slope_tol: float = 0.15
     decay_slope: float = -0.5
 
 

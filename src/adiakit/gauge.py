@@ -162,13 +162,13 @@ def _default_initial_phase(vectors):
 
 
 def _track_levels(W, V, grid, overlap_floor):
-    """Reorder eigh output so levels are continuous in s."""
+    """Reorder eigh output so levels are continuous in s; returns (W, V) and
+    their neighbor overlaps, each at least ``overlap_floor`` in modulus."""
     ov = _neighbor_overlaps(V)
     bad = np.where(np.abs(ov).min(axis=1) < overlap_floor)[0]
     if len(bad) == 0:
-        return W, V
+        return W, V, ov
     # level order may genuinely change (e.g. after relabeling); match greedily
-    perm = np.arange(V.shape[2])
     W = W.copy()
     V = V.copy()
     for k in bad:
@@ -183,7 +183,8 @@ def _track_levels(W, V, grid, overlap_floor):
             inv = np.argsort(p)
             W[k + 1:] = W[k + 1:][:, inv]
             V[k + 1:] = V[k + 1:][:, :, inv]
-    return W, V
+    # every bad step was reordered (an unmatched one raised above)
+    return W, V, _neighbor_overlaps(V)
 
 
 def _discrete_frame(path, tau, grid, initial_vectors, gap_floor,
@@ -193,7 +194,7 @@ def _discrete_frame(path, tau, grid, initial_vectors, gap_floor,
     H = path.eval_batch(fine, tau)
     check_hermitian(H, HERMITICITY_FRAME_RTOL)
     W, V = kernels.eigh_batch(H)
-    W, V = _track_levels(W, V, fine, overlap_floor)
+    W, V, ov = _track_levels(W, V, fine, overlap_floor)
 
     gap, kmin = _min_pairwise_gap(W)
     if gap <= gap_floor:
@@ -204,14 +205,7 @@ def _discrete_frame(path, tau, grid, initial_vectors, gap_floor,
     # multiplicative discrete transport: accumulate neighbor-overlap phases
     # as unit complexes (an angle cumsum would lose precision once the raw
     # solver phases random-walk to many radians)
-    ov = _neighbor_overlaps(V)
-    absov = np.abs(ov)
-    if absov.min() < overlap_floor:
-        k = int(np.argmin(absov.min(axis=1)))
-        raise ProjectorDiscontinuityError(
-            float(fine[k]), float(fine[k + 1]), float(absov.min()),
-            overlap_floor)
-    gauge_fine = _accumulated_phase_factors(ov / absov)
+    gauge_fine = _accumulated_phase_factors(ov / np.abs(ov))
 
     if refine:
         # Richardson: compare against transport on the coarse subsequence to

@@ -75,8 +75,8 @@ class HermEig:
 
 
 def herm_eig(M: np.ndarray, rtol: float = HERMITICITY_RTOL) -> HermEig:
-    """Eigendecomposition of a Hermitian matrix: one row of the active
-    backend's ``eigh_batch``.
+    """Eigendecomposition of a Hermitian matrix: one row of the numpy
+    kernel ``eigh_batch``, any dimension.
 
     Rejects matrices whose Hermiticity defect exceeds ``rtol * ||M||_F``;
     every kernel then works on the Hermitian part (M + M^dagger) / 2.

@@ -6,7 +6,7 @@ The integrator is the midpoint exponential (second-order Magnus) rule
 
 which is unitary by construction, second-order accurate, and well behaved on
 the highly oscillatory problems that arise at large tau. Each step costs one
-Hermitian eigendecomposition in the active kernel backend.
+Hermitian eigendecomposition in the numpy kernels.
 """
 
 from dataclasses import dataclass
@@ -23,6 +23,10 @@ STEP_CAP = 10**7
 _CHUNK_TARGET = 65536
 _HERM_RTOL = 1e-10
 _NOISE_FLOOR = 64.0 * np.finfo(float).eps
+# step-doubling controller: steps compared per stacked eigensolve, and the
+# safety factor on the predicted step size
+_ADAPTIVE_BATCH = 64
+_SAFETY = 0.9
 
 
 @dataclass
@@ -95,9 +99,7 @@ def propagate(path: HamiltonianPath, tau: float, grid,
 
 def propagate_adaptive(path: HamiltonianPath, tau: float, s_end: float,
                        tol: float, s_start: float = 0.0,
-                       h0: float = None, step_cap: int = STEP_CAP,
-                       safety: float = 0.9,
-                       batch: int = 64) -> PropagationResult:
+                       step_cap: int = STEP_CAP) -> PropagationResult:
     """Propagate with step-doubling control of the local error per unit s.
 
     Every step is validated by comparing the full midpoint-exponential step
@@ -105,7 +107,8 @@ def propagate_adaptive(path: HamiltonianPath, tau: float, s_end: float,
     a step of size h is accepted when that difference is at most ``tol * h``
     (or below the floating-point noise floor of the comparison, where the
     doubling estimate stops carrying information). The comparisons are
-    evaluated ``batch`` steps at a time: one stacked eigensolve gives every
+    evaluated ``_ADAPTIVE_BATCH`` steps at a time, starting from
+    h = min(span, 0.1 / max(|tau|, 1)): one stacked eigensolve gives every
     full- and half-step exponential of the batch directly, and the accepted
     half-step pairs are chained onto the current state with the blocked
     prefix product of ``_kernels_py.chain_steps``. Returns U on the
@@ -116,7 +119,7 @@ def propagate_adaptive(path: HamiltonianPath, tau: float, s_end: float,
     if s_end <= s_start:
         raise ValueError("s_end must exceed s_start")
     span = s_end - s_start
-    h = float(h0) if h0 else min(span, 0.1 / max(abs(tau), 1.0))
+    h = min(span, 0.1 / max(abs(tau), 1.0))
     h_floor = max(1e-13 * span, 8.0 * np.finfo(float).eps * (abs(s_start) + span))
     n = path.dim
     coef = float(tau)
@@ -128,7 +131,7 @@ def propagate_adaptive(path: HamiltonianPath, tau: float, s_end: float,
     trials = 0
     while s < s_end - 1e-14 * span:
         remaining = s_end - s
-        m = int(min(batch, max(1, np.ceil(remaining / h - 1e-12))))
+        m = int(min(_ADAPTIVE_BATCH, max(1, np.ceil(remaining / h - 1e-12))))
         heff = min(h, remaining / m)
         trials += 3 * m
         if trials > step_cap:
@@ -161,7 +164,7 @@ def propagate_adaptive(path: HamiltonianPath, tau: float, s_end: float,
                 else float(local[0])
             worst = max(worst, 1e-3 * target)
             factor = (target / worst) ** (1.0 / 3.0)
-            h = max(heff * min(2.0, max(0.2, safety * factor)), h_floor)
+            h = max(heff * min(2.0, max(0.2, _SAFETY * factor)), h_floor)
         if naccept > 0:
             new_us = step_h[:naccept]
             chain_steps(new_us, ucur)

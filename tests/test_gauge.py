@@ -96,18 +96,31 @@ def test_grid_refinement_stability(spin_frame):
     assert np.max(np.abs(C1 - C2)) <= ds**2
 
 
-def test_crossing_detected_and_named():
+def _crossing_path():
+    """diag(s - 0.5, 0.5 - s): the two levels cross at s = 0.5."""
     def h_eval(s, tau):
         out = np.zeros((len(s), 2, 2), dtype=complex)
         out[:, 0, 0] = s - 0.5
         out[:, 1, 1] = 0.5 - s
         return out
 
-    path = HamiltonianPath(2, h_eval)
+    return HamiltonianPath(2, h_eval)
+
+
+def test_crossing_detected_and_named():
     with pytest.raises(EigenvalueCrossingError) as exc:
-        ak.eigenframe(path, 1.0, np.linspace(0, 1, 101))
+        ak.eigenframe(_crossing_path(), 1.0, np.linspace(0, 1, 101))
     lo, hi = exc.value.interval
     assert lo <= 0.5 <= hi
+
+
+def test_levels_tracked_through_crossing_between_grid_points():
+    # eigh sorts the levels, so they swap between s = 3/7 and s = 4/7;
+    # tracking by overlap must undo the swap
+    grid = np.linspace(0, 1, 8)
+    fr = ak.eigenframe(_crossing_path(), 1.0, grid, refine=False)
+    assert np.array_equal(fr.values[:, 0], grid - 0.5)
+    assert fr.gauge_residual() == 0.0
 
 
 def test_discontinuous_projector_detected():

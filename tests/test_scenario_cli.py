@@ -34,7 +34,7 @@ def test_normalize_fills_defaults():
     assert cfg["parameters"]["tau_list"] == [100.0]
     assert cfg["diagnostics"] == list(sc.DEFAULT_DIAGNOSTICS)
     assert cfg["thresholds"] == {"eps_q": 0.05, "eps_r": 0.1,
-                                 "slope_tol": 0.15, "decay_slope": -0.5}
+                                 "decay_slope": -0.5}
     cfg = sc.normalize_config(base_config(thresholds={"eps_r": 0.2}))
     assert cfg["thresholds"]["eps_r"] == 0.2
 
@@ -52,6 +52,7 @@ def test_normalize_fills_defaults():
     (lambda c: c.update(system="x", transform={"sign": -1},
                         propagator="closed_form"), "closed_form"),
     (lambda c: c.update(thresholds={"foo": 1}), "allowed keys"),
+    (lambda c: c.update(thresholds={"slope_tol": 0.15}), "slope_tol"),
 ])
 def test_invalid_configs_rejected(mutate, msg):
     cfg = base_config()
