@@ -1,9 +1,13 @@
 """The numpy kernels: every eigensolve and step product of the package.
 
-Two batched entry points, ``eigh_batch`` and ``propagate_steps``, on numpy's
-stacked LAPACK eigensolver, plus the helpers they share with the rest of the
-package: ``hermitize`` (re-exported by ``adiakit.linalg``),
-``step_exponentials`` and the blocked prefix product ``chain_steps``.
+Two batched entry points, ``eigh_batch`` and ``propagate_steps``, plus the
+helpers they share with the rest of the package: ``hermitize`` (re-exported
+by ``adiakit.linalg``), ``step_exponentials``, the 2x2 product
+``matmul_2x2`` and the blocked prefix product ``chain_steps``.
+
+The route depends on the matrix dimension only (``eigensolver_route``):
+2x2 stacks, every spin-half frame and step, take closed forms built from
+components; larger matrices take numpy's stacked LAPACK eigensolver.
 """
 
 import numpy as np
@@ -21,17 +25,91 @@ def hermitize(a):
     return out
 
 
+def eigensolver_route(n):
+    """Name of the eigensolver ``eigh_batch`` runs on n x n matrices."""
+    return "closed-form-2x2" if n == 2 else "lapack-eigh"
+
+
 def eigh_batch(Hs):
-    """Stacked eigh: ``Hs`` has shape (N, n, n); returns (W, V)."""
+    """Stacked eigh of the Hermitian parts of ``Hs`` (N, n, n); returns
+    (W, V) with ascending eigenvalues W (N, n) and eigenvector columns V."""
     a = np.asarray(Hs, dtype=np.complex128)
     _check_square(a)
-    w, v = np.linalg.eigh(hermitize(a))
+    if eigensolver_route(a.shape[-1]) == "closed-form-2x2":
+        return _eigh_2x2(a)
+    return np.linalg.eigh(hermitize(a))
+
+
+def _eigh_2x2(a):
+    """Closed-form eigenpairs of the Hermitian parts of a (..., 2, 2) stack.
+
+    With m = (h00 + h11)/2, d = (h00 - h11)/2, q = (h01 + conj h10)/2 and
+    r = hypot(d, |q|), the eigenvalues are m -+ r. Each eigenvector is read
+    off the row of H - w I without cancellation, chosen by the sign of d;
+    with t = r + |d| the vectors are
+
+        d >= 0:  v- = (-q, t),  v+ = (t, conj q)
+        d <  0:  v- = (t, -conj q),  v+ = (q, t)
+
+    scaled by 1/sqrt(2 r t). Since |q| <= t, they are formed from
+    rho = q / t as (-rho, 1) / sqrt(1 + |rho|^2) and so on, which keeps them
+    orthonormal to rounding for any finite H, subnormal entries included
+    (there the halvings cost the eigenvalues one subnormal unit).
+    At r = 0 (H = m I) the frame is the identity.
+    """
+    h00 = a[..., 0, 0].real
+    h11 = a[..., 1, 1].real
+    d = 0.5 * (h00 - h11)
+    q = np.conj(a[..., 1, 0])
+    q += a[..., 0, 1]
+    q *= 0.5
+    r = np.hypot(d, np.abs(q))
+    w = np.empty(r.shape + (2,))
+    m = w[..., 0]
+    np.add(h00, h11, out=m)
+    m *= 0.5
+    np.add(m, r, out=w[..., 1])
+    m -= r
+    flat = r == 0
+    upper = (d >= 0) & ~flat
+    # in place, to bound the temporaries of large stacks: t = r + |d|,
+    # rho = q / t (part by part: a complex division overflows) and
+    # c = 1 / sqrt(1 + |rho|^2)
+    t = r
+    t += np.abs(d)
+    t[flat] = 1.0  # q = 0 there: rho = 0, and the d < 0 form gives I
+    rho = q
+    np.divide(rho.real, t, out=rho.real)
+    np.divide(rho.imag, t, out=rho.imag)
+    c = t
+    np.square(rho.real, out=c)
+    c += 1.0
+    c += np.square(rho.imag)
+    np.sqrt(c, out=c)
+    np.divide(1.0, c, out=c)
+    rho *= c
+    v = np.empty_like(a)
+    v[..., 0, 0] = np.where(upper, -rho, c)
+    v[..., 0, 1] = np.where(upper, c, rho)
+    np.conj(rho, out=rho)
+    v[..., 1, 0] = np.where(upper, c, -rho)
+    v[..., 1, 1] = np.where(upper, rho, c)
     return w, v
+
+
+def matmul_2x2(x, y):
+    """x_k @ y_k for (..., 2, 2) stacks, by components."""
+    out = x[..., :, 0, None] * y[..., None, 0, :]
+    out += x[..., :, 1, None] * y[..., None, 1, :]
+    return out
 
 
 def step_exponentials(w, v, alphas):
     """exp(-i alpha_k H_k) from the stacked eigenpairs (W, V) of H_k."""
     phases = np.exp(-1j * alphas[:, None] * w)
+    if v.shape[-1] == 2:
+        return matmul_2x2(v * phases[:, None, :],
+                          np.conj(np.swapaxes(v, -1, -2)))
     return np.einsum("kij,kj,klj->kil", v, phases, v.conj())
 
 
@@ -81,7 +159,7 @@ def propagate_steps(Hmid, coef, ds, U0, record_every):
         raise ValueError("U0 dimension mismatch")
     if m == 0:
         return np.empty((0, n, n), dtype=np.complex128), u
-    w, v = np.linalg.eigh(hermitize(h))
+    w, v = eigh_batch(h)
     steps = step_exponentials(w, v, coef * d)
     chain_steps(steps, u)
     # fresh arrays, so the step buffer is released on return

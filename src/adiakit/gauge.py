@@ -24,7 +24,8 @@ import numpy as np
 
 from ._backend import kernels
 from .exceptions import EigenvalueCrossingError, ProjectorDiscontinuityError
-from .linalg import check_hermitian, dagger, dagger_dot, unitarity_defect
+from .linalg import (check_hermitian, dagger, dagger_dot, sandwich,
+                     unitarity_defect)
 from .paths import (FD4_CENTRAL_NUMERATORS, FD4_DENOMINATOR,
                     FD4_FORWARD_NUMERATORS, HamiltonianPath, check_grid,
                     fd4_derivative, is_uniform, midpoint_refined)
@@ -255,8 +256,8 @@ def _transported_frame(path, tau, grid, initial_vectors, gap_floor,
         f = base_frame.values
     else:
         G = gen.eval_batch(grid, tau)
-        f = np.einsum("kim,kij,kjm->km", base_frame.vectors.conj(), G,
-                      base_frame.vectors).real
+        V = base_frame.vectors
+        f = np.diagonal(sandwich(V, G, V), axis1=1, axis2=2).real
     phi = tau * _cumtrapz(f, np.asarray(grid, dtype=float))
 
     vecs = dagger_dot(U, base_frame.vectors)
@@ -341,8 +342,7 @@ def couplings(frame: EigenFrame, method: str = "auto",
         if frame.path is None:
             raise ValueError("frame has no path; use method='fd'")
         Hd = frame.path.derivative_batch(frame.grid, frame.tau)
-        num = np.einsum("kim,kij,kjn->kmn", frame.vectors.conj(), Hd,
-                        frame.vectors)
+        num = sandwich(frame.vectors, Hd, frame.vectors)
         den = frame.values[:, None, :] - frame.values[:, :, None]
         n = frame.dim
         eye = np.eye(n, dtype=bool)

@@ -10,11 +10,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._backend import kernels
-from ._kernels_py import hermitize, step_exponentials  # hermitize re-exported
+from ._kernels_py import (hermitize,  # re-exported
+                          matmul_2x2, step_exponentials)
 from .exceptions import NonHermitianError
 
 HERMITICITY_RTOL = 1e-12
 UNITARITY_TOL = 1e-10
+_SANDWICH_BLOCK = 65536
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -45,6 +47,20 @@ def check_hermitian(H: np.ndarray, rtol: float):
 def dagger_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A_k^dagger B_k for every k of two (K, n, n) stacks."""
     return np.einsum("kji,kjl->kil", A.conj(), B)
+
+
+def sandwich(A: np.ndarray, M: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A_k^dagger (M_k B_k) for (K, n, n) stacks; by components when n == 2.
+
+    Works through blocks of ``_SANDWICH_BLOCK`` matrices, so that the
+    temporaries stay block-sized next to the (K, n, n) result.
+    """
+    mul = matmul_2x2 if M.shape[-1] == 2 else np.matmul
+    out = np.empty(M.shape, dtype=complex)
+    for lo in range(0, M.shape[0], _SANDWICH_BLOCK):
+        blk = slice(lo, lo + _SANDWICH_BLOCK)
+        out[blk] = mul(dagger(A[blk]), mul(M[blk], B[blk]))
+    return out
 
 
 def unitarity_defect(U: np.ndarray) -> float:

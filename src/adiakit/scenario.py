@@ -21,7 +21,7 @@ from typing import Dict, List
 import numpy as np
 
 from . import __version__ as _version
-from ._backend import backend_name
+from ._backend import backend_name, kernels
 from . import spinhalf
 from .diagnostics import (Thresholds, classify, f_norm, f_norm_max,
                           f_norm_series, intertwining_series, phase_rate_per_step,
@@ -30,7 +30,7 @@ from .diagnostics import (Thresholds, classify, f_norm, f_norm_max,
                           w_deviation)
 from .exceptions import ConfigError, ScalingUndefinedError
 from .gauge import REFINE_MAX_POINTS, couplings, eigenframe
-from .linalg import dagger, hermiticity_defect, hermitize
+from .linalg import dagger, hermiticity_defect
 from .models import driven_two_level
 from .paths import (HamiltonianPath, UnitaryPath, constant_hamiltonian,
                     identity_unitary)
@@ -75,6 +75,7 @@ def normalize_config(cfg: dict) -> dict:
     _require(len(taus) > 0, "at least one tau (or omega) is required")
     _require(all(t > 0 for t in taus), "every tau must be positive")
     p["tau_list"] = sorted(float(t) for t in taus)
+    _require(len(set(p["tau_list"])) == len(taus), "tau values must be distinct")
     for key in ("omega", "omega_list", "tau"):
         p.pop(key, None)
 
@@ -340,7 +341,7 @@ class SystemBundle:
         probe = np.linspace(0.0, self.window, 33)
         path = self.base
         H = path.eval_batch(probe, tau)
-        w = np.linalg.eigvalsh(hermitize(H))
+        w, _ = kernels.eigh_batch(H)
         return float(np.max(w[:, -1] - w[:, 0]))
 
     def unitaries_for(self, tau: float, grid: np.ndarray):
@@ -478,6 +479,7 @@ def _run_normalized(config: dict, threads: int):
             "package": "adiakit",
             "version": _version,
             "backend": backend_name(),
+            "eigensolver": kernels.eigensolver_route(bundle.base.dim),
             "integrator": "midpoint-exponential",
             "norm": "frobenius",
             "phase_per_step_target": PHASE_PER_STEP_TARGET,

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import NonSmoothUnitaryError
-from .linalg import dagger, hermitize
+from .linalg import hermitize, sandwich
 from .paths import HamiltonianPath, UnitaryPath, fd4_derivative
 
 
@@ -42,7 +42,7 @@ class TransformedHamiltonianPath(HamiltonianPath):
     def _eval_many(self, s_values, tau):
         H = self.base.eval_batch(s_values, tau)
         U = self.unitary.eval_batch(s_values, tau)
-        return self.sign * np.einsum("kji,kjl,klm->kim", U.conj(), H, U)
+        return self.sign * sandwich(U, H, U)
 
     def _deriv_many(self, s_values, tau):
         Hd = self.base.derivative_batch(s_values, tau)
@@ -54,7 +54,7 @@ class TransformedHamiltonianPath(HamiltonianPath):
             G = gen.eval_batch(s_values, tau)
             H = self.base.eval_batch(s_values, tau)
             inner = Hd + 1j * tau * (G @ H - H @ G)
-        return self.sign * np.einsum("kji,kjl,klm->kim", U.conj(), inner, U)
+        return self.sign * sandwich(U, inner, U)
 
 
 def transform(base: HamiltonianPath, unitary: UnitaryPath, sign: int,

@@ -1,0 +1,208 @@
+"""The numpy kernels: the closed-form 2x2 eigensolver and step exponential
+against LAPACK and scipy, the ``sandwich`` product, and the dimension route."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adiakit import _kernels_py as kernels
+from adiakit.linalg import sandwich
+
+TOL = 1e-14
+
+
+def random_hermitian_stack(n, dim, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    return scale * 0.5 * (m + np.conj(np.swapaxes(m, 1, 2)))
+
+
+def hermitian_2x2(h00, h11, q):
+    """Stack of [[h00, q], [conj q, h11]] from 1-D arrays."""
+    H = np.empty((len(h00), 2, 2), dtype=complex)
+    H[:, 0, 0] = h00
+    H[:, 1, 1] = h11
+    H[:, 0, 1] = q
+    H[:, 1, 0] = np.conj(q)
+    return H
+
+
+def frobenius(X):
+    """Per-matrix Frobenius norm, scaled so that tiny entries do not
+    underflow when squared."""
+    big = np.max(np.abs(X), axis=(1, 2))
+    safe = np.where(big > 0, big, 1.0)[:, None, None]
+    # part by part: a complex division by a subnormal overflows
+    parts = np.stack([X.real / safe, X.imag / safe])
+    return big * np.sqrt(np.sum(parts ** 2, axis=(0, 2, 3)))
+
+
+def assert_eigenpairs(H, W, V):
+    """Per-matrix residual, orthonormality and agreement with LAPACK."""
+    assert not np.isnan(W).any() and not np.isnan(V).any()
+    scale = frobenius(H)
+    resid = frobenius(H @ V - V * W[:, None, :])
+    assert np.all(resid <= TOL * np.maximum(1.0, scale))
+    gram = np.conj(np.swapaxes(V, 1, 2)) @ V
+    assert np.max(np.linalg.norm(gram - np.eye(H.shape[-1]), axis=(1, 2))) <= TOL
+    assert np.all(np.diff(W, axis=1) >= 0)
+    W_ref = np.linalg.eigh(H)[0]
+    assert np.all(np.max(np.abs(W - W_ref), axis=1) <= TOL * scale)
+
+
+def test_route_depends_on_dimension_only():
+    assert kernels.eigensolver_route(2) == "closed-form-2x2"
+    for n in (1, 3, 4, 8):
+        assert kernels.eigensolver_route(n) == "lapack-eigh"
+
+
+@pytest.mark.parametrize("n", [1, 5, 4096])
+def test_closed_form_matches_lapack_random(n):
+    H = random_hermitian_stack(n, 2, seed=n)
+    W, V = kernels.eigh_batch(H)
+    assert_eigenpairs(H, W, V)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_closed_form_diagonal_stacks(sign):
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal(64)
+    d = sign * rng.uniform(0.1, 2.0, 64)
+    H = hermitian_2x2(m + d, m - d, np.zeros(64))
+    W, V = kernels.eigh_batch(H)
+    assert_eigenpairs(H, W, V)
+    # exact eigenvectors, up to a unit phase, of a diagonal matrix
+    lower = 1 if sign > 0 else 0
+    assert np.allclose(np.abs(V[:, lower, 0]), 1.0, rtol=0, atol=TOL)
+    assert np.allclose(np.abs(V[:, 1 - lower, 1]), 1.0, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_closed_form_near_diagonal_pins_the_row_choice(sign):
+    # |q| / |d| = 1e-9: the row with cancellation would lose every digit of
+    # the small eigenvector component, and a swapped row gives the wrong
+    # vector, so both fail the residual bound
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal(256)
+    d = sign * rng.uniform(0.5, 2.0, 256)
+    q = 1e-9 * np.abs(d) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 256))
+    H = hermitian_2x2(m + d, m - d, q)
+    W, V = kernels.eigh_batch(H)
+    assert_eigenpairs(H, W, V)
+    # the small component, relative: q / (2d) to first order
+    small = V[:, 0, 0] if sign > 0 else V[:, 1, 0]
+    assert np.allclose(np.abs(small), np.abs(q) / (2 * np.abs(d)), rtol=1e-8)
+
+
+def test_closed_form_near_degenerate():
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal(256)
+    d = 1e-15 * rng.standard_normal(256)
+    q = 1e-15 * (rng.standard_normal(256) + 1j * rng.standard_normal(256))
+    H = hermitian_2x2(m + d, m - d, q)
+    W, V = kernels.eigh_batch(H)
+    assert_eigenpairs(H, W, V)
+
+
+def test_closed_form_degenerate_is_identity_frame():
+    m = np.array([-2.0, 0.0, 1.0, 3.5])
+    H = hermitian_2x2(m, m, np.zeros(4))
+    W, V = kernels.eigh_batch(H)
+    assert_eigenpairs(H, W, V)
+    assert np.array_equal(W, np.stack([m, m], axis=1))
+    assert np.array_equal(np.abs(V), np.broadcast_to(np.eye(2), V.shape))
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+def test_closed_form_extreme_scales(scale):
+    H = random_hermitian_stack(512, 2, seed=6, scale=scale)
+    W, V = kernels.eigh_batch(H)
+    assert_eigenpairs(H, W, V)
+
+
+def test_closed_form_subnormal_entries_stay_orthonormal():
+    H = random_hermitian_stack(512, 2, seed=11, scale=1e-318)
+    H[:8] = hermitian_2x2(np.zeros(8), np.zeros(8), np.full(8, 5e-324j))
+    W, V = kernels.eigh_batch(H)
+    assert not np.isnan(V).any()
+    gram = np.conj(np.swapaxes(V, 1, 2)) @ V
+    assert np.max(np.linalg.norm(gram - np.eye(2), axis=(1, 2))) <= TOL
+    assert np.max(np.abs(W - np.linalg.eigh(H)[0])) <= 4 * 5e-324
+
+
+def test_closed_form_reads_only_the_hermitian_part():
+    H = random_hermitian_stack(64, 2, seed=7)
+    K = random_hermitian_stack(64, 2, seed=8)
+    W, V = kernels.eigh_batch(H + 1j * K)   # 1j K is anti-Hermitian
+    W0, V0 = kernels.eigh_batch(H)
+    assert np.allclose(W, W0, rtol=0, atol=TOL)
+    assert np.allclose(V, V0, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_larger_matrices_stay_on_lapack(dim):
+    H = random_hermitian_stack(16, dim, seed=dim)
+    W, V = kernels.eigh_batch(H)
+    W_ref, V_ref = np.linalg.eigh(H)
+    assert np.array_equal(W, W_ref) and np.array_equal(V, V_ref)
+
+
+def test_step_exponentials_2x2_match_expm():
+    H = random_hermitian_stack(32, 2, seed=9)
+    alphas = np.linspace(-3.0, 7.0, 32)
+    W, V = kernels.eigh_batch(H)
+    E = kernels.step_exponentials(W, V, alphas)
+    ref = np.stack([scipy.linalg.expm(-1j * a * h) for a, h in zip(alphas, H)])
+    assert np.max(np.abs(E - ref)) <= 1e-13
+
+
+def test_propagate_steps_uses_the_kernel_eigensolver(monkeypatch):
+    calls = []
+    original = kernels.eigh_batch
+
+    def counting(h):
+        calls.append(h.shape)
+        return original(h)
+
+    monkeypatch.setattr(kernels, "eigh_batch", counting)
+    H = random_hermitian_stack(8, 2, seed=10)
+    records, final = kernels.propagate_steps(H, 1.0, np.full(8, 0.1),
+                                             np.eye(2), 8)
+    assert calls == [(8, 2, 2)]
+    ref = np.eye(2)
+    for h in H:
+        ref = scipy.linalg.expm(-0.1j * h) @ ref
+    assert np.max(np.abs(final - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_sandwich_matches_einsum(dim):
+    rng = np.random.default_rng(dim)
+
+    def stack():
+        return rng.standard_normal((50, dim, dim)) \
+            + 1j * rng.standard_normal((50, dim, dim))
+
+    A, M, B = stack(), stack(), stack()
+    ref = np.einsum("kji,kjl,klm->kim", A.conj(), M, B)
+    assert np.max(np.abs(sandwich(A, M, B) - ref)) <= 1e-13
+
+
+# Subnormal entries are left out: the halvings in m and d drop their last
+# bit, an absolute eigenvalue error of one subnormal unit that no relative
+# bound can hold. Orthonormality holds for them as well
+# (test_closed_form_subnormal_entries_stay_orthonormal).
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
+                   allow_infinity=False, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.tuples(finite, finite, finite, finite),
+                min_size=1, max_size=16))
+def test_closed_form_property_random_2x2(rows):
+    h00, h11, qr, qi = (np.array(c) for c in zip(*rows))
+    H = hermitian_2x2(h00, h11, qr + 1j * qi)
+    W, V = kernels.eigh_batch(H)
+    assert_eigenpairs(H, W, V)

@@ -127,6 +127,23 @@ def test_scan_requires_three_taus():
         sc.scan(base_config())
 
 
+@pytest.mark.parametrize("key,values", [("tau_list", [5.0, 5.0, 10.0]),
+                                        ("omega_list", [0.1, 0.2, 0.1])])
+def test_duplicate_taus_rejected(key, values):
+    # scan's ">= 3 tau values" must count distinct taus
+    cfg = base_config()
+    cfg["parameters"] = {"theta": THETA, "omega0": 1.0, key: values}
+    with pytest.raises(ConfigError, match="distinct"):
+        sc.normalize_config(cfg)
+    with pytest.raises(ConfigError, match="distinct"):
+        sc.scan(cfg)
+
+
+def test_provenance_names_the_eigensolver_route():
+    report, _ = sc.run(base_config())
+    assert report["provenance"]["eigensolver"] == "closed-form-2x2"
+
+
 def test_scan_slopes():
     cfg = base_config()
     cfg["parameters"] = {"theta": THETA, "omega0": 1.0,
