@@ -12,7 +12,7 @@ from .diagnostics import (Classification, SlopeFit, Thresholds, classify,
                           phase_rate_per_step, premise_checks, projector_drift,
                           projector_drift_series, qac_max, resonance_integral,
                           resonance_max_abs, resonance_series, scaling_slope,
-                          w_deviation)
+                          transition_matrix, w_deviation)
 from .exceptions import (AdiakitError, ConfigError, EigenvalueCrossingError,
                          NonHermitianError, NonSmoothUnitaryError,
                          ProjectorDiscontinuityError, ScalingUndefinedError,
@@ -42,6 +42,6 @@ __all__ = [
     "negate", "phase_rate_per_step", "premise_checks", "projector_drift",
     "projector_drift_series", "propagate", "propagate_adaptive", "qac_max",
     "resonance_integral", "resonance_max_abs", "resonance_series",
-    "scaling_slope", "transform", "unitarity_defect", "unitary_exp",
-    "w_deviation",
+    "scaling_slope", "transform", "transition_matrix", "unitarity_defect",
+    "unitary_exp", "w_deviation",
 ]

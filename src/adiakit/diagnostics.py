@@ -14,8 +14,9 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .exceptions import ScalingUndefinedError
-from .gauge import (EigenFrame, _cumtrapz, couplings, dynamical_phase,
-                    eigenframe, kato_operator, kernel_coefficients)
+from .gauge import (EigenFrame, _cumtrapz, couplings, eigenframe,
+                    kernel_coefficients)
+from .linalg import sandwich
 from .paths import HamiltonianPath, grid_index, is_uniform, midpoint_refined
 from .propagate import PropagationResult
 
@@ -190,15 +191,56 @@ def _unitaries_on_grid(U, frame: EigenFrame) -> np.ndarray:
     return U
 
 
+def transition_matrix(U, frame: EigenFrame) -> np.ndarray:
+    """M(s) = V(s)^dag U(s) V(0), the evolution in the adiabatic basis;
+    (N, n, n), with V the frame vectors.
+
+    |M_mn(s)|^2 is the population carried from level n at s = 0 to level m
+    at s; both evolution diagnostics are functions of M.
+    """
+    us = _unitaries_on_grid(U, frame)
+    v = frame.vectors
+    return sandwich(v, us, np.broadcast_to(v[0], us.shape))
+
+
+def _off_diagonal_populations(M: np.ndarray) -> np.ndarray:
+    """|M_mn|^2 with the diagonal set to 0; (N, n, n)."""
+    p = np.abs(M)
+    p *= p
+    n = M.shape[-1]
+    p[:, np.arange(n), np.arange(n)] = 0.0
+    return p
+
+
+def _intertwining_of(M: np.ndarray) -> np.ndarray:
+    """max_n sqrt(sum_{a != n} |M_an|^2 + sum_{b != n} |M_nb|^2) per point.
+
+    The off-diagonal entries are summed directly: 1 - |M_nn|^2 would lose
+    the small values to cancellation.
+    """
+    p = _off_diagonal_populations(M)
+    leak = p.sum(axis=1)
+    leak += p.sum(axis=2)
+    return np.sqrt(leak.max(axis=1))
+
+
+def _w_deviation_of(M: np.ndarray, frame: EigenFrame) -> float:
+    """max_s || diag(e^{i phi(s)}) M(s) - I ||_F."""
+    w = np.exp(1j * frame.phase_integrals())[:, :, None] * M
+    n = M.shape[-1]
+    w[:, np.arange(n), np.arange(n)] -= 1.0
+    return float(np.max(np.linalg.norm(w, axis=(1, 2))))
+
+
+def _transition_probability_max(M: np.ndarray) -> float:
+    """max_s max_{m != n} |M_mn(s)|^2: the largest population that left
+    its level."""
+    return float(np.max(_off_diagonal_populations(M)))
+
+
 def intertwining_series(U, frame: EigenFrame) -> np.ndarray:
     """max_n || U(s) P_n(0) - P_n(s) U(s) ||_F per grid point."""
-    us = _unitaries_on_grid(U, frame)
-    out = np.zeros(frame.npoints)
-    for j in range(frame.dim):
-        P = frame.projector(j)
-        d = np.linalg.norm(us @ P[0] - P @ us, axis=(1, 2))
-        np.maximum(out, d, out=out)
-    return out
+    return _intertwining_of(transition_matrix(U, frame))
 
 
 def intertwining_defect(U, frame: EigenFrame) -> float:
@@ -207,13 +249,9 @@ def intertwining_defect(U, frame: EigenFrame) -> float:
 
 
 def w_deviation(U, frame: EigenFrame) -> float:
-    """max_s || Phi^dag(s) U_A^dag(s) U(s) - I ||_F (1 means non-adiabatic)."""
-    us = _unitaries_on_grid(U, frame)
-    ua = kato_operator(frame)
-    ph = dynamical_phase(frame)
-    w = np.einsum("kji,klj,klm->kim", ph.conj(), ua.conj(), us)
-    eye = np.eye(frame.dim)
-    return float(np.max(np.linalg.norm(w - eye, axis=(1, 2))))
+    """max_s || Phi^dag(s) U_A^dag(s) U(s) - I ||_F (1 means non-adiabatic),
+    evaluated as || diag(e^{i phi(s)}) M(s) - I ||_F."""
+    return _w_deviation_of(transition_matrix(U, frame), frame)
 
 
 def scaling_slope(taus: Sequence[float], values: Sequence[float],

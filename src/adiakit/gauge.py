@@ -398,8 +398,8 @@ def kato_generator(frame: EigenFrame, C: Optional[np.ndarray] = None) -> np.ndar
     n = frame.dim
     off = C.copy()
     off[:, np.arange(n), np.arange(n)] = 0.0
-    return 1j * np.einsum("kim,kmn,kjn->kij", frame.vectors, off,
-                          frame.vectors.conj())
+    Vd = dagger(frame.vectors)
+    return 1j * sandwich(Vd, off, Vd)
 
 
 def kernel(frame: EigenFrame, C: Optional[np.ndarray] = None) -> np.ndarray:
@@ -419,9 +419,11 @@ def kernel_coefficients(frame: EigenFrame,
     """Kernel matrix elements in the s=0 eigenbasis (N, n, n)."""
     if C is None:
         C = couplings(frame)
-    phi = frame.phase_integrals()
+    # e^{i(phi_m - phi_n)} = e_m conj(e_n): n exponentials per point, not n^2
+    e = np.exp(1j * frame.phase_integrals())
     n = frame.dim
-    dphi = phi[:, :, None] - phi[:, None, :]
-    coeff = 1j * np.exp(1j * dphi) * C
+    coeff = e[:, :, None] * e.conj()[:, None, :]
+    coeff *= C
+    coeff *= 1j
     coeff[:, np.arange(n), np.arange(n)] = 0.0
     return coeff

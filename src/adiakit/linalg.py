@@ -16,7 +16,7 @@ from .exceptions import NonHermitianError
 
 HERMITICITY_RTOL = 1e-12
 UNITARITY_TOL = 1e-10
-_SANDWICH_BLOCK = 65536
+_BLOCK = 65536
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -44,23 +44,29 @@ def check_hermitian(H: np.ndarray, rtol: float):
         raise NonHermitianError(defect, rtol * scale)
 
 
+def _by_blocks(product, *stacks: np.ndarray) -> np.ndarray:
+    """``product`` of (K, n, n) stacks, evaluated on blocks of ``_BLOCK``
+    matrices, so that the temporaries stay block-sized next to the
+    (K, n, n) result."""
+    out = np.empty(stacks[-1].shape, dtype=complex)
+    for lo in range(0, out.shape[0], _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        out[blk] = product(*(s[blk] for s in stacks))
+    return out
+
+
 def dagger_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A_k^dagger B_k for every k of two (K, n, n) stacks."""
+    """A_k^dagger B_k for every k of two (K, n, n) stacks; by components
+    when n == 2."""
+    if B.shape[-1] == 2:
+        return _by_blocks(lambda a, b: matmul_2x2(dagger(a), b), A, B)
     return np.einsum("kji,kjl->kil", A.conj(), B)
 
 
 def sandwich(A: np.ndarray, M: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A_k^dagger (M_k B_k) for (K, n, n) stacks; by components when n == 2.
-
-    Works through blocks of ``_SANDWICH_BLOCK`` matrices, so that the
-    temporaries stay block-sized next to the (K, n, n) result.
-    """
+    """A_k^dagger (M_k B_k) for (K, n, n) stacks; by components when n == 2."""
     mul = matmul_2x2 if M.shape[-1] == 2 else np.matmul
-    out = np.empty(M.shape, dtype=complex)
-    for lo in range(0, M.shape[0], _SANDWICH_BLOCK):
-        blk = slice(lo, lo + _SANDWICH_BLOCK)
-        out[blk] = mul(dagger(A[blk]), mul(M[blk], B[blk]))
-    return out
+    return _by_blocks(lambda a, m, b: mul(dagger(a), mul(m, b)), A, M, B)
 
 
 def unitarity_defect(U: np.ndarray) -> float:

@@ -23,11 +23,12 @@ import numpy as np
 from . import __version__ as _version
 from ._backend import backend_name, kernels
 from . import spinhalf
-from .diagnostics import (Thresholds, classify, f_norm, f_norm_max,
-                          f_norm_series, intertwining_series, phase_rate_per_step,
-                          premise_checks, projector_drift_series, qac_max,
-                          resonance_max_abs, resonance_series, scaling_slope,
-                          w_deviation)
+from .diagnostics import (Thresholds, _intertwining_of,
+                          _transition_probability_max, _w_deviation_of,
+                          classify, f_norm, f_norm_series,
+                          phase_rate_per_step, premise_checks,
+                          projector_drift_series, qac_max, resonance_series,
+                          scaling_slope, transition_matrix)
 from .exceptions import ConfigError, ScalingUndefinedError
 from .gauge import REFINE_MAX_POINTS, couplings, eigenframe
 from .linalg import dagger, hermiticity_defect
@@ -411,13 +412,14 @@ def _entry_for_tau(bundle: SystemBundle, tau: float, config: dict) -> dict:
         entry["projector_drift"] = float(np.max(dser))
         series["projector_drift"] = dser
     if "intertwining_defect" in diags or "w_deviation" in diags:
-        us = bundle.unitaries_for(tau, grid)
+        M = transition_matrix(bundle.unitaries_for(tau, grid), frame)
+        entry["transition_probability_max"] = _transition_probability_max(M)
         if "intertwining_defect" in diags:
-            iser = intertwining_series(us, frame)
+            iser = _intertwining_of(M)
             entry["intertwining_defect"] = float(np.max(iser))
             series["intertwining"] = iser
         if "w_deviation" in diags:
-            entry["w_deviation"] = float(w_deviation(us, frame))
+            entry["w_deviation"] = _w_deviation_of(M, frame)
     if "premises" in diags:
         coarse = np.linspace(grid[0], grid[-1],
                              min(len(grid), config["grid"] + 1))

@@ -21,8 +21,8 @@ def test_public_api_is_pinned():
         "negate", "phase_rate_per_step", "premise_checks", "projector_drift",
         "projector_drift_series", "propagate", "propagate_adaptive", "qac_max",
         "resonance_integral", "resonance_max_abs", "resonance_series",
-        "scaling_slope", "transform", "unitarity_defect", "unitary_exp",
-        "w_deviation",
+        "scaling_slope", "transform", "transition_matrix", "unitarity_defect",
+        "unitary_exp", "w_deviation",
     ]
     for name in adiakit.__all__:
         assert hasattr(adiakit, name), name

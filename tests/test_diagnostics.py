@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adiakit as ak
 from adiakit import spinhalf
@@ -134,6 +136,54 @@ def test_w_deviation_constant_hamiltonian():
     fr = ak.eigenframe(h, 37.0, grid)
     res = ak.propagate(h, 37.0, grid, substeps=2)
     assert ak.w_deviation(res, fr) <= 1e-8
+
+
+def _intertwining_by_projectors(us, frame):
+    out = np.zeros(frame.npoints)
+    for j in range(frame.dim):
+        P = frame.projector(j)
+        d = np.linalg.norm(us @ P[0] - P @ us, axis=(1, 2))
+        np.maximum(out, d, out=out)
+    return out
+
+
+def _w_deviation_by_operators(us, frame):
+    ua = ak.kato_operator(frame)
+    ph = ak.dynamical_phase(frame)
+    w = np.einsum("kji,klj,klm->kim", ph.conj(), ua.conj(), us)
+    return float(np.max(np.linalg.norm(w - np.eye(frame.dim), axis=(1, 2))))
+
+
+@settings(max_examples=24, deadline=None, database=None)
+@given(dim=st.integers(min_value=2, max_value=4),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       tau=st.floats(min_value=1.0, max_value=60.0))
+def test_transition_matrix_diagnostics_match_projector_formulas(dim, seed,
+                                                                 tau):
+    h = random_smooth_hamiltonian(dim, np.random.default_rng(seed))
+    grid = np.linspace(0.0, WINDOW, 257)
+    fr = ak.eigenframe(h, tau, grid)
+    res = ak.propagate(h, tau, grid, substeps=2)
+    us = res.unitaries
+    assert np.max(np.abs(ak.intertwining_series(res, fr)
+                         - _intertwining_by_projectors(us, fr))) <= 1e-12
+    assert abs(ak.w_deviation(res, fr)
+               - _w_deviation_by_operators(us, fr)) <= 1e-12
+
+
+def test_transition_matrix_is_the_evolution_in_the_adiabatic_basis():
+    fr = spin_frame("b", omega=0.01, npts=1025)
+    ub = spinhalf.dual_propagator(THETA, OMEGA0)
+    M = ak.transition_matrix(ub, fr)
+    us = ub.eval_batch(fr.grid, fr.tau)
+    ref = np.einsum("kji,kjl,lm->kim", fr.vectors.conj(), us, fr.vectors[0])
+    assert M.shape == (fr.npoints, 2, 2)
+    assert np.max(np.abs(M - ref)) <= 1e-14
+    assert ak.unitarity_defect(M) <= 1e-12
+    # the dual carries up to sin^2(theta) of the population off its level,
+    # whatever tau
+    leak = np.max(np.abs(M[:, 1, 0]) ** 2)
+    assert abs(leak - np.sin(THETA) ** 2) <= 1e-10
 
 
 def test_scaling_slope_exact_cases():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import adiakit as ak
+from adiakit import linalg
 from adiakit.exceptions import NonHermitianError
 
 
@@ -79,6 +80,31 @@ def test_unitarity_defect_is_per_matrix_max_on_stacks():
     skew = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert ak.hermiticity_defect(np.stack([skew, 2 * skew])) == \
         ak.hermiticity_defect(2 * skew) == 2 * np.sqrt(2)
+
+
+def random_unitary_stack(count, dim, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((count, dim, dim)) \
+        + 1j * rng.standard_normal((count, dim, dim))
+    q, _ = np.linalg.qr(z)
+    return q
+
+
+def test_dagger_dot_2x2_components_match_einsum():
+    # more matrices than one block, so the block seam is crossed
+    count = linalg._BLOCK + 37
+    A = random_unitary_stack(count, 2, seed=1)
+    B = random_unitary_stack(count, 2, seed=2)
+    ref = np.einsum("kji,kjl->kil", A.conj(), B)
+    assert np.max(np.abs(linalg.dagger_dot(A, B) - ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_dagger_dot_larger_dims_keep_the_einsum(dim):
+    A = random_unitary_stack(64, dim, seed=dim)
+    B = random_unitary_stack(64, dim, seed=dim + 10)
+    ref = np.einsum("kji,kjl->kil", A.conj(), B)
+    assert np.array_equal(linalg.dagger_dot(A, B), ref)
 
 
 def test_herm_eig_is_a_row_of_eigh_batch():

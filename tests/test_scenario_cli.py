@@ -231,6 +231,70 @@ def test_custom_matrix_dual_intertwining_via_base_algebra():
     assert abs(e["intertwining_defect"] - drift_a) <= 0.05 * max(drift_a, 1e-3)
 
 
+def test_transition_matrix_built_once_per_entry(monkeypatch):
+    calls = []
+    original = sc.transition_matrix
+
+    def counted(U, frame):
+        calls.append(frame.tau)
+        return original(U, frame)
+
+    monkeypatch.setattr(sc, "transition_matrix", counted)
+    cfg = base_config(diagnostics=["intertwining_defect", "w_deviation"])
+    cfg["parameters"] = {"theta": THETA, "omega0": 1.0,
+                         "tau_list": [50.0, 100.0, 200.0]}
+    report, _ = sc.run(cfg)
+    assert calls == [50.0, 100.0, 200.0]
+    for e in report["entries"]:
+        assert {"intertwining_defect", "w_deviation",
+                "transition_probability_max"} <= set(e)
+
+
+def test_transition_probability_max_separates_base_and_dual():
+    diags = ["qac_max", "intertwining_defect"]
+    base, _ = sc.run(base_config(diagnostics=diags))
+    dual, _ = sc.run(base_config(system="b", diagnostics=diags))
+    # O(1/tau^2) on the base (sin^2(theta) / tau^2 to leading order), and
+    # sin^2(theta) = 1/2 on the dual, whatever tau
+    p_base = base["entries"][0]["transition_probability_max"]
+    assert abs(p_base * 100.0**2 - 0.5) <= 0.05
+    assert abs(dual["entries"][0]["transition_probability_max"] - 0.5) <= 1e-9
+    only_qac, _ = sc.run(base_config(diagnostics=["qac_max"]))
+    assert "transition_probability_max" not in only_qac["entries"][0]
+
+
+def test_numeric_cache_fills_each_key_once_under_threads(monkeypatch):
+    # negated dual of a custom path: each tau propagates the base at tau
+    # and at 2 tau; two worker threads must not propagate any of them twice
+    calls = []
+    original = sc.propagate
+
+    def counted(path, tau, grid, **kwargs):
+        calls.append(tau)
+        return original(path, tau, grid, **kwargs)
+
+    monkeypatch.setattr(sc, "propagate", counted)
+    sgrid = np.linspace(0.0, 1.0, 9)
+    mats = np.zeros((9, 2, 2, 2))
+    mats[:, 0, 0, 0], mats[:, 1, 1, 0] = 1.0, -1.0
+    mats[:, 0, 1, 0] = mats[:, 1, 0, 0] = 0.3 * np.sin(np.pi * sgrid)
+    taus = [10.0, 30.0, 70.0]
+    cfg = {
+        "model": "custom_matrix_path",
+        "parameters": {"grid": sgrid.tolist(), "matrices": mats.tolist(),
+                       "tau_list": taus},
+        "system": "c",
+        "grid": 256,
+        "auto_refine": False,
+        "diagnostics": ["qac_max", "intertwining_defect", "w_deviation"],
+    }
+    report, _ = sc.scan(cfg, threads=2)
+    assert sorted(calls) == sorted(taus + [2.0 * t for t in taus])
+    single, _ = sc.scan(cfg, threads=1)
+    assert json.dumps(report, sort_keys=True) == \
+        json.dumps(single, sort_keys=True)
+
+
 def test_premises_diagnostic_included_on_request():
     cfg = base_config(diagnostics=["qac_max", "premises"])
     report, _ = sc.run(cfg)
