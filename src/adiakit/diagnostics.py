@@ -130,26 +130,41 @@ def resonance_max_abs(frame: EigenFrame, m: int, n: int,
     return float(np.max(np.abs(resonance_series(frame, m, n, C))))
 
 
-def f_norm(frame: EigenFrame, s_end: Optional[float] = None,
-           C: Optional[np.ndarray] = None) -> float:
-    """Frobenius norm of the accumulated kernel integral at s_end."""
-    coeff = kernel_coefficients(frame, C)
-    k = _end_index(frame.grid, s_end)
-    n = frame.dim
+def _f_norm_end(coeff: np.ndarray, grid: np.ndarray) -> float:
+    """Richardson-corrected || int kernel ||_F over all of ``grid``, from
+    the kernel coefficient stack."""
+    n = coeff.shape[-1]
     F = np.empty((n, n), dtype=complex)
     for a in range(n):
         for b in range(n):
-            F[a, b] = _richardson_trapz(coeff[:k + 1, a, b],
-                                        frame.grid[:k + 1])
+            F[a, b] = _richardson_trapz(coeff[:, a, b], grid)
     return float(np.linalg.norm(F))
+
+
+def _f_norm_running(coeff: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """|| int_0^s kernel ||_F per grid point, from the coefficient stack."""
+    return np.linalg.norm(_cumtrapz(coeff, grid), axis=(1, 2))
+
+
+def _f_norm_end_and_series(frame: EigenFrame,
+                           C: Optional[np.ndarray] = None):
+    """(f_norm at the grid end, f_norm_series), from one coefficient stack."""
+    coeff = kernel_coefficients(frame, C)
+    return _f_norm_end(coeff, frame.grid), _f_norm_running(coeff, frame.grid)
+
+
+def f_norm(frame: EigenFrame, s_end: Optional[float] = None,
+           C: Optional[np.ndarray] = None) -> float:
+    """Frobenius norm of the accumulated kernel integral at s_end."""
+    k = _end_index(frame.grid, s_end)
+    return _f_norm_end(kernel_coefficients(frame, C)[:k + 1],
+                       frame.grid[:k + 1])
 
 
 def f_norm_series(frame: EigenFrame,
                   C: Optional[np.ndarray] = None) -> np.ndarray:
     """|| int_0^s kernel ||_F per grid point; shape (N,)."""
-    coeff = kernel_coefficients(frame, C)
-    F = _cumtrapz(coeff, frame.grid)
-    return np.linalg.norm(F, axis=(1, 2))
+    return _f_norm_running(kernel_coefficients(frame, C), frame.grid)
 
 
 def f_norm_max(frame: EigenFrame, C: Optional[np.ndarray] = None) -> float:

@@ -23,9 +23,9 @@ import numpy as np
 from . import __version__ as _version
 from ._backend import backend_name, kernels
 from . import spinhalf
-from .diagnostics import (Thresholds, _intertwining_of,
-                          _transition_probability_max, _w_deviation_of,
-                          classify, f_norm, f_norm_series,
+from .diagnostics import (Thresholds, _f_norm_end_and_series,
+                          _intertwining_of, _transition_probability_max,
+                          _w_deviation_of, classify,
                           phase_rate_per_step, premise_checks,
                           projector_drift_series, qac_max, resonance_series,
                           scaling_slope, transition_matrix)
@@ -403,8 +403,7 @@ def _entry_for_tau(bundle: SystemBundle, tau: float, config: dict) -> dict:
                 series[f"resonance[{m},{n}].im"] = ser.imag
         entry["resonance_integrals"] = res
     if "f_norm" in diags:
-        fser = f_norm_series(frame, C)
-        entry["f_norm_end"] = float(f_norm(frame, C=C))
+        entry["f_norm_end"], fser = _f_norm_end_and_series(frame, C)
         entry["f_norm_max"] = float(np.max(fser))
         series["f_norm"] = fser
     if "projector_drift" in diags:

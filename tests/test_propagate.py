@@ -1,12 +1,24 @@
-"""Midpoint-exponential propagation: fixed grid and adaptive."""
+"""Propagation: the fixed-grid midpoint-exponential rule (order 2) and the
+adaptive fourth-order commutator-free Magnus (CF4) integrator.
+
+Both are checked against the spin-half closed form, for their convergence
+order (2 and 4), composition and step caps. The adaptive run must not get
+less accurate when the tolerance drops below the noise floor of its
+step-doubling comparison, and it is checked against a fine fixed midpoint
+run on random smooth paths of dimension 2 to 4.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adiakit as ak
 from adiakit import _kernels_py, spinhalf
 from adiakit.exceptions import NonHermitianError, StepLimitError
+from adiakit.models import random_smooth_hamiltonian
 from adiakit.paths import HamiltonianPath, constant_hamiltonian
+from adiakit.propagate import _cf4_steps
 
 THETA, OMEGA0 = np.pi / 4, 1.0
 WINDOW = 2 * np.pi
@@ -115,6 +127,54 @@ def test_adaptive_meets_tolerance():
     err = np.max(np.linalg.norm(res.unitaries - ref, axis=(1, 2)))
     assert err <= 1e-8 * WINDOW
     assert res.grid[0] == 0.0 and abs(res.grid[-1] - WINDOW) <= 1e-12
+
+
+def _cf4_fixed_error(tau, nsteps):
+    h = spinhalf.hamiltonian(THETA, OMEGA0)
+    grid = np.linspace(0.0, WINDOW, nsteps + 1)
+    steps = _cf4_steps(h, tau, grid[:-1], np.diff(grid))
+    _kernels_py.chain_steps(steps, np.eye(2, dtype=complex))
+    ref = spinhalf.propagator_matrix(THETA, OMEGA0, 1.0 / tau, WINDOW)
+    return np.linalg.norm(steps[-1] - ref)
+
+
+def test_cf4_convergence_order_four():
+    # with the two exponentials in the other order the rule is order 2
+    errs = [_cf4_fixed_error(10.0, n) for n in (500, 1000, 2000)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert abs(np.log2(coarse / fine) - 4.0) <= 0.2
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-13])
+def test_adaptive_strict_tolerance_is_not_less_accurate(tol):
+    # a tolerance below the comparison's noise floor must not buy a coarser
+    # answer: it either converges or reports the step cap
+    omega = 0.1
+    tau = 1.0 / omega
+    h = spinhalf.hamiltonian(THETA, OMEGA0)
+    try:
+        res = ak.propagate_adaptive(h, tau, WINDOW, tol=tol)
+    except StepLimitError:
+        return
+    ref = spinhalf.propagator_matrix(THETA, OMEGA0, omega, res.grid)
+    assert np.max(np.linalg.norm(res.unitaries - ref, axis=(1, 2))) <= 1e-9
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(dim=st.integers(min_value=2, max_value=4),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       tau=st.floats(min_value=1.0, max_value=20.0),
+       s2=st.floats(min_value=1.0, max_value=WINDOW),
+       split=st.floats(min_value=0.1, max_value=0.9))
+def test_adaptive_cf4_matches_midpoint_and_composes(dim, seed, tau, s2, split):
+    h = random_smooth_hamiltonian(dim, np.random.default_rng(seed))
+    s1 = split * s2
+    full = ak.propagate_adaptive(h, tau, s2, tol=1e-8)
+    fine = ak.propagate(h, tau, np.array([0.0, s2]), substeps=40000)
+    assert np.linalg.norm(full.final() - fine.final()) <= 1e-6
+    left = ak.propagate_adaptive(h, tau, s1, tol=1e-8)
+    right = ak.propagate_adaptive(h, tau, s2, tol=1e-8, s_start=s1)
+    assert np.linalg.norm(right.final() @ left.final() - full.final()) <= 1e-7
 
 
 def test_adaptive_step_cap():
