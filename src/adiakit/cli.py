@@ -43,8 +43,6 @@ def build_parser():
                          help="check the built-in closed-form identities")
     vp.add_argument("--json", action="store_true", dest="as_json",
                     help="machine-readable output")
-    vp.add_argument("--tolerance", type=float, default=None,
-                    help="override every check tolerance (debugging aid)")
     return parser
 
 
@@ -79,7 +77,7 @@ def _run_or_scan(args, scan_mode):
 def _verify(args):
     from . import verify
 
-    results = verify.run_all(tolerance=args.tolerance)
+    results = verify.run_all()
     failed = [r for r in results if not r["passed"]]
     if args.as_json:
         print(json.dumps({"results": results,

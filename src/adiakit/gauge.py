@@ -8,8 +8,9 @@ vanishes on the grid.
 Two constructions exist:
 
 * discrete: per-point eigensolve + multiplicative phase alignment. The
-  accumulated transport phase carries an O(ds^2) secular error, so it is
-  Richardson-corrected from a 2x refined grid by default.
+  accumulated transport phase carries an O(ds^2) secular error. It is
+  Richardson-corrected against the transport along the grid's own even
+  points, interpolated linearly to the odd ones, at every grid size.
 * transported: for Hamiltonians defined as (+/-) U^dagger H U with a known
   generator of U, the frame is built exactly from the base frame, the
   unitary, and the accumulated diagonal phases. This is the only practical
@@ -28,15 +29,12 @@ from .linalg import (check_hermitian, dagger, dagger_dot, sandwich,
                      unitarity_defect)
 from .paths import (FD4_CENTRAL_NUMERATORS, FD4_DENOMINATOR,
                     FD4_FORWARD_NUMERATORS, HamiltonianPath, check_grid,
-                    fd4_derivative, is_uniform, midpoint_refined)
+                    fd4_derivative, is_uniform)
 from .transforms import TransformedHamiltonianPath
 
 GAP_FLOOR = 1e-8
 OVERLAP_FLOOR = 0.9
 HERMITICITY_FRAME_RTOL = 1e-10
-# the scenario runner and the verification suite build frames with
-# Richardson refinement only below this many grid points
-REFINE_MAX_POINTS = 200000
 
 
 @dataclass
@@ -149,17 +147,16 @@ def _align_initial(values, vectors, initial_vectors, overlap_floor):
     vectors = vectors[:, :, inv]
     values = values[:, inv]
     ov0 = initial_vectors.conj().T @ vectors[0]
-    phases = np.angle(np.diagonal(ov0))
-    vectors = vectors * np.exp(-1j * phases)[None, None, :]
+    vectors *= np.exp(-1j * np.angle(np.diagonal(ov0)))
     return values, vectors
 
 
 def _default_initial_phase(vectors):
-    """Make the largest-magnitude component of each s=0 vector real positive."""
+    """Make the largest-magnitude component of each s=0 vector real positive
+    (in place)."""
     v0 = vectors[0]
     idx = np.argmax(np.abs(v0), axis=0)
-    phases = np.angle(v0[idx, np.arange(v0.shape[1])])
-    return vectors * np.exp(-1j * phases)[None, None, :]
+    vectors *= np.exp(-1j * np.angle(v0[idx, np.arange(v0.shape[1])]))
 
 
 def _track_levels(W, V, grid, overlap_floor):
@@ -189,60 +186,51 @@ def _track_levels(W, V, grid, overlap_floor):
 
 
 def _discrete_frame(path, tau, grid, initial_vectors, gap_floor,
-                    overlap_floor, refine):
-    fine = midpoint_refined(grid) if refine else grid
-
-    H = path.eval_batch(fine, tau)
+                    overlap_floor):
+    H = path.eval_batch(grid, tau)
     check_hermitian(H, HERMITICITY_FRAME_RTOL)
     W, V = kernels.eigh_batch(H)
-    W, V, ov = _track_levels(W, V, fine, overlap_floor)
+    del H  # the (N, n, n) stack is not needed past the eigensolve
+    W, V, ov = _track_levels(W, V, grid, overlap_floor)
 
     gap, kmin = _min_pairwise_gap(W)
     if gap <= gap_floor:
-        lo = fine[max(kmin - 1, 0)]
-        hi = fine[min(kmin + 1, len(fine) - 1)]
+        lo = grid[max(kmin - 1, 0)]
+        hi = grid[min(kmin + 1, len(grid) - 1)]
         raise EigenvalueCrossingError(float(lo), float(hi), gap, gap_floor)
 
     # multiplicative discrete transport: accumulate neighbor-overlap phases
     # as unit complexes (an angle cumsum would lose precision once the raw
     # solver phases random-walk to many radians)
-    gauge_fine = _accumulated_phase_factors(ov / np.abs(ov))
-
-    if refine:
-        # Richardson: compare against transport on the coarse subsequence to
-        # cancel the O(ds^2) secular phase error
-        ov_c = _neighbor_overlaps(V, step=2)
-        gauge_coarse = _accumulated_phase_factors(ov_c / np.abs(ov_c))
-        delta = np.angle(gauge_fine[0::2] * gauge_coarse.conj())
+    gauge = _accumulated_phase_factors(ov / np.abs(ov))
+    # Richardson: the transport along the even points alone carries four
+    # times the O(ds^2) secular phase error; their difference delta, known
+    # at the even points, is interpolated linearly to the odd ones
+    ov_c = _neighbor_overlaps(V, step=2)
+    delta = np.angle(gauge[0::2]
+                     * _accumulated_phase_factors(ov_c / np.abs(ov_c)).conj())
+    for j in range(delta.shape[1]):
         # vectors are multiplied by conj(gauge): +delta/3 here lands as the
         # -delta/3 Richardson correction on the transport phase
-        gauge = gauge_fine[0::2] * np.exp(1j * delta / 3.0)
-        W_out = W[0::2]
-        V_out = V[0::2]
-    else:
-        gauge = gauge_fine
-        W_out = W
-        V_out = V
-
-    vectors = V_out * gauge.conj()[:, None, :]
+        gauge[:, j] *= np.exp(1j / 3.0 * np.interp(grid, grid[0::2],
+                                                   delta[:, j]))
+    V *= gauge.conj()[:, None, :]
     if initial_vectors is not None:
-        W_out, vectors = _align_initial(W_out, vectors,
-                                        np.asarray(initial_vectors, dtype=complex),
-                                        overlap_floor)
+        W, V = _align_initial(W, V, np.asarray(initial_vectors, dtype=complex),
+                              overlap_floor)
     else:
-        vectors = _default_initial_phase(vectors)
+        _default_initial_phase(V)
     return EigenFrame(grid=np.asarray(grid, dtype=float), tau=float(tau),
-                      values=np.ascontiguousarray(W_out),
-                      vectors=np.ascontiguousarray(vectors),
+                      values=np.ascontiguousarray(W),
+                      vectors=np.ascontiguousarray(V),
                       min_gap=gap, path=path, construction="discrete")
 
 
 def _transported_frame(path, tau, grid, initial_vectors, gap_floor,
-                       overlap_floor, refine, residual_rtol=1e-6):
+                       overlap_floor, residual_rtol=1e-6):
     base_frame = eigenframe(path.base, tau, grid,
                             initial_vectors=initial_vectors,
-                            gap_floor=gap_floor, overlap_floor=overlap_floor,
-                            refine=refine)
+                            gap_floor=gap_floor, overlap_floor=overlap_floor)
     U = path.unitary.eval_batch(grid, tau)
     udefect = unitarity_defect(U)
     if udefect > 1e-9:
@@ -303,7 +291,7 @@ def _check_transport_generator(path, tau, grid, rtol):
 def eigenframe(path: HamiltonianPath, tau: float, grid,
                initial_vectors=None, gap_floor: float = GAP_FLOOR,
                overlap_floor: float = OVERLAP_FLOOR,
-               transport: str = "auto", refine: bool = True) -> EigenFrame:
+               transport: str = "auto") -> EigenFrame:
     """Build a level-tracked, parallel-transport-gauged eigenframe.
 
     ``transport``: "auto" uses the exact transported construction for
@@ -323,9 +311,9 @@ def eigenframe(path: HamiltonianPath, tau: float, grid,
     use_transport = can_transport and transport in ("auto", "transported")
     if use_transport:
         return _transported_frame(path, tau, grid, initial_vectors,
-                                  gap_floor, overlap_floor, refine)
+                                  gap_floor, overlap_floor)
     return _discrete_frame(path, tau, grid, initial_vectors, gap_floor,
-                           overlap_floor, refine)
+                           overlap_floor)
 
 
 def couplings(frame: EigenFrame, method: str = "auto",

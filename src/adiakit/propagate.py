@@ -9,7 +9,7 @@ oscillatory problems that arise at large tau:
       U(s + ds) = exp(-i tau ds H(s + ds/2, tau)) U(s),
 
   one exponential per step. The scenario runner records U at every grid
-  point of a frame with one step per interval, where a fourth-order step
+  point of a frame with two steps per interval, where a fourth-order step
   would double the eigensolves per point, so that route stays midpoint.
 * ``propagate_adaptive`` uses the fourth-order commutator-free Magnus rule
   CF4 (Blanes & Moan, Appl. Numer. Math. 56 (2006)): with the Gauss nodes

@@ -30,7 +30,7 @@ from .diagnostics import (Thresholds, _f_norm_end_and_series,
                           projector_drift_series, qac_max, resonance_series,
                           scaling_slope, transition_matrix)
 from .exceptions import ConfigError, ScalingUndefinedError
-from .gauge import REFINE_MAX_POINTS, couplings, eigenframe
+from .gauge import couplings, eigenframe
 from .linalg import dagger, hermiticity_defect
 from .models import driven_two_level
 from .paths import (HamiltonianPath, UnitaryPath, constant_hamiltonian,
@@ -314,12 +314,10 @@ class SystemBundle:
     def _propagate_base(self, tau, doubled: bool = False):
         key = (float(tau), doubled)
         if key not in self._numeric_cache:
-            grid = self.grid_for(tau)
-            # include interval midpoints so frame refinement can sample them
-            fine = np.linspace(grid[0], grid[-1], 2 * len(grid) - 1)
+            # two midpoint steps per substep and grid interval
             self._numeric_cache[key] = propagate(
-                self.base, (2.0 if doubled else 1.0) * tau, fine,
-                substeps=int(self.config["substeps"]))
+                self.base, (2.0 if doubled else 1.0) * tau, self.grid_for(tau),
+                substeps=2 * int(self.config["substeps"]))
         return self._numeric_cache[key]
 
     def grid_for(self, tau: float) -> np.ndarray:
@@ -370,8 +368,7 @@ def _entry_for_tau(bundle: SystemBundle, tau: float, config: dict) -> dict:
     path = bundle.path_for(tau)
     frame = eigenframe(path, tau, grid,
                        initial_vectors=bundle.initial_vectors,
-                       transport=bundle.transport,
-                       refine=len(grid) < REFINE_MAX_POINTS)
+                       transport=bundle.transport)
     diags = config["diagnostics"]
     C = couplings(frame)
     entry: dict = {
@@ -420,8 +417,9 @@ def _entry_for_tau(bundle: SystemBundle, tau: float, config: dict) -> dict:
         if "w_deviation" in diags:
             entry["w_deviation"] = _w_deviation_of(M, frame)
     if "premises" in diags:
-        coarse = np.linspace(grid[0], grid[-1],
-                             min(len(grid), config["grid"] + 1))
+        # the premise grid and its midpoints are frame grid points, where
+        # a recorded propagator is known
+        coarse = grid[::max(2, (len(grid) - 1) // config["grid"])]
         entry["premises"] = premise_checks(path, tau, coarse)
     return entry, series
 

@@ -17,7 +17,7 @@ from .diagnostics import (Classification, Thresholds, classify, f_norm_max,
                           scaling_slope, w_deviation)
 from .diagnostics import _pair_integrand
 from .exceptions import ScalingUndefinedError
-from .gauge import REFINE_MAX_POINTS, couplings, eigenframe, kato_operator
+from .gauge import couplings, eigenframe, kato_operator
 from .linalg import unitarity_defect
 from .models import driven_two_level, random_smooth_hamiltonian
 from .propagate import propagate_adaptive
@@ -26,12 +26,13 @@ from .transforms import dual_of, negate
 WINDOW = 2.0 * np.pi
 
 
-def _result(name, deviation, tolerance, detail=""):
+def _result(name, deviation, tolerance, detail="", ok=True):
+    """One check's outcome; ``ok`` carries any side condition it has."""
     return {
         "name": name,
         "deviation": float(deviation),
         "tolerance": float(tolerance),
-        "passed": bool(deviation <= tolerance),
+        "passed": bool(deviation <= tolerance and ok),
         "detail": detail,
     }
 
@@ -44,8 +45,7 @@ def _spin_frames(theta, omega0, tau, npts, systems=("a",)):
     out = {}
     paths = {"a": h, "b": dual_of(h, ua), "c": negate(dual_of(h, ua))}
     for sys_ in systems:
-        out[sys_] = eigenframe(paths[sys_], tau, grid, initial_vectors=iv,
-                               refine=npts < REFINE_MAX_POINTS)
+        out[sys_] = eigenframe(paths[sys_], tau, grid, initial_vectors=iv)
     return out, grid
 
 
@@ -110,10 +110,9 @@ def check_dual_resonance_integral(tol=1e-6):
     dev = float(np.max(np.abs(ser - spinhalf.dual_resonance_integral(theta, grid))))
     frames0, _ = _spin_frames(0.0, 1.0, 100.0, 1025, systems=("b",))
     dev0 = float(np.max(np.abs(resonance_series(frames0["b"], 1, 0))))
-    res = _result("dual_resonance_integral", dev, tol,
-                  f"theta=0 residual {dev0:.1e} (tol 1e-10)")
-    res["passed"] = res["passed"] and dev0 <= 1e-10
-    return res
+    return _result("dual_resonance_integral", dev, tol,
+                   f"theta=0 residual {dev0:.1e} (tol 1e-10)",
+                   ok=dev0 <= 1e-10)
 
 
 def check_negated_dual_resonance(tol=1e-8):
@@ -130,11 +129,9 @@ def check_negated_dual_resonance(tol=1e-8):
         dev = max(dev, abs(ser[-1] - ref))
         mags.append(abs(ser[-1]))
     slope = scaling_slope(omegas, mags).slope
-    slope_dev = abs(slope - 1.0)
-    ok = _result("negated_dual_resonance", dev, tol,
-                 f"log-log slope vs omega {slope:.4f} (want 1.0 +- 0.05)")
-    ok["passed"] = ok["passed"] and slope_dev <= 0.05
-    return ok
+    return _result("negated_dual_resonance", dev, tol,
+                   f"log-log slope vs omega {slope:.4f} (want 1.0 +- 0.05)",
+                   ok=abs(slope - 1.0) <= 0.05)
 
 
 def check_qac_dual_equality(tol=1e-8):
@@ -184,11 +181,10 @@ def check_intertwining_scaling(slope_tol=0.15, plateau=0.1):
     sa = scaling_slope(taus, da).slope
     sc = scaling_slope(taus, dc).slope
     dev = max(abs(sa + 1.0), abs(sc + 1.0))
-    res = _result("intertwining_scaling", dev, slope_tol,
-                  f"slopes a={sa:.3f}, c={sc:.3f}; dual plateau "
-                  f"min={min(db):.3f} (want > {plateau})")
-    res["passed"] = res["passed"] and min(db) > plateau
-    return res
+    return _result("intertwining_scaling", dev, slope_tol,
+                   f"slopes a={sa:.3f}, c={sc:.3f}; dual plateau "
+                   f"min={min(db):.3f} (want > {plateau})",
+                   ok=min(db) > plateau)
 
 
 def check_kernel_integral_scaling(slope_tol=0.1):
@@ -209,11 +205,10 @@ def check_kernel_integral_scaling(slope_tol=0.1):
     expected_b = np.sqrt(2.0) * float(np.max(np.abs(
         spinhalf.dual_resonance_integral(theta, dense))))
     dev = max(abs(sa + 1.0), abs(sb))
-    res = _result("kernel_integral_scaling", dev, slope_tol,
-                  f"slopes a={sa:.3f}, b={sb:.2e}; dual magnitude "
-                  f"{fb[0]:.6f} (closed form {expected_b:.6f})")
-    res["passed"] = res["passed"] and abs(fb[0] - expected_b) <= 1e-6
-    return res
+    return _result("kernel_integral_scaling", dev, slope_tol,
+                   f"slopes a={sa:.3f}, b={sb:.2e}; dual magnitude "
+                   f"{fb[0]:.6f} (closed form {expected_b:.6f})",
+                   ok=abs(fb[0] - expected_b) <= 1e-6)
 
 
 def check_projector_drift(tol=1e-6, slope_tol=0.1):
@@ -228,10 +223,9 @@ def check_projector_drift(tol=1e-6, slope_tol=0.1):
     ser = projector_drift_series(frames["a"])
     k = int(np.argmin(np.abs(grid - np.pi)))
     dev = abs(ser[k] - np.sqrt(2.0) * np.sin(theta))
-    res = _result("projector_drift", dev, tol,
-                  f"dual drift slope vs omega {slope:.3f} (want 1 +- {slope_tol})")
-    res["passed"] = res["passed"] and abs(slope - 1.0) <= slope_tol
-    return res
+    return _result("projector_drift", dev, tol,
+                   f"dual drift slope vs omega {slope:.3f} (want 1 +- {slope_tol})",
+                   ok=abs(slope - 1.0) <= slope_tol)
 
 
 def check_geometric_intertwining(tol=1e-8):
@@ -341,14 +335,6 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(tolerance: float = None):
-    """Run every identity check; optional uniform tolerance override."""
-    results = []
-    for fn in ALL_CHECKS:
-        res = fn()
-        if tolerance is not None:
-            res["tolerance"] = float(tolerance)
-            res["passed"] = res["deviation"] <= tolerance
-        res["passed"] = bool(res["passed"])
-        results.append(res)
-    return results
+def run_all():
+    """Run every identity check."""
+    return [fn() for fn in ALL_CHECKS]

@@ -25,17 +25,14 @@ def _report(num, text):
     print(f"[acceptance] criterion {num:2d} PASS: {text}")
 
 
-def spin_system_frame(system, theta, tau, npts, refine=None):
+def spin_system_frame(system, theta, tau, npts):
     h = spinhalf.hamiltonian(theta, OMEGA0)
     ua = spinhalf.exact_propagator(theta, OMEGA0)
     paths = {"a": h, "b": ak.dual_of(h, ua),
              "c": ak.negate(ak.dual_of(h, ua))}
     grid = np.linspace(0.0, WINDOW, npts)
-    if refine is None:
-        refine = npts < 200000
     return ak.eigenframe(paths[system], tau, grid,
-                         initial_vectors=spinhalf.initial_vectors(theta),
-                         refine=refine)
+                         initial_vectors=spinhalf.initial_vectors(theta))
 
 
 def test_criterion_01_closed_form_propagator():

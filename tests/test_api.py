@@ -39,7 +39,7 @@ def test_kernels_take_any_dimension():
     dim = 33
     path = models.random_smooth_hamiltonian(dim, np.random.default_rng(0))
     grid = np.linspace(0.0, 0.1, 5)
-    frame = adiakit.eigenframe(path, 1.0, grid, refine=False)
+    frame = adiakit.eigenframe(path, 1.0, grid)
     assert frame.dim == dim and frame.completeness_defect() <= 1e-12
     res = adiakit.propagate(path, 1.0, grid)
     assert res.max_unitarity_defect <= 1e-12
