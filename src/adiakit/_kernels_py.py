@@ -4,6 +4,8 @@ Two batched entry points, ``eigh_batch`` and ``propagate_steps``, plus the
 helpers they share with the rest of the package: ``hermitize`` (re-exported
 by ``adiakit.linalg``), ``step_exponentials``, the 2x2 product
 ``matmul_2x2`` and the blocked prefix product ``chain_steps``.
+``propagate_steps`` takes a list of coefficients: one eigensolve per
+midpoint Hamiltonian serves the step exponentials of every coefficient.
 
 The route depends on the matrix dimension only (``eigensolver_route``):
 2x2 stacks, every spin-half frame and step, take closed forms built from
@@ -140,11 +142,13 @@ def chain_steps(steps, u0):
         steps[k] = steps[k] @ steps[k - 1]
 
 
-def propagate_steps(Hmid, coef, ds, U0, record_every):
-    """Chain midpoint exponentials: U <- exp(-i coef ds_k H_k) U.
+def propagate_steps(Hmid, coefs, ds, U0s, record_every):
+    """Chain midpoint exponentials U <- exp(-i c ds_k H_k) U from U0s[j],
+    for every coefficient c = coefs[j].
 
-    Records U after every ``record_every`` steps (the step count must be
-    divisible by it).
+    One eigensolve of the step stack serves every coefficient. Returns one
+    (records, final) pair per coefficient; the records hold U after every
+    ``record_every`` steps (the step count must be divisible by it).
     """
     h = np.asarray(Hmid, dtype=np.complex128)
     _check_square(h, "step matrices")
@@ -154,13 +158,20 @@ def propagate_steps(Hmid, coef, ds, U0, record_every):
         raise ValueError("ds length must match step count")
     if record_every <= 0 or m % record_every != 0:
         raise ValueError("record_every must divide the step count")
-    u = np.array(U0, dtype=np.complex128)
-    if u.shape != (n, n):
+    us = [np.array(u0, dtype=np.complex128) for u0 in U0s]
+    if len(us) != len(coefs):
+        raise ValueError("one initial state per coefficient is needed")
+    if any(u.shape != (n, n) for u in us):
         raise ValueError("U0 dimension mismatch")
     if m == 0:
-        return np.empty((0, n, n), dtype=np.complex128), u
+        return [(np.empty((0, n, n), dtype=np.complex128), u) for u in us]
     w, v = eigh_batch(h)
-    steps = step_exponentials(w, v, coef * d)
-    chain_steps(steps, u)
-    # fresh arrays, so the step buffer is released on return
-    return steps[record_every - 1::record_every].copy(), steps[-1].copy()
+    del h  # a converted copy of the stack is freed before the step products
+    out = []
+    for coef, u in zip(coefs, us):
+        steps = step_exponentials(w, v, coef * d)
+        chain_steps(steps, u)
+        # fresh arrays, so the step buffer is released on return
+        out.append((steps[record_every - 1::record_every].copy(),
+                    steps[-1].copy()))
+    return out

@@ -22,9 +22,13 @@ oscillatory problems that arise at large tau:
   rule is second order. Step doubling controls the step size with the
   exponent 1/5 of an order-4 method.
 
-Each exponential costs one Hermitian eigendecomposition in the numpy
+Each eigendecomposition of a Hermitian step matrix is made in the numpy
 kernels: in closed form for 2x2 steps (every spin-half system), by LAPACK
-for larger ones.
+for larger ones. On a fixed grid one eigensolve per midpoint serves every
+coefficient: ``_propagate_fixed`` solves i dU/ds = c H(s) U for several c
+on one grid from the same eigenpairs, which the scenario runner uses to
+propagate a tau-independent base at tau and 2 tau of every tau sharing
+that grid. ``propagate`` is its one-coefficient case, c = tau.
 """
 
 from dataclasses import dataclass
@@ -80,6 +84,17 @@ def propagate(path: HamiltonianPath, tau: float, grid,
     Each grid interval is subdivided into ``substeps`` midpoint-exponential
     micro-steps. Global error is O(ds^2) in the micro-step size.
     """
+    return _propagate_fixed(path, tau, [tau], grid, substeps, step_cap)[0]
+
+
+def _propagate_fixed(path: HamiltonianPath, eval_tau: float, coefs, grid,
+                     substeps: int = 1, step_cap: int = STEP_CAP):
+    """``propagate`` for several coefficients at once: one PropagationResult
+    per c in ``coefs``, the solution of i dU/ds = c H(s, eval_tau) U.
+
+    H is evaluated, checked and eigensolved once per micro-step midpoint;
+    every coefficient exponentiates the same eigenpairs.
+    """
     grid = check_grid(grid, min_points=2)
     substeps = int(substeps)
     if substeps < 1:
@@ -91,10 +106,11 @@ def propagate(path: HamiltonianPath, tau: float, grid,
                              f"{total} steps requested, cap is {step_cap}")
 
     n = path.dim
-    unitaries = np.empty((len(grid), n, n), dtype=complex)
-    unitaries[0] = np.eye(n)
-    ucur = np.eye(n, dtype=complex)
-    coef = float(tau)
+    coefs = [float(c) for c in coefs]
+    unitaries = [np.empty((len(grid), n, n), dtype=complex) for _ in coefs]
+    for u in unitaries:
+        u[0] = np.eye(n)
+    ucur = [u[0] for u in unitaries]
 
     # chunk whole grid intervals so records line up with grid points
     per_chunk = max(1, _CHUNK_TARGET // substeps)
@@ -108,16 +124,19 @@ def propagate(path: HamiltonianPath, tau: float, grid,
         offsets = (np.arange(substeps) + 0.5)[None, :] * dsub[:, None]
         mids = (lefts[:, None] + offsets).ravel()
         ds = np.repeat(dsub, substeps)
-        H = path.eval_batch(mids, tau)
+        H = path.eval_batch(mids, eval_tau)
         check_hermitian(H, _HERM_RTOL)
         # kernels symmetrize their working copies; no pre-hermitization needed
-        records, ucur = kernels.propagate_steps(H, coef, ds, ucur, substeps)
-        unitaries[pos + 1:hi + 1] = records
+        chains = kernels.propagate_steps(H, coefs, ds, ucur, substeps)
+        for j, (records, final) in enumerate(chains):
+            unitaries[j][pos + 1:hi + 1] = records
+            ucur[j] = final
         pos = hi
 
-    return PropagationResult(grid=grid, unitaries=unitaries,
-                             max_unitarity_defect=unitarity_defect(unitaries),
-                             steps_taken=total, tau=float(tau))
+    return [PropagationResult(grid=grid, unitaries=u,
+                              max_unitarity_defect=unitarity_defect(u),
+                              steps_taken=total, tau=c)
+            for c, u in zip(coefs, unitaries)]
 
 
 def _cf4_steps(path: HamiltonianPath, tau: float, lefts: np.ndarray,

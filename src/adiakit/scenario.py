@@ -6,15 +6,18 @@ x = general unitary transform), a grid density, a tau list, and the set of
 diagnostics to compute. ``run`` evaluates every requested diagnostic per tau;
 ``scan`` additionally fits log-log slopes against tau and classifies.
 
-Grid policy: the configured density applies to one 2*pi window and is
-refined in powers of four until the largest dynamical phase advance per step
-is below 0.3 rad (capped); oscillatory integrals would otherwise alias.
+Grid policy: the configured density applies to one window, [0, 2*pi] or the
+span of a custom path's nodes, and is refined in powers of four until the
+largest dynamical phase advance per step, estimated from the gap at 33 points
+of that window, is below 0.3 rad (capped); oscillatory integrals would
+otherwise alias.
 """
 
 import dataclasses
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List
 
@@ -35,7 +38,7 @@ from .linalg import dagger, hermiticity_defect
 from .models import driven_two_level
 from .paths import (HamiltonianPath, UnitaryPath, constant_hamiltonian,
                     identity_unitary)
-from .propagate import propagate
+from .propagate import _propagate_fixed, propagate
 from .transforms import dual_of, negate, transform
 
 SCHEMA = "adiakit-scenario/1"
@@ -232,10 +235,13 @@ class SystemBundle:
         self.config = config
         model = config["model"]
         p = config["parameters"]
-        self.window = S_WINDOW
+        self.s_range = (0.0, S_WINDOW)   # the s interval every grid spans
         self.initial_vectors = None
         self.transport = "auto"
-        self._numeric_cache: Dict[float, object] = {}
+        self._intervals: Dict[float, int] = {}
+        self._numeric_cache: Dict[tuple, object] = {}
+        self._lock = threading.Lock()
+        self._grid_locks: Dict[int, threading.Lock] = {}
 
         if model == "spin_half":
             theta, omega0 = float(p["theta"]), float(p["omega0"])
@@ -272,7 +278,7 @@ class SystemBundle:
             sgrid = np.asarray(p["grid"], dtype=float)
             mats = _parse_matrices(p["matrices"], len(sgrid))
             base = custom_matrix_path(sgrid, mats)
-            self.window = float(sgrid[-1] - sgrid[0])
+            self.s_range = (float(sgrid[0]), float(sgrid[-1]))
             self.base = base
             self._u_closed = None
             self.closed_form = False
@@ -313,33 +319,57 @@ class SystemBundle:
 
     def _propagate_base(self, tau, doubled: bool = False):
         key = (float(tau), doubled)
-        if key not in self._numeric_cache:
-            # two midpoint steps per substep and grid interval
-            self._numeric_cache[key] = propagate(
-                self.base, (2.0 if doubled else 1.0) * tau, self.grid_for(tau),
-                substeps=2 * int(self.config["substeps"]))
+        nint = self._intervals_for(tau)
+        with self._lock:
+            grid_lock = self._grid_locks.setdefault(nint, threading.Lock())
+        with grid_lock:   # one fill per grid, whichever worker comes first
+            if key not in self._numeric_cache:
+                self._fill_numeric_cache(tau, nint)
         return self._numeric_cache[key]
 
-    def grid_for(self, tau: float) -> np.ndarray:
+    def _fill_numeric_cache(self, tau, nint):
+        """Propagate the base at tau (and at 2 tau for the negated dual) for
+        every configured tau whose grid has ``nint`` intervals, in one run
+        over that grid, with two midpoint steps per substep and interval.
+
+        This is exact because custom_matrix_path ignores tau: the run at
+        coefficient c solves i dU/ds = c H(s) U for any evaluation tau, so
+        all coefficients share one eigensolve per midpoint."""
+        doubled = (False, True) if self.config["system"] == "c" else (False,)
+        taus = {float(tau), *map(float, self.config["parameters"]["tau_list"])}
+        keys = [(t, d) for t in sorted(taus) if self._intervals_for(t) == nint
+                for d in doubled]
+        coefs = [(2.0 if d else 1.0) * t for t, d in keys]
+        results = _propagate_fixed(self.base, tau, coefs, self.grid_for(tau),
+                                   substeps=2 * int(self.config["substeps"]))
+        self._numeric_cache.update(zip(keys, results))
+
+    def _intervals_for(self, tau: float) -> int:
+        """Number of grid intervals for tau, worked out once per tau."""
+        tau = float(tau)
+        with self._lock:
+            if tau not in self._intervals:
+                self._intervals[tau] = self._refined_intervals(tau)
+            return self._intervals[tau]
+
+    def _refined_intervals(self, tau: float) -> int:
         npts = self.config["grid"]
         if self.config["auto_refine"]:
+            lo, hi = self.s_range
             rate = 2.0 * tau * self._max_gap_estimate(tau) + 10.0
-            while (self.window * rate / npts > PHASE_PER_STEP_TARGET
+            while ((hi - lo) * rate / npts > PHASE_PER_STEP_TARGET
                    and npts < GRID_CAP):
                 npts *= 4
             npts = min(npts, GRID_CAP)
-        if self.config["model"] == "custom_matrix_path":
-            p = self.config["parameters"]
-            sgrid = np.asarray(p["grid"], dtype=float)
-            lo, hi = sgrid[0], sgrid[-1]
-        else:
-            lo, hi = 0.0, self.window
-        return np.linspace(lo, hi, npts + 1)
+        return npts
+
+    def grid_for(self, tau: float) -> np.ndarray:
+        lo, hi = self.s_range
+        return np.linspace(lo, hi, self._intervals_for(tau) + 1)
 
     def _max_gap_estimate(self, tau: float) -> float:
-        probe = np.linspace(0.0, self.window, 33)
-        path = self.base
-        H = path.eval_batch(probe, tau)
+        probe = np.linspace(*self.s_range, 33)
+        H = self.base.eval_batch(probe, tau)
         w, _ = kernels.eigh_batch(H)
         return float(np.max(w[:, -1] - w[:, 0]))
 

@@ -168,13 +168,39 @@ def test_propagate_steps_uses_the_kernel_eigensolver(monkeypatch):
 
     monkeypatch.setattr(kernels, "eigh_batch", counting)
     H = random_hermitian_stack(8, 2, seed=10)
-    records, final = kernels.propagate_steps(H, 1.0, np.full(8, 0.1),
-                                             np.eye(2), 8)
+    coefs = (1.0, 2.0)
+    chains = kernels.propagate_steps(H, coefs, np.full(8, 0.1),
+                                     [np.eye(2)] * 2, 8)
     assert calls == [(8, 2, 2)]
-    ref = np.eye(2)
-    for h in H:
-        ref = scipy.linalg.expm(-0.1j * h) @ ref
-    assert np.max(np.abs(final - ref)) <= 1e-13
+    for coef, (_, final) in zip(coefs, chains):
+        ref = np.eye(2)
+        for h in H:
+            ref = scipy.linalg.expm(-0.1j * coef * h) @ ref
+        assert np.max(np.abs(final - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_propagate_steps_coefficients_share_one_eigensolve(dim, monkeypatch):
+    H = random_hermitian_stack(12, dim, seed=20 + dim)
+    ds = np.linspace(0.05, 0.1, 12)
+    coefs = (5.0, 10.0, -2.5)
+    U0s = [scipy.linalg.expm(-1j * h) for h in
+           random_hermitian_stack(3, dim, seed=30 + dim)]
+    separate = [kernels.propagate_steps(H, [c], ds, [u], 3)[0]
+                for c, u in zip(coefs, U0s)]
+    calls = []
+    original = kernels.eigh_batch
+
+    def counting(h):
+        calls.append(len(h))
+        return original(h)
+
+    monkeypatch.setattr(kernels, "eigh_batch", counting)
+    joint = kernels.propagate_steps(H, coefs, ds, U0s, 3)
+    assert calls == [12]
+    for (records, final), (ref_records, ref_final) in zip(joint, separate):
+        assert np.array_equal(records, ref_records)
+        assert np.array_equal(final, ref_final)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

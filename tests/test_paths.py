@@ -73,3 +73,11 @@ def test_fd4_fallback_matches_analytic_derivative(name):
                                             axis=(1, 2)))))
     err = float(np.max(np.linalg.norm(fd - analytic, axis=(1, 2))))
     assert err <= 1e-8 * scale
+
+
+def test_custom_matrix_path_ignores_tau():
+    # the scenario's numeric route shares one propagation of the base
+    # between every tau on a grid because of this
+    path = BUNDLED["custom_matrix_path"]
+    s = np.linspace(-0.5, 2 * np.pi + 0.5, 41)
+    assert np.array_equal(path.eval_batch(s, 20.0), path.eval_batch(s, 400.0))

@@ -8,6 +8,8 @@ step-doubling comparison, and it is checked against a fine fixed midpoint
 run on random smooth paths of dimension 2 to 4.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,10 @@ from adiakit.exceptions import NonHermitianError, StepLimitError
 from adiakit.models import random_smooth_hamiltonian
 from adiakit.paths import HamiltonianPath, constant_hamiltonian
 from adiakit.propagate import _cf4_steps
+from adiakit.scenario import custom_matrix_path
+
+# the package attribute ``adiakit.propagate`` is the function
+propagate_module = importlib.import_module("adiakit.propagate")
 
 THETA, OMEGA0 = np.pi / 4, 1.0
 WINDOW = 2 * np.pi
@@ -230,17 +236,45 @@ def test_python_kernel_matches_sequential_loop(dim, m):
     rng = np.random.default_rng(1000 * dim + m)
     H = _random_hermitian_stack(rng, m, dim)
     ds = rng.uniform(0.01, 0.1, m)
-    U0 = ak.unitary_exp(_random_hermitian_stack(rng, 1, dim)[0], 1.0)
+    coefs = (3.0, -1.5)
+    U0s = [ak.unitary_exp(_random_hermitian_stack(rng, 1, dim)[0], 1.0)
+           for _ in coefs]
     H_before = H.copy()
     for record_every in (1, 2, 5):
         if m % record_every:
             continue
-        records, final = _kernels_py.propagate_steps(H, 3.0, ds, U0, record_every)
-        ref_records, ref_final = _sequential_steps(H, 3.0, ds, U0, record_every)
-        assert records.shape == (m // record_every, dim, dim)
-        assert np.max(np.abs(records - ref_records)) <= 1e-12
-        assert np.max(np.abs(final - ref_final)) <= 1e-12
+        chains = _kernels_py.propagate_steps(H, coefs, ds, U0s, record_every)
+        assert len(chains) == len(coefs)
+        for coef, U0, (records, final) in zip(coefs, U0s, chains):
+            ref_records, ref_final = _sequential_steps(H, coef, ds, U0,
+                                                       record_every)
+            assert records.shape == (m // record_every, dim, dim)
+            assert np.max(np.abs(records - ref_records)) <= 1e-12
+            assert np.max(np.abs(final - ref_final)) <= 1e-12
     assert np.array_equal(H, H_before)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_fixed_grid_coefficients_match_separate_runs(dim, monkeypatch):
+    # a custom path ignores tau, so one run at evaluation tau with the
+    # coefficients tau and 2 tau is the pair of runs propagate(path, c, ...)
+    # on the same grid, to the bit; a small chunk size carries U across
+    # chunks
+    monkeypatch.setattr(propagate_module, "_CHUNK_TARGET", 64)
+    rng = np.random.default_rng(dim)
+    nodes = np.linspace(0.0, 1.0, 17)
+    path = custom_matrix_path(nodes, _random_hermitian_stack(rng, 17, dim))
+    grid = np.linspace(0.0, 1.0, 101)
+    tau = 30.0
+    results = propagate_module._propagate_fixed(path, tau, [tau, 2.0 * tau],
+                                                grid, substeps=3)
+    for coef, res in zip([tau, 2.0 * tau], results):
+        ref = ak.propagate(path, coef, grid, substeps=3)
+        assert np.array_equal(res.unitaries, ref.unitaries)
+        assert np.array_equal(res.grid, ref.grid)
+        assert res.tau == ref.tau == coef
+        assert res.steps_taken == ref.steps_taken == 300
+        assert res.max_unitarity_defect == ref.max_unitarity_defect
 
 
 def _non_hermitian_path():

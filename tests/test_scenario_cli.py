@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import adiakit.scenario as sc
+from adiakit import _kernels_py as kernels
 from adiakit import cli, spinhalf
 from adiakit.exceptions import ConfigError
 
@@ -265,15 +266,26 @@ def test_transition_probability_max_separates_base_and_dual():
 
 def test_numeric_cache_fills_each_key_once_under_threads(monkeypatch):
     # negated dual of a custom path: each tau propagates the base at tau
-    # and at 2 tau; two worker threads must not propagate any of them twice
-    calls = []
-    original = sc.propagate
+    # and at 2 tau. The three taus share one grid, so one run covers the six
+    # keys and eigensolves the grid's midpoints once, and no worker thread
+    # fills a key a second time
+    coefs = []
+    original = sc._propagate_fixed
 
-    def counted(path, tau, grid, **kwargs):
-        calls.append(tau)
-        return original(path, tau, grid, **kwargs)
+    def counted(path, tau, cs, grid, **kwargs):
+        coefs.extend(cs)
+        return original(path, tau, cs, grid, **kwargs)
 
-    monkeypatch.setattr(sc, "propagate", counted)
+    propagated = []
+    eigh_batch = kernels.eigh_batch
+
+    def counting(h):
+        if sys._getframe(1).f_code.co_name == "propagate_steps":
+            propagated.append(len(h))
+        return eigh_batch(h)
+
+    monkeypatch.setattr(sc, "_propagate_fixed", counted)
+    monkeypatch.setattr(kernels, "eigh_batch", counting)
     sgrid = np.linspace(0.0, 1.0, 9)
     mats = np.zeros((9, 2, 2, 2))
     mats[:, 0, 0, 0], mats[:, 1, 1, 0] = 1.0, -1.0
@@ -288,11 +300,50 @@ def test_numeric_cache_fills_each_key_once_under_threads(monkeypatch):
         "auto_refine": False,
         "diagnostics": ["qac_max", "intertwining_defect", "w_deviation"],
     }
-    report, _ = sc.scan(cfg, threads=2)
-    assert sorted(calls) == sorted(taus + [2.0 * t for t in taus])
     single, _ = sc.scan(cfg, threads=1)
-    assert json.dumps(report, sort_keys=True) == \
-        json.dumps(single, sort_keys=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # switch threads often, to expose races
+    try:
+        for threads in (2, 3):
+            coefs.clear()
+            propagated.clear()
+            report, _ = sc.scan(cfg, threads=threads)
+            assert sorted(coefs) == sorted(taus + [2.0 * t for t in taus])
+            # 256 intervals, two midpoint steps each
+            assert propagated == [512]
+            assert json.dumps(report, sort_keys=True) == \
+                json.dumps(single, sort_keys=True)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_grid_refinement_probes_the_custom_grid_range():
+    # a 2x2 path whose gap grows from 1 to 40 gets the same grid on [0, 2 pi]
+    # and on [10, 10 + 2 pi]; a probe of [0, 2 pi] would see only the
+    # clipped start of the second (gap ~1) and under-refine it
+    mats = np.zeros((33, 2, 2, 2))
+    mats[:, 0, 0, 0] = 0.5 * (1.0 + 39.0 * np.linspace(0.0, 1.0, 33))
+    mats[:, 1, 1, 0] = -mats[:, 0, 0, 0]
+    mats[:, 0, 1, 0] = mats[:, 1, 0, 0] = 0.1
+
+    def config(start):
+        sgrid = start + np.linspace(0.0, 2.0 * np.pi, 33)
+        return {
+            "model": "custom_matrix_path",
+            "parameters": {"grid": sgrid.tolist(), "matrices": mats.tolist(),
+                           "tau": 10.0},
+            "system": "a",
+            "grid": 256,
+            "diagnostics": ["qac_max"],
+        }
+
+    at_zero, _ = sc.run(config(0.0))
+    shifted, _ = sc.run(config(10.0))
+    assert shifted["entries"][0]["grid_points"] == \
+        at_zero["entries"][0]["grid_points"] == 65537
+    for report in (at_zero, shifted):
+        rate = report["entries"][0]["phase_rate_per_step"]
+        assert rate <= sc.PHASE_PER_STEP_TARGET
 
 
 def test_premises_diagnostic_included_on_request():
