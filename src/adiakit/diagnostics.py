@@ -1,10 +1,15 @@
 """Adiabaticity criteria, inconsistency detectors, and scenario classification.
 
 All quantities are computed from an EigenFrame (plus evolution operators
-where needed). Cumulative integrals use the trapezoid rule on the frame grid;
-scalar integral values carry a Richardson correction, and the oscillation
-rate per step is exposed so callers can refine grids (0.3 rad per step is the
-refinement trigger used by the scenario layer).
+where needed). Cumulative integrals take the trapezoid rule with its
+Euler-Maclaurin end correction (fourth order on uniform grids, see
+``gauge._cumtrapz``), and end values are the ends of those series. The
+running maxima of cumulative integrals (``f_norm_max``, resonance
+``max_abs``) include the peaks between grid points, located from the known
+integrand; pointwise series (projector drift, intertwining) keep their grid
+maxima. The phase advance per step left in the integrands is exposed so
+callers can refine grids (0.3 rad per step is the refinement trigger used
+by the scenario layer).
 """
 
 import enum
@@ -17,10 +22,8 @@ from .exceptions import ScalingUndefinedError
 from .gauge import (EigenFrame, _cumtrapz, couplings, eigenframe,
                     kernel_coefficients)
 from .linalg import sandwich
-from .paths import HamiltonianPath, grid_index, is_uniform, midpoint_refined
+from .paths import HamiltonianPath, grid_index, midpoint_refined
 from .propagate import PropagationResult
-
-PHASE_PER_STEP_LIMIT = 0.3
 
 
 class Classification(enum.Enum):
@@ -72,26 +75,74 @@ def _pair_integrand(frame: EigenFrame, m: int, n: int,
     return np.exp(1j * (phi[:, m] - phi[:, n])) * C[:, m, n]
 
 
+def _phase_spread(values: np.ndarray,
+                  rates: Optional[np.ndarray] = None) -> float:
+    """Largest spread max_n - min_n of E_n + f_n over the grid points; the
+    phase left in a frame's integrands advances at tau times this rate.
+    ``rates`` f are a transported frame's generator rates (None: zero)."""
+    w = values if rates is None else values + rates
+    return float(np.max(w.max(axis=1) - w.min(axis=1)))
+
+
 def phase_rate_per_step(frame: EigenFrame) -> float:
-    """Max dynamical phase advance per grid step, tau * max|dE| * ds."""
-    dE = np.abs(frame.values[:, :, None] - frame.values[:, None, :]).max()
-    return float(frame.tau * dE * np.max(np.diff(frame.grid)))
+    """Max phase advance per grid step left in the frame's integrands,
+    tau * max|d(E + f)| * ds, with f the generator rates a transported frame
+    folds into its vectors (the dynamical phase tau * max|dE| * ds for a
+    discrete frame)."""
+    spread = _phase_spread(frame.values, frame.generator_rates)
+    return float(frame.tau * spread * np.max(np.diff(frame.grid)))
+
+
+def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a_k, b_k> over the trailing axes, per row k; (N,). Reads the
+    real and imaginary parts as views, so no stack-sized temporary."""
+    a = a.reshape(len(a), -1)
+    b = b.reshape(len(b), -1)
+    return (np.einsum("ki,ki->k", a.real, b.real)
+            + np.einsum("ki,ki->k", a.imag, b.imag))
+
+
+def _running_max(integral: np.ndarray, integrand: np.ndarray,
+                 grid: np.ndarray, norms: np.ndarray) -> float:
+    """Max over s of |I(s)| (Frobenius over the trailing axes) for a
+    cumulative integral I whose derivative g is known at the grid points;
+    ``norms`` are |I| there.
+
+    Grid maxima miss the peaks between the points of an oscillating I. An
+    interval holds an interior maximum where d|I|^2/ds = 2 Re<I, g> changes
+    sign from + to -; its root t* comes from linear interpolation, and
+    I(t*) from the cubic Hermite through (I_k, g_k, I_k+1, g_k+1). The
+    larger of those values and the grid maximum is returned.
+    """
+    slope = _re_inner(integral, integrand)
+    k = np.flatnonzero((slope[:-1] > 0) & (slope[1:] < 0))
+    best = float(np.max(norms))
+    if len(k) == 0:
+        return best
+    shape = (-1,) + (1,) * (integral.ndim - 1)
+    t = (slope[k] / (slope[k] - slope[k + 1])).reshape(shape)
+    h = (grid[k + 1] - grid[k]).reshape(shape)
+    t2 = t * t
+    t3 = t2 * t
+    peak = ((2.0 * t3 - 3.0 * t2 + 1.0) * integral[k]
+            + (t3 - 2.0 * t2 + t) * h * integrand[k]
+            + (3.0 * t2 - 2.0 * t3) * integral[k + 1]
+            + (t3 - t2) * h * integrand[k + 1])
+    return max(best, float(np.sqrt(np.max(_re_inner(peak, peak)))))
+
+
+def _resonance(frame: EigenFrame, m: int, n: int,
+               C: Optional[np.ndarray] = None):
+    """(cumulative resonance integral, its running max |.|) for (m, n)."""
+    g = _pair_integrand(frame, m, n, C)
+    series = _cumtrapz(g, frame.grid)
+    return series, _running_max(series, g, frame.grid, np.abs(series))
 
 
 def resonance_series(frame: EigenFrame, m: int, n: int,
                      C: Optional[np.ndarray] = None) -> np.ndarray:
-    """Cumulative trapezoid of exp(i tau int (E_m - E_n)) <E_m|dE_n/ds>."""
+    """Cumulative integral of exp(i tau int (E_m - E_n)) <E_m|dE_n/ds>."""
     return _cumtrapz(_pair_integrand(frame, m, n, C), frame.grid)
-
-
-def _richardson_trapz(y: np.ndarray, x: np.ndarray) -> complex:
-    """Trapezoid value with one Richardson step where the grid allows it
-    (uniform spacing, even interval count >= 4); plain trapezoid otherwise."""
-    t_h = np.trapezoid(y, x)
-    if is_uniform(x) and len(x) >= 5 and (len(x) - 1) % 2 == 0:
-        t_2h = np.trapezoid(y[::2], x[::2])
-        return t_h + (t_h - t_2h) / 3.0
-    return t_h
 
 
 def _end_index(grid: np.ndarray, s_end: Optional[float]) -> int:
@@ -102,79 +153,49 @@ def resonance_integral(frame: EigenFrame, m: int, n: int,
                        s_end: Optional[float] = None,
                        C: Optional[np.ndarray] = None) -> complex:
     """Oscillatory resonance integral for the level pair (m, n) at s_end."""
-    g = _pair_integrand(frame, m, n, C)
     k = _end_index(frame.grid, s_end)
-    return complex(_richardson_trapz(g[:k + 1], frame.grid[:k + 1]))
-
-
-def resonance_series_refined(frame: EigenFrame, m: int, n: int,
-                             C: Optional[np.ndarray] = None):
-    """Richardson-corrected cumulative resonance integral.
-
-    Combines the trapezoid series at the frame step with the series at twice
-    the step; returns (subgrid, series) on every second grid point. Needs a
-    uniform grid with an even interval count; degrades to the plain series
-    otherwise.
-    """
-    g = _pair_integrand(frame, m, n, C)
-    if not is_uniform(frame.grid) or (len(frame.grid) - 1) % 2 != 0:
-        return frame.grid, _cumtrapz(g, frame.grid)
-    s_h = _cumtrapz(g, frame.grid)
-    s_2h = _cumtrapz(g[::2], frame.grid[::2])
-    return frame.grid[::2], s_h[::2] + (s_h[::2] - s_2h) / 3.0
+    return complex(resonance_series(frame, m, n, C)[k])
 
 
 def resonance_max_abs(frame: EigenFrame, m: int, n: int,
                       C: Optional[np.ndarray] = None) -> float:
-    """Max |cumulative resonance integral| over the grid."""
-    return float(np.max(np.abs(resonance_series(frame, m, n, C))))
+    """Max over s of |cumulative resonance integral|, peaks between grid
+    points included."""
+    return _resonance(frame, m, n, C)[1]
 
 
-def _f_norm_end(coeff: np.ndarray, grid: np.ndarray) -> float:
-    """Richardson-corrected || int kernel ||_F over all of ``grid``, from
-    the kernel coefficient stack."""
-    n = coeff.shape[-1]
-    F = np.empty((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            F[a, b] = _richardson_trapz(coeff[:, a, b], grid)
-    return float(np.linalg.norm(F))
-
-
-def _f_norm_running(coeff: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """|| int_0^s kernel ||_F per grid point, from the coefficient stack."""
-    return np.linalg.norm(_cumtrapz(coeff, grid), axis=(1, 2))
-
-
-def _f_norm_end_and_series(frame: EigenFrame,
-                           C: Optional[np.ndarray] = None):
-    """(f_norm at the grid end, f_norm_series), from one coefficient stack."""
+def _f_norm_summary(frame: EigenFrame, C: Optional[np.ndarray] = None):
+    """(f_norm at the grid end, f_norm_series, f_norm_max), from one
+    coefficient stack and its cumulative integral."""
     coeff = kernel_coefficients(frame, C)
-    return _f_norm_end(coeff, frame.grid), _f_norm_running(coeff, frame.grid)
+    integral = _cumtrapz(coeff, frame.grid)
+    series = np.sqrt(_re_inner(integral, integral))
+    return (float(series[-1]), series,
+            _running_max(integral, coeff, frame.grid, series))
 
 
 def f_norm(frame: EigenFrame, s_end: Optional[float] = None,
            C: Optional[np.ndarray] = None) -> float:
     """Frobenius norm of the accumulated kernel integral at s_end."""
     k = _end_index(frame.grid, s_end)
-    return _f_norm_end(kernel_coefficients(frame, C)[:k + 1],
-                       frame.grid[:k + 1])
+    return float(f_norm_series(frame, C)[k])
 
 
 def f_norm_series(frame: EigenFrame,
                   C: Optional[np.ndarray] = None) -> np.ndarray:
     """|| int_0^s kernel ||_F per grid point; shape (N,)."""
-    return _f_norm_running(kernel_coefficients(frame, C), frame.grid)
+    return _f_norm_summary(frame, C)[1]
 
 
 def f_norm_max(frame: EigenFrame, C: Optional[np.ndarray] = None) -> float:
-    """Max over s of the accumulated kernel norm.
+    """Max over s of the accumulated kernel norm, peaks between grid points
+    included.
 
     The end-of-window value oscillates with tau through the residual phase
     of the last partial oscillation; the running max is the monotone
     quantity whose tau-scaling separates decaying from persistent kernels.
     """
-    return float(np.max(f_norm_series(frame, C)))
+    return _f_norm_summary(frame, C)[2]
 
 
 def projector_drift_series(frame: EigenFrame) -> np.ndarray:

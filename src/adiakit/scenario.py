@@ -8,9 +8,14 @@ diagnostics to compute. ``run`` evaluates every requested diagnostic per tau;
 
 Grid policy: the configured density applies to one window, [0, 2*pi] or the
 span of a custom path's nodes, and is refined in powers of four until the
-largest dynamical phase advance per step, estimated from the gap at 33 points
-of that window, is below 0.3 rad (capped); oscillatory integrals would
-otherwise alias.
+phase left in the frame's integrands advances by at most 0.3 rad per step,
+estimated at 33 points of that window; oscillatory integrals would otherwise
+alias. A transported frame's integrands keep the phase tau * int (E_n + f_n),
+with f_n the rate the transport folds into its vectors (see
+``diagnostics.phase_rate_per_step``): none for the dual, whose grid is the
+configured density at every tau. A discrete frame refines on twice the
+dynamical phase, tau * gap. Refinement stops at GRID_CAP intervals, and the
+entry's ``grid_capped`` says when that left the target unmet.
 """
 
 import dataclasses
@@ -26,14 +31,14 @@ import numpy as np
 from . import __version__ as _version
 from ._backend import backend_name, kernels
 from . import spinhalf
-from .diagnostics import (Thresholds, _f_norm_end_and_series,
-                          _intertwining_of, _transition_probability_max,
-                          _w_deviation_of, classify,
-                          phase_rate_per_step, premise_checks,
-                          projector_drift_series, qac_max, resonance_series,
-                          scaling_slope, transition_matrix)
+from .diagnostics import (Thresholds, _f_norm_summary, _intertwining_of,
+                          _phase_spread, _resonance,
+                          _transition_probability_max, _w_deviation_of,
+                          classify, phase_rate_per_step, premise_checks,
+                          projector_drift_series, qac_max, scaling_slope,
+                          transition_matrix)
 from .exceptions import ConfigError, ScalingUndefinedError
-from .gauge import couplings, eigenframe
+from .gauge import _generator_rates, _uses_transport, couplings, eigenframe
 from .linalg import dagger, hermiticity_defect
 from .models import driven_two_level
 from .paths import (HamiltonianPath, UnitaryPath, constant_hamiltonian,
@@ -238,7 +243,8 @@ class SystemBundle:
         self.s_range = (0.0, S_WINDOW)   # the s interval every grid spans
         self.initial_vectors = None
         self.transport = "auto"
-        self._intervals: Dict[float, int] = {}
+        # tau -> (grid intervals, whether GRID_CAP stopped the refinement)
+        self._intervals: Dict[float, tuple] = {}
         self._numeric_cache: Dict[tuple, object] = {}
         self._lock = threading.Lock()
         self._grid_locks: Dict[int, threading.Lock] = {}
@@ -344,34 +350,50 @@ class SystemBundle:
                                    substeps=2 * int(self.config["substeps"]))
         self._numeric_cache.update(zip(keys, results))
 
-    def _intervals_for(self, tau: float) -> int:
-        """Number of grid intervals for tau, worked out once per tau."""
+    def _grid_policy(self, tau: float) -> tuple:
+        """(grid intervals, grid_capped) for tau, worked out once per tau."""
         tau = float(tau)
         with self._lock:
             if tau not in self._intervals:
                 self._intervals[tau] = self._refined_intervals(tau)
             return self._intervals[tau]
 
-    def _refined_intervals(self, tau: float) -> int:
+    def _intervals_for(self, tau: float) -> int:
+        return self._grid_policy(tau)[0]
+
+    def grid_capped(self, tau: float) -> bool:
+        """Whether GRID_CAP left tau's grid above the phase-per-step target."""
+        return self._grid_policy(tau)[1]
+
+    def _refined_intervals(self, tau: float) -> tuple:
         npts = self.config["grid"]
-        if self.config["auto_refine"]:
-            lo, hi = self.s_range
-            rate = 2.0 * tau * self._max_gap_estimate(tau) + 10.0
-            while ((hi - lo) * rate / npts > PHASE_PER_STEP_TARGET
-                   and npts < GRID_CAP):
-                npts *= 4
-            npts = min(npts, GRID_CAP)
-        return npts
+        if not self.config["auto_refine"]:
+            return npts, False
+        lo, hi = self.s_range
+        rate = self._phase_rate_estimate(tau) + 10.0
+        while ((hi - lo) * rate / npts > PHASE_PER_STEP_TARGET
+               and npts < GRID_CAP):
+            npts *= 4
+        npts = min(npts, GRID_CAP)
+        return npts, (hi - lo) * rate / npts > PHASE_PER_STEP_TARGET
+
+    def _phase_rate_estimate(self, tau: float) -> float:
+        """Phase rate per unit s left in the frame's integrands, from 33
+        points of the window: tau * max spread of E_n + f_n for a transported
+        frame. A discrete frame takes 2 tau * gap: its couplings come from
+        the vectors' own rotation, which the eigenvalues do not show, and
+        the factor 2 keeps that rotation resolved."""
+        probe = np.linspace(*self.s_range, 33)
+        if _uses_transport(self.path, self.transport):
+            w, v = kernels.eigh_batch(self.path.base.eval_batch(probe, tau))
+            f = _generator_rates(self.path, tau, probe, w, v)
+            return tau * _phase_spread(self.path.sign * w, f)
+        w, _ = kernels.eigh_batch(self.base.eval_batch(probe, tau))
+        return 2.0 * tau * _phase_spread(w)
 
     def grid_for(self, tau: float) -> np.ndarray:
         lo, hi = self.s_range
         return np.linspace(lo, hi, self._intervals_for(tau) + 1)
-
-    def _max_gap_estimate(self, tau: float) -> float:
-        probe = np.linspace(*self.s_range, 33)
-        H = self.base.eval_batch(probe, tau)
-        w, _ = kernels.eigh_batch(H)
-        return float(np.max(w[:, -1] - w[:, 0]))
 
     def unitaries_for(self, tau: float, grid: np.ndarray):
         """Evolution operators of the configured system on the grid."""
@@ -405,6 +427,7 @@ def _entry_for_tau(bundle: SystemBundle, tau: float, config: dict) -> dict:
         "tau": tau,
         "window_real_time": tau * (grid[-1] - grid[0]),
         "grid_points": int(len(grid)),
+        "grid_capped": bundle.grid_capped(tau),
         "min_gap": frame.min_gap,
         "phase_rate_per_step": phase_rate_per_step(frame),
         "frame_construction": frame.construction,
@@ -419,19 +442,19 @@ def _entry_for_tau(bundle: SystemBundle, tau: float, config: dict) -> dict:
             for n in range(frame.dim):
                 if m == n:
                     continue
-                ser = resonance_series(frame, m, n, C)
+                ser, peak = _resonance(frame, m, n, C)
                 res[f"{m},{n}"] = {
                     "end_re": float(ser[-1].real),
                     "end_im": float(ser[-1].imag),
                     "end_abs": float(abs(ser[-1])),
-                    "max_abs": float(np.max(np.abs(ser))),
+                    "max_abs": peak,
                 }
                 series[f"resonance[{m},{n}].re"] = ser.real
                 series[f"resonance[{m},{n}].im"] = ser.imag
         entry["resonance_integrals"] = res
     if "f_norm" in diags:
-        entry["f_norm_end"], fser = _f_norm_end_and_series(frame, C)
-        entry["f_norm_max"] = float(np.max(fser))
+        entry["f_norm_end"], fser, entry["f_norm_max"] = _f_norm_summary(
+            frame, C)
         series["f_norm"] = fser
     if "projector_drift" in diags:
         dser = projector_drift_series(frame)

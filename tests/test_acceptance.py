@@ -13,8 +13,7 @@ import pytest
 import adiakit as ak
 from adiakit import spinhalf
 from adiakit.diagnostics import (Classification, Thresholds, classify,
-                                 f_norm_max, resonance_series_refined,
-                                 _pair_integrand)
+                                 f_norm_max, _pair_integrand)
 from adiakit.models import driven_two_level, random_smooth_hamiltonian
 
 WINDOW = 2 * np.pi
@@ -121,7 +120,7 @@ def test_criterion_05_negated_dual_resonance_scaling():
     mags, worst = [], 0.0
     for omega, n in zip(omegas, npts):
         fc = spin_system_frame("c", theta, 1.0 / omega, n)
-        _, ser = resonance_series_refined(fc, 1, 0)
+        ser = ak.resonance_series(fc, 1, 0)
         oracle = _oscillatory_quad_oracle(theta, omega, WINDOW)
         worst = max(worst, abs(ser[-1] - oracle))
         mags.append(abs(ser[-1]))

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 import adiakit as ak
 from adiakit import spinhalf
-from adiakit.diagnostics import (Classification, Thresholds, f_norm_max,
-                                 resonance_series_refined)
+from adiakit.diagnostics import Classification, Thresholds, f_norm_max
 from adiakit.exceptions import ScalingUndefinedError
 from adiakit.models import driven_two_level, random_smooth_hamiltonian
 from adiakit.paths import constant_hamiltonian
@@ -62,7 +61,7 @@ def test_resonance_integral_negated_dual_oracle():
     quad = pytest.importorskip("scipy.integrate").quad
     omega = 1e-2
     fc = spin_frame("c", omega=omega, npts=32769)
-    _, ser = resonance_series_refined(fc, 1, 0)
+    ser = ak.resonance_series(fc, 1, 0)
     lib = ser[-1]
 
     rate = 2.0 * OMEGA0 / omega + np.cos(THETA)
@@ -101,6 +100,26 @@ def test_f_norm_scaling_and_magnitude():
     ref = np.sqrt(2.0) * np.max(np.abs(spinhalf.dual_resonance_integral(THETA, dense)))
     assert abs(fb - ref) <= 1e-6
     assert f_norm_max(spin_frame("b", theta=0.0)) <= 1e-12
+
+
+def test_f_norm_max_of_the_dual_peaks_between_grid_points():
+    # the dual's kernel integral peaks at s = pi / cos(theta), between the
+    # points of a 2,049-point grid
+    fb = spin_frame("b", npts=2049)
+    ref = (np.sqrt(2.0) * np.tan(THETA)
+           * np.sin(min(np.pi * np.cos(THETA), np.pi / 2)))
+    assert abs(f_norm_max(fb) - ref) <= 1e-10
+
+
+def test_f_norm_max_of_the_base_at_the_refinement_trigger():
+    # at 0.3 rad per step a plain trapezoid series, maximized over the grid
+    # points, is 7.6e-3 (relative) off this closed form
+    npts = 2049
+    tau = 0.3 * (npts - 1) / WINDOW
+    fa = spin_frame("a", omega=1.0 / tau, npts=npts)
+    assert abs(ak.phase_rate_per_step(fa) - 0.3) <= 1e-9
+    ref = np.sqrt(2.0) * np.sin(THETA) / (tau + np.cos(THETA))
+    assert abs(f_norm_max(fa) - ref) <= 1e-4 * ref
 
 
 def test_projector_drift_values():
@@ -268,10 +287,3 @@ def test_phase_rate_per_step_reports_refinement_need():
     assert ak.phase_rate_per_step(fr) > 0.3
     fr2 = spin_frame("a", omega=0.01, npts=4097)
     assert ak.phase_rate_per_step(fr2) < 0.3
-
-
-def test_resonance_series_refined_matches_plain_on_smooth():
-    fb = spin_frame("b")
-    sub, refined = resonance_series_refined(fb, 1, 0)
-    plain = ak.resonance_series(fb, 1, 0)
-    assert np.max(np.abs(refined - plain[::2])) <= 1e-7

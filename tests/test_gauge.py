@@ -7,7 +7,7 @@ import adiakit as ak
 from adiakit import spinhalf
 from adiakit.exceptions import (EigenvalueCrossingError,
                                 ProjectorDiscontinuityError)
-from adiakit.gauge import kernel_coefficients
+from adiakit.gauge import _cumtrapz, kernel_coefficients
 from adiakit.models import random_smooth_hamiltonian
 from adiakit.paths import HamiltonianPath, constant_hamiltonian
 
@@ -297,3 +297,34 @@ def test_nonuniform_grid_frame_and_integrals():
     assert np.isfinite(ser).all()
     with pytest.raises(ValueError, match="uniform"):
         ak.couplings(fr, method="fd")
+
+
+def test_cumtrapz_is_fourth_order_on_uniform_grids():
+    # oscillatory smooth integrand with a closed-form antiderivative; the
+    # Euler-Maclaurin end correction lifts the trapezoid to order 4
+    a = 0.3 + 7.0j
+
+    def antiderivative(t):
+        return np.exp(a * t) * ((1.0 + t**2) / a - 2.0 * t / a**2 + 2.0 / a**3)
+
+    errs = []
+    for npts in (129, 257, 513):
+        x = np.linspace(0.0, 2.0, npts)
+        ser = _cumtrapz(np.exp(a * x) * (1.0 + x**2), x)
+        exact = antiderivative(x) - antiderivative(0.0)
+        errs.append(np.max(np.abs(ser - exact)))
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(np.abs(orders - 4.0) <= 0.2), orders
+
+
+@pytest.mark.parametrize("x", [
+    np.concatenate([[0.0], np.sort(np.random.default_rng(3).uniform(
+        0.0, 2.0, 200)), [2.0]]),
+    np.linspace(0.0, 2.0, 5),     # too short for the one-sided stencils
+], ids=["nonuniform", "5-points"])
+def test_cumtrapz_keeps_the_plain_trapezoid_elsewhere(x):
+    y = np.exp(5.0j * x)[:, None, None] * np.arange(1.0, 5.0).reshape(2, 2)
+    plain = np.zeros_like(y)
+    plain[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x)[:, None, None],
+                          axis=0)
+    assert np.max(np.abs(_cumtrapz(y, x) - plain)) <= 1e-14

@@ -346,6 +346,63 @@ def test_grid_refinement_probes_the_custom_grid_range():
         assert rate <= sc.PHASE_PER_STEP_TARGET
 
 
+def _scan_taus(cfg):
+    cfg = sc.normalize_config(cfg)
+    return sc.SystemBundle(cfg), cfg["parameters"]["tau_list"]
+
+
+@pytest.mark.parametrize("system,points", [
+    ("a", [8193, 131073, 524289]),
+    ("b", [2049, 2049, 2049]),
+    ("c", [8193, 131073, 524289]),
+])
+def test_grid_policy_pins_spin_half(system, points):
+    # the dual's integrands keep no phase (E_n + f_n = 0), so its grid does
+    # not grow with tau; the negated dual's keep 2E, the base's E
+    bundle, taus = _scan_taus(base_config(
+        system=system, grid=2048,
+        parameters={"theta": THETA, "omega0": 1.0,
+                    "omega_list": [1e-2, 1e-3, 1e-4]}))
+    assert [len(bundle.grid_for(t)) for t in taus] == points
+    assert not any(bundle.grid_capped(t) for t in taus)
+
+
+def test_grid_policy_pins_custom_4level():
+    from adiakit.models import random_smooth_hamiltonian
+    path = random_smooth_hamiltonian(4, np.random.default_rng(7),
+                                     base_gap=1.0, wobble=0.3)
+    s = np.linspace(0.0, 2.0 * np.pi, 257)
+    mats = path.eval_batch(s)
+    bundle, taus = _scan_taus({
+        "model": "custom_matrix_path", "system": "c", "grid": 2048,
+        "parameters": {
+            "grid": s.tolist(),
+            "matrices": np.stack([mats.real, mats.imag], axis=-1).tolist(),
+            "tau_list": [20.0, 60.0, 200.0]},
+    })
+    assert [len(bundle.grid_for(t)) for t in taus] == [8193, 32769, 32769]
+
+
+def test_phase_rate_per_step_reads_the_transported_phase():
+    cfg = base_config(grid=2048, diagnostics=["qac_max"])
+    dual, _ = sc.run(dict(cfg, system="b"))
+    negated, _ = sc.run(dict(cfg, system="c"))
+    assert dual["entries"][0]["phase_rate_per_step"] == 0.0
+    assert 0.0 < negated["entries"][0]["phase_rate_per_step"] \
+        <= sc.PHASE_PER_STEP_TARGET
+
+
+def test_grid_cap_is_named_in_the_entry(monkeypatch):
+    cfg = base_config(grid=256, diagnostics=["qac_max"])
+    entry = sc.run(cfg)[0]["entries"][0]
+    assert entry["grid_capped"] is False
+    assert entry["grid_points"] == 16385
+    monkeypatch.setattr(sc, "GRID_CAP", 1024)
+    entry = sc.run(cfg)[0]["entries"][0]
+    assert entry["grid_capped"] is True
+    assert entry["grid_points"] == 1025
+
+
 def test_premises_diagnostic_included_on_request():
     cfg = base_config(diagnostics=["qac_max", "premises"])
     report, _ = sc.run(cfg)
