@@ -1,15 +1,17 @@
 """Adiabaticity criteria, inconsistency detectors, and scenario classification.
 
 All quantities are computed from an EigenFrame (plus evolution operators
-where needed). Cumulative integrals take the trapezoid rule with its
-Euler-Maclaurin end correction (fourth order on uniform grids, see
-``gauge._cumtrapz``), and end values are the ends of those series. The
-running maxima of cumulative integrals (``f_norm_max``, resonance
-``max_abs``) include the peaks between grid points, located from the known
-integrand; pointwise series (projector drift, intertwining) keep their grid
-maxima. The phase advance per step left in the integrands is exposed so
-callers can refine grids (0.3 rad per step is the refinement trigger used
-by the scenario layer).
+where needed). The resonance series and the kernel norm come from one
+cumulative kernel stack per frame (``_kernel_summary``), integrated by the
+Filon-Hermite rule of ``quadrature._cumtrapz``, which is exact for a linear
+phase and a cubic amplitude at any number of radians per step; end values
+are the ends of those series. The running maxima of cumulative integrals
+(``f_norm_max``, resonance ``max_abs``) include the peaks between grid
+points, searched on the rule's own interpolant in the same pass;
+pointwise series (projector drift, intertwining) keep their grid maxima.
+The phase advance per step left in the integrands is exposed so callers
+can refine grids (0.3 rad per step is the refinement trigger used by the
+scenario layer, which the pointwise series and the numeric route need).
 """
 
 import enum
@@ -19,11 +21,11 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .exceptions import ScalingUndefinedError
-from .gauge import (EigenFrame, _cumtrapz, couplings, eigenframe,
-                    kernel_coefficients)
+from .gauge import EigenFrame, couplings, eigenframe, kernel_coefficients
 from .linalg import sandwich
 from .paths import HamiltonianPath, grid_index, midpoint_refined
 from .propagate import PropagationResult
+from .quadrature import _cumtrapz, _cumtrapz_with_maxima, _re_inner
 
 
 class Classification(enum.Enum):
@@ -93,56 +95,38 @@ def phase_rate_per_step(frame: EigenFrame) -> float:
     return float(frame.tau * spread * np.max(np.diff(frame.grid)))
 
 
-def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re <a_k, b_k> over the trailing axes, per row k; (N,). Reads the
-    real and imaginary parts as views, so no stack-sized temporary."""
-    a = a.reshape(len(a), -1)
-    b = b.reshape(len(b), -1)
-    return (np.einsum("ki,ki->k", a.real, b.real)
-            + np.einsum("ki,ki->k", a.imag, b.imag))
+def _kernel_integrand(frame: EigenFrame, C: Optional[np.ndarray] = None):
+    """(kernel coefficients, the phases left in them): the integrand of
+    the cumulative kernel stack K. K_mn is the integral of
+    i e^{i(phi_m - phi_n)} C_mn, so the resonance integral of the pair
+    (m, n) is -i K_mn."""
+    return kernel_coefficients(frame, C), frame.integrand_phases()
 
 
-def _running_max(integral: np.ndarray, integrand: np.ndarray,
-                 grid: np.ndarray, norms: np.ndarray) -> float:
-    """Max over s of |I(s)| (Frobenius over the trailing axes) for a
-    cumulative integral I whose derivative g is known at the grid points;
-    ``norms`` are |I| there.
-
-    Grid maxima miss the peaks between the points of an oscillating I. An
-    interval holds an interior maximum where d|I|^2/ds = 2 Re<I, g> changes
-    sign from + to -; its root t* comes from linear interpolation, and
-    I(t*) from the cubic Hermite through (I_k, g_k, I_k+1, g_k+1). The
-    larger of those values and the grid maximum is returned.
-    """
-    slope = _re_inner(integral, integrand)
-    k = np.flatnonzero((slope[:-1] > 0) & (slope[1:] < 0))
-    best = float(np.max(norms))
-    if len(k) == 0:
-        return best
-    shape = (-1,) + (1,) * (integral.ndim - 1)
-    t = (slope[k] / (slope[k] - slope[k + 1])).reshape(shape)
-    h = (grid[k + 1] - grid[k]).reshape(shape)
-    t2 = t * t
-    t3 = t2 * t
-    peak = ((2.0 * t3 - 3.0 * t2 + 1.0) * integral[k]
-            + (t3 - 2.0 * t2 + t) * h * integrand[k]
-            + (3.0 * t2 - 2.0 * t3) * integral[k + 1]
-            + (t3 - t2) * h * integrand[k + 1])
-    return max(best, float(np.sqrt(np.max(_re_inner(peak, peak)))))
+def _kernel_summary(frame: EigenFrame, C: Optional[np.ndarray] = None,
+                    entry: Optional[tuple] = None):
+    """(K, max_s |K_mn| per entry, ||K||_F per grid point, max_s ||K||_F),
+    all from one pass over the cumulative kernel stack
+    (``quadrature._cumtrapz_with_maxima``); the maxima include the peaks
+    between grid points. ``entry`` (m, n) searches that entry's peaks alone
+    and leaves max_s ||K||_F at its grid value. Each call integrates the
+    whole stack, so a caller that wants several entries makes one call."""
+    coeff, phase = _kernel_integrand(frame, C)
+    return _cumtrapz_with_maxima(coeff, frame.grid, phase, entry)
 
 
-def _resonance(frame: EigenFrame, m: int, n: int,
-               C: Optional[np.ndarray] = None):
-    """(cumulative resonance integral, its running max |.|) for (m, n)."""
-    g = _pair_integrand(frame, m, n, C)
-    series = _cumtrapz(g, frame.grid)
-    return series, _running_max(series, g, frame.grid, np.abs(series))
+def _kernel_integral(frame: EigenFrame,
+                     C: Optional[np.ndarray] = None) -> np.ndarray:
+    """The cumulative kernel stack K alone; (N, n, n)."""
+    coeff, phase = _kernel_integrand(frame, C)
+    return _cumtrapz(coeff, frame.grid, phase)
 
 
 def resonance_series(frame: EigenFrame, m: int, n: int,
                      C: Optional[np.ndarray] = None) -> np.ndarray:
-    """Cumulative integral of exp(i tau int (E_m - E_n)) <E_m|dE_n/ds>."""
-    return _cumtrapz(_pair_integrand(frame, m, n, C), frame.grid)
+    """Cumulative integral of exp(i tau int (E_m - E_n)) <E_m|dE_n/ds>.
+    Each call integrates the frame's whole kernel stack."""
+    return -1j * _kernel_integral(frame, C)[:, m, n]
 
 
 def _end_index(grid: np.ndarray, s_end: Optional[float]) -> int:
@@ -160,18 +144,9 @@ def resonance_integral(frame: EigenFrame, m: int, n: int,
 def resonance_max_abs(frame: EigenFrame, m: int, n: int,
                       C: Optional[np.ndarray] = None) -> float:
     """Max over s of |cumulative resonance integral|, peaks between grid
-    points included."""
-    return _resonance(frame, m, n, C)[1]
-
-
-def _f_norm_summary(frame: EigenFrame, C: Optional[np.ndarray] = None):
-    """(f_norm at the grid end, f_norm_series, f_norm_max), from one
-    coefficient stack and its cumulative integral."""
-    coeff = kernel_coefficients(frame, C)
-    integral = _cumtrapz(coeff, frame.grid)
-    series = np.sqrt(_re_inner(integral, integral))
-    return (float(series[-1]), series,
-            _running_max(integral, coeff, frame.grid, series))
+    points included. Each call integrates the frame's whole kernel stack
+    and searches the peaks of the pair (m, n) alone."""
+    return float(_kernel_summary(frame, C, (m, n))[1][m, n])
 
 
 def f_norm(frame: EigenFrame, s_end: Optional[float] = None,
@@ -184,7 +159,8 @@ def f_norm(frame: EigenFrame, s_end: Optional[float] = None,
 def f_norm_series(frame: EigenFrame,
                   C: Optional[np.ndarray] = None) -> np.ndarray:
     """|| int_0^s kernel ||_F per grid point; shape (N,)."""
-    return _f_norm_summary(frame, C)[1]
+    K = _kernel_integral(frame, C)
+    return np.sqrt(_re_inner(K, K))
 
 
 def f_norm_max(frame: EigenFrame, C: Optional[np.ndarray] = None) -> float:
@@ -195,7 +171,7 @@ def f_norm_max(frame: EigenFrame, C: Optional[np.ndarray] = None) -> float:
     of the last partial oscillation; the running max is the monotone
     quantity whose tau-scaling separates decaying from persistent kernels.
     """
-    return _f_norm_summary(frame, C)[2]
+    return _kernel_summary(frame, C)[3]
 
 
 def projector_drift_series(frame: EigenFrame) -> np.ndarray:

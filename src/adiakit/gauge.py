@@ -16,6 +16,12 @@ Two constructions exist:
   unitary, and the accumulated diagonal phases. This is the only practical
   route for dual systems at large tau, whose eigenvectors oscillate at
   frequencies proportional to tau.
+
+Cumulative integrals along a frame (the phase integrals, the transport
+phase and the kernel stack) take the one rule of ``quadrature._cumtrapz``:
+Filon-Hermite, which integrates a cubic amplitude under a linear phase
+exactly and is the Euler-Maclaurin-corrected trapezoid rule when there is
+no phase.
 """
 
 from dataclasses import dataclass, field
@@ -27,16 +33,13 @@ from ._backend import kernels
 from .exceptions import EigenvalueCrossingError, ProjectorDiscontinuityError
 from .linalg import (check_hermitian, dagger, dagger_dot, sandwich,
                      unitarity_defect)
-from .paths import (FD4_CENTRAL_NUMERATORS, FD4_DENOMINATOR,
-                    FD4_FORWARD_NUMERATORS, HamiltonianPath, check_grid,
-                    fd4_derivative, is_uniform)
+from .paths import HamiltonianPath, check_grid, fd4_derivative, is_uniform
+from .quadrature import _cumtrapz, _fd4_steps
 from .transforms import TransformedHamiltonianPath
 
 GAP_FLOOR = 1e-8
 OVERLAP_FLOOR = 0.9
 HERMITICITY_FRAME_RTOL = 1e-10
-# rows per block of the in-place quadrature correction
-_CORRECTION_BLOCK = 4096
 
 
 @dataclass
@@ -89,53 +92,17 @@ class EigenFrame:
             self._phase_integrals = self.tau * _cumtrapz(self.values, self.grid)
         return self._phase_integrals
 
-
-def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative integral of the samples ``y`` over ``x`` along axis 0,
-    starting at 0.
-
-    On a uniform grid of at least 6 points this is the trapezoid rule with
-    the Euler-Maclaurin end correction, S_k = T_k - (h^2/12)(g'_k - g'_0),
-    which makes it fourth order; g' comes from the FD4 stencils of
-    ``paths`` (central inside, one-sided at the two points next to each
-    end). Non-uniform grids keep the plain, second-order trapezoid.
-    """
-    out = np.empty(y.shape, dtype=np.result_type(y.dtype, float))
-    out[0] = 0.0
-    inc = out[1:]
-    np.add(y[1:], y[:-1], out=inc)
-    inc *= 0.5 * np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
-    if len(x) >= 6 and is_uniform(x):   # point 1's stencil reaches point 5
-        _add_end_correction(inc, y, (x[-1] - x[0]) / (len(x) - 1))
-    np.cumsum(inc, axis=0, out=inc)
-    return out
-
-
-def _add_end_correction(inc: np.ndarray, y: np.ndarray, h: float) -> None:
-    """inc_j -= (h^2/12)(g'_{j+1} - g'_j) in place, g' the FD4 derivative
-    of ``y`` at step ``h``; summed, the increments carry -(h^2/12)(g'_k -
-    g'_0). Works in row blocks, so no temporary as large as ``y`` appears."""
-    n = len(y)
-    scale = h / (12.0 * FD4_DENOMINATOR)    # (h^2/12) / (12 h)
-    central = tuple(zip((-2, -1, 1, 2), scale * FD4_CENTRAL_NUMERATORS))
-    # j = 2 .. n-4: g'_j and g'_{j+1} both take the central stencil
-    for lo in range(2, n - 3, _CORRECTION_BLOCK):
-        hi = min(lo + _CORRECTION_BLOCK, n - 3)
-        block = inc[lo:hi]
-        for off, w in central:
-            block -= w * (y[lo + 1 + off:hi + 1 + off] - y[lo + off:hi + off])
-
-    def numerator(i):   # FD4_DENOMINATOR * h * g'_i
-        if i < 2:
-            return np.tensordot(FD4_FORWARD_NUMERATORS, y[i:i + 5], axes=1)
-        if i > n - 3:
-            return -np.tensordot(FD4_FORWARD_NUMERATORS, y[i - 4:i + 1][::-1],
-                                 axes=1)
-        return np.tensordot(FD4_CENTRAL_NUMERATORS,
-                            y[[i - 2, i - 1, i + 1, i + 2]], axes=1)
-
-    for j in (0, 1, n - 3, n - 2):
-        inc[j] -= scale * (numerator(j + 1) - numerator(j))
+    def integrand_phases(self) -> Optional[np.ndarray]:
+        """tau * cumulative integral of E_n + f_n, with f the generator
+        rates (zero for discrete frames): the phases left in the kernel
+        integrands, whose entry (m, n) oscillates as
+        e^{i(theta_m - theta_n)}; shape (N, n). None where no phase is
+        left (the dual, whose E + f vanishes)."""
+        if self.generator_rates is None:
+            return self.phase_integrals()
+        theta = self.phase_integrals() + self.tau * _cumtrapz(
+            self.generator_rates, self.grid)
+        return theta if np.any(theta) else None
 
 
 def _neighbor_overlaps(V: np.ndarray, step: int = 1) -> np.ndarray:
@@ -408,18 +375,7 @@ def _derivative_fd4(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """4th-order finite-difference d/dx along axis 0 on a uniform grid."""
     if not is_uniform(x):
         raise ValueError("finite-difference route needs a uniform grid")
-    h = x[1] - x[0]
-    out = np.empty_like(y)
-    c = FD4_CENTRAL_NUMERATORS
-    out[2:-2] = (c[0] * y[:-4] + c[1] * y[1:-3] + c[2] * y[3:-1]
-                 + c[3] * y[4:]) / (FD4_DENOMINATOR * h)
-    # one-sided 4th-order stencils at the edges
-    fwd = FD4_FORWARD_NUMERATORS / FD4_DENOMINATOR
-    for i in (0, 1):
-        out[i] = sum(c * y[i + k] for k, c in enumerate(fwd)) / h
-    for i in (-2, -1):
-        out[i] = -sum(c * y[y.shape[0] + i - k] for k, c in enumerate(fwd)) / h
-    return out
+    return _fd4_steps(y, 0, len(y)) / (x[1] - x[0])
 
 
 def kato_operator(frame: EigenFrame) -> np.ndarray:

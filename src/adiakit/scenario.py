@@ -31,8 +31,8 @@ import numpy as np
 from . import __version__ as _version
 from ._backend import backend_name, kernels
 from . import spinhalf
-from .diagnostics import (Thresholds, _f_norm_summary, _intertwining_of,
-                          _phase_spread, _resonance,
+from .diagnostics import (Thresholds, _intertwining_of, _kernel_summary,
+                          _phase_spread,
                           _transition_probability_max, _w_deviation_of,
                           classify, phase_rate_per_step, premise_checks,
                           projector_drift_series, qac_max, scaling_slope,
@@ -436,25 +436,26 @@ def _entry_for_tau(bundle: SystemBundle, tau: float, config: dict) -> dict:
     if "qac_max" in diags:
         entry["qac_max"] = qac_max(frame, C)
         entry["qac_max_scaled"] = qac_max(frame, C, real_time=False)
+    if "resonance_integrals" in diags or "f_norm" in diags:
+        K, peaks, fser, fmax = _kernel_summary(frame, C)
     if "resonance_integrals" in diags:
         res = {}
         for m in range(frame.dim):
             for n in range(frame.dim):
                 if m == n:
                     continue
-                ser, peak = _resonance(frame, m, n, C)
+                ser = -1j * K[:, m, n]
                 res[f"{m},{n}"] = {
                     "end_re": float(ser[-1].real),
                     "end_im": float(ser[-1].imag),
                     "end_abs": float(abs(ser[-1])),
-                    "max_abs": peak,
+                    "max_abs": float(peaks[m, n]),
                 }
                 series[f"resonance[{m},{n}].re"] = ser.real
                 series[f"resonance[{m},{n}].im"] = ser.imag
         entry["resonance_integrals"] = res
     if "f_norm" in diags:
-        entry["f_norm_end"], fser, entry["f_norm_max"] = _f_norm_summary(
-            frame, C)
+        entry["f_norm_end"], entry["f_norm_max"] = float(fser[-1]), fmax
         series["f_norm"] = fser
     if "projector_drift" in diags:
         dser = projector_drift_series(frame)

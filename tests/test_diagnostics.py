@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import adiakit as ak
 from adiakit import spinhalf
-from adiakit.diagnostics import Classification, Thresholds, f_norm_max
+from adiakit.diagnostics import (Classification, Thresholds, _kernel_summary,
+                                 f_norm_max)
 from adiakit.exceptions import ScalingUndefinedError
 from adiakit.models import driven_two_level, random_smooth_hamiltonian
 from adiakit.paths import constant_hamiltonian
@@ -120,6 +121,50 @@ def test_f_norm_max_of_the_base_at_the_refinement_trigger():
     assert abs(ak.phase_rate_per_step(fa) - 0.3) <= 1e-9
     ref = np.sqrt(2.0) * np.sin(THETA) / (tau + np.cos(THETA))
     assert abs(f_norm_max(fa) - ref) <= 1e-4 * ref
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_f_norm_max_of_the_base_on_a_coarse_grid(k):
+    # 2,049 points at tau = 2 pi 10^k: 1.9 to 1,930 rad per step
+    tau = 2 * np.pi * 10**k
+    fa = spin_frame("a", omega=1.0 / tau, npts=2049)
+    ref = np.sqrt(2.0) * np.sin(THETA) / (tau + np.cos(THETA))
+    assert abs(f_norm_max(fa) - ref) <= 1e-10 * ref
+
+
+@pytest.mark.parametrize("omega", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_negated_dual_resonance_on_a_coarse_grid(omega):
+    # the integrand turns at 2 tau + cos(theta) per unit s: 6 to 6e6 rad
+    # per step on 2,049 points
+    fc = spin_frame("c", omega=omega, npts=2049)
+    ref = spinhalf.negated_dual_resonance_integral(THETA, OMEGA0, omega,
+                                                   WINDOW)
+    assert abs(ak.resonance_series(fc, 1, 0)[-1] - ref) <= 1e-12
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(dim=st.integers(min_value=3, max_value=4),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       tau=st.floats(min_value=5.0, max_value=200.0))
+def test_kernel_summary_of_a_discrete_frame_matches_a_16x_grid(dim, seed,
+                                                                tau):
+    # random smooth paths at up to about 2 rad per step on 2,049 points,
+    # where the gaps vary along s so the phase is not linear per step.
+    # Bound: resonance ends and running maxima within 1e-8 of the largest
+    # entry maximum, f_norm_max within 1e-8 relative. Forty draws of this
+    # strategy stayed below 2.2e-9; the trapezoid rule with the
+    # Euler-Maclaurin correction was up to 7e-3 off at 2 rad per step.
+    path = random_smooth_hamiltonian(dim, np.random.default_rng(seed),
+                                     base_gap=1.0, wobble=0.3)
+    coarse = ak.eigenframe(path, tau, np.linspace(0.0, WINDOW, 2049))
+    assume(coarse.min_gap >= 0.2)
+    fine = ak.eigenframe(path, tau, np.linspace(0.0, WINDOW, 32769))
+    kc, peak_c, _, norm_c = _kernel_summary(coarse)
+    kf, peak_f, _, norm_f = _kernel_summary(fine)
+    scale = np.max(peak_f)
+    assert np.max(np.abs(kc[-1] - kf[-1])) <= 1e-8 * scale
+    assert np.max(np.abs(peak_c - peak_f)) <= 1e-8 * scale
+    assert abs(norm_c - norm_f) <= 1e-8 * norm_f
 
 
 def test_projector_drift_values():

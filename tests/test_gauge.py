@@ -317,6 +317,32 @@ def test_cumtrapz_is_fourth_order_on_uniform_grids():
     assert np.all(np.abs(orders - 4.0) <= 0.2), orders
 
 
+@pytest.mark.parametrize("rad", [0.0, 0.5, 1.9, 2.1, 30.0, 300.0, 1000.0])
+def test_cumtrapz_integrates_a_cubic_under_a_linear_phase_exactly(rad):
+    # entry (0, 1) carries e^{+i w x} and (1, 0) e^{-i w x}, w = rad per
+    # step; the Filon-Hermite rule is exact for a cubic amplitude at any
+    # phase step (the moments switch from series to closed form at 2 rad)
+    x = np.linspace(0.0, 2.0, 65)
+    w = rad / (x[1] - x[0])
+    p = np.polynomial.Polynomial([0.3 - 1.1j, 1.4 + 0.2j, -0.7 + 0.5j,
+                                  0.9 - 0.4j])
+    y = np.zeros((len(x), 2, 2), dtype=complex)
+    y[:, 0, 1] = p(x) * np.exp(1j * w * x)
+    y[:, 1, 0] = p(x) * np.exp(-1j * w * x)
+    out = _cumtrapz(y, x, np.stack([w * x, np.zeros_like(x)], axis=1))
+
+    def antiderivative(z, t):
+        if z == 0:
+            return p.integ()(t)
+        return np.exp(z * t) * sum((-1) ** k * p.deriv(k)(t) / z ** (k + 1)
+                                   for k in range(4))
+
+    for z, got in ((1j * w, out[:, 0, 1]), (-1j * w, out[:, 1, 0])):
+        exact = antiderivative(z, x) - antiderivative(z, 0.0)
+        assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+    assert np.all(out[:, 0, 0] == 0.0) and np.all(out[:, 1, 1] == 0.0)
+
+
 @pytest.mark.parametrize("x", [
     np.concatenate([[0.0], np.sort(np.random.default_rng(3).uniform(
         0.0, 2.0, 200)), [2.0]]),

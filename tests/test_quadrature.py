@@ -1,0 +1,48 @@
+"""The cumulative quadrature and its running maxima do not depend on how
+the grid is cut into blocks."""
+
+import numpy as np
+import pytest
+
+import adiakit as ak
+from adiakit import quadrature
+from adiakit.diagnostics import _kernel_summary
+from adiakit.models import random_smooth_hamiltonian
+from adiakit.quadrature import _cumtrapz
+
+
+@pytest.mark.parametrize("npts", [4098, 4099])
+def test_cumtrapz_on_a_grid_whose_last_block_is_short(npts, monkeypatch):
+    # the default blocks of 4,096 intervals leave one or two intervals for
+    # the last block, whose one-sided stencils read rows of the block before
+    x = np.linspace(0.0, 2.0, npts)
+    w = 300.0
+    amp = (1.0 + x**2) * np.exp(0.4j * x)
+    y = np.zeros((npts, 2, 2), dtype=complex)
+    y[:, 0, 1] = amp * np.exp(1j * w * x)
+    y[:, 1, 0] = amp.conj() * np.exp(-1j * w * x)
+    phase = np.stack([w * x, np.zeros_like(x)], axis=1)
+    blocked = [_cumtrapz(amp, x), _cumtrapz(y, x, phase)]
+    monkeypatch.setattr(quadrature, "_QUADRATURE_BLOCK", npts)
+    whole = [_cumtrapz(amp, x), _cumtrapz(y, x, phase)]
+    for got, want in zip(blocked, whole):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_kernel_summary_does_not_depend_on_the_block_size(monkeypatch):
+    # 1,024 intervals in blocks of 7 end on a block of two; every block
+    # searches its intervals against the maxima found so far
+    path = random_smooth_hamiltonian(3, np.random.default_rng(5),
+                                     base_gap=1.0, wobble=0.3)
+    frame = ak.eigenframe(path, 60.0, np.linspace(0.0, 2 * np.pi, 1025))
+    whole = _kernel_summary(frame)
+    monkeypatch.setattr(quadrature, "_QUADRATURE_BLOCK", 7)
+    blocked = _kernel_summary(frame)
+    K, peaks, norms, norm_max = whole
+    assert np.max(np.abs(blocked[0] - K)) <= 1e-14 * np.max(peaks)
+    assert np.max(np.abs(blocked[1] - peaks)) <= 1e-14 * np.max(peaks)
+    assert np.max(np.abs(blocked[2] - norms)) <= 1e-14 * norm_max
+    assert abs(blocked[3] - norm_max) <= 1e-14 * norm_max
+    # one entry's search alone finds the same peak
+    assert ak.resonance_max_abs(frame, 0, 2) == pytest.approx(
+        peaks[0, 2], rel=1e-14)
