@@ -6,6 +6,10 @@ by ``adiakit.linalg``), ``step_exponentials``, the 2x2 product
 ``matmul_2x2`` and the blocked prefix product ``chain_steps``.
 ``propagate_steps`` takes a list of coefficients: one eigensolve per
 midpoint Hamiltonian serves the step exponentials of every coefficient.
+It multiplies the steps between two records together first, batched
+across the recorded intervals, and runs the prefix product over those
+interval products only, so a fixed-grid run with r substeps per interval
+chains m / r matrices rather than m.
 
 The route depends on the matrix dimension only (``eigensolver_route``):
 2x2 stacks, every spin-half frame and step, take closed forms built from
@@ -125,6 +129,8 @@ def chain_steps(steps, u0):
     sequential pass carries the block totals, and a second batched pass
     applies the carries; the remainder of fewer than b steps is chained
     sequentially. Every temporary holds at most one matrix per block.
+    ``propagate_steps`` runs it over the products of its recorded intervals,
+    ``propagate_adaptive`` over its accepted step pairs.
     """
     m = steps.shape[0]
     b = max(1, int(np.sqrt(m)))
@@ -142,13 +148,29 @@ def chain_steps(steps, u0):
         steps[k] = steps[k] @ steps[k - 1]
 
 
-def propagate_steps(Hmid, coefs, ds, U0s, record_every):
-    """Chain midpoint exponentials U <- exp(-i c ds_k H_k) U from U0s[j],
-    for every coefficient c = coefs[j].
+def _fold_groups(groups):
+    """groups[:, -1] <- groups[:, -1] ... groups[:, 0] in place, batched
+    across the first axis of a (k, r, n, n) stack; 2x2 by components."""
+    for j in range(1, groups.shape[1]):
+        if groups.shape[-1] == 2:
+            groups[:, j] = matmul_2x2(groups[:, j], groups[:, j - 1])
+        else:
+            np.matmul(groups[:, j], groups[:, j - 1], out=groups[:, j])
 
-    One eigensolve of the step stack serves every coefficient. Returns one
-    (records, final) pair per coefficient; the records hold U after every
+
+def propagate_steps(Hmid, coefs, ds, U0s, record_every, out=None):
+    """Chain midpoint exponentials U <- exp(-i c ds_k H_k) U from U0s[j],
+    for every coefficient c = coefs[j], recording U after every
     ``record_every`` steps (the step count must be divisible by it).
+
+    One eigensolve of the step stack serves every coefficient. The steps of
+    each recorded interval are multiplied together first, batched across
+    intervals and in place in the step buffer; the prefix product
+    ``chain_steps`` then runs over the interval products only, in the record
+    buffer. Returns one (records, final) pair per coefficient, final being
+    records[-1]. The records of coefficient j are written into ``out[j]``
+    when it is given (C-contiguous, (steps / record_every, n, n)), and into
+    fresh arrays otherwise.
     """
     h = np.asarray(Hmid, dtype=np.complex128)
     _check_square(h, "step matrices")
@@ -163,15 +185,18 @@ def propagate_steps(Hmid, coefs, ds, U0s, record_every):
         raise ValueError("one initial state per coefficient is needed")
     if any(u.shape != (n, n) for u in us):
         raise ValueError("U0 dimension mismatch")
+    nrec = m // record_every
+    if out is None:
+        out = [np.empty((nrec, n, n), dtype=np.complex128) for _ in coefs]
     if m == 0:
-        return [(np.empty((0, n, n), dtype=np.complex128), u) for u in us]
+        return [(rec, u) for rec, u in zip(out, us)]
     w, v = eigh_batch(h)
     del h  # a converted copy of the stack is freed before the step products
-    out = []
-    for coef, u in zip(coefs, us):
-        steps = step_exponentials(w, v, coef * d)
-        chain_steps(steps, u)
-        # fresh arrays, so the step buffer is released on return
-        out.append((steps[record_every - 1::record_every].copy(),
-                    steps[-1].copy()))
-    return out
+    for coef, u, rec in zip(coefs, us, out):
+        groups = step_exponentials(w, v, coef * d).reshape(
+            nrec, record_every, n, n)
+        _fold_groups(groups)
+        rec[...] = groups[:, -1]
+        del groups  # the step buffer is freed before the next one is made
+        chain_steps(rec, u)
+    return [(rec, rec[-1]) for rec in out]

@@ -28,7 +28,9 @@ for larger ones. On a fixed grid one eigensolve per midpoint serves every
 coefficient: ``_propagate_fixed`` solves i dU/ds = c H(s) U for several c
 on one grid from the same eigenpairs, which the scenario runner uses to
 propagate a tau-independent base at tau and 2 tau of every tau sharing
-that grid. ``propagate`` is its one-coefficient case, c = tau.
+that grid. ``propagate`` is its one-coefficient case, c = tau. The
+kernel multiplies the substeps of each grid interval together, then chains
+only the interval products and writes them straight into the result.
 """
 
 from dataclasses import dataclass
@@ -126,11 +128,12 @@ def _propagate_fixed(path: HamiltonianPath, eval_tau: float, coefs, grid,
         ds = np.repeat(dsub, substeps)
         H = path.eval_batch(mids, eval_tau)
         check_hermitian(H, _HERM_RTOL)
-        # kernels symmetrize their working copies; no pre-hermitization needed
-        chains = kernels.propagate_steps(H, coefs, ds, ucur, substeps)
-        for j, (records, final) in enumerate(chains):
-            unitaries[j][pos + 1:hi + 1] = records
-            ucur[j] = final
+        # kernels symmetrize their working copies; no pre-hermitization
+        # needed. The records go straight into the result arrays.
+        chains = kernels.propagate_steps(
+            H, coefs, ds, ucur, substeps,
+            out=[u[pos + 1:hi + 1] for u in unitaries])
+        ucur = [final for _, final in chains]
         pos = hi
 
     return [PropagationResult(grid=grid, unitaries=u,

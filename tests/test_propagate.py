@@ -5,7 +5,9 @@ Both are checked against the spin-half closed form, for their convergence
 order (2 and 4), composition and step caps. The adaptive run must not get
 less accurate when the tolerance drops below the noise floor of its
 step-doubling comparison, and it is checked against a fine fixed midpoint
-run on random smooth paths of dimension 2 to 4.
+run on random smooth paths of dimension 2 to 4. The fixed-grid run and its
+kernel, which multiplies each recorded interval's steps before chaining the
+records, are checked against a plain loop of one exponential per step.
 """
 
 import importlib
@@ -231,8 +233,10 @@ def _sequential_steps(H, coef, ds, U0, record_every):
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
-@pytest.mark.parametrize("m", [1, 2, 7, 64, 128, 1000, 4099])
+@pytest.mark.parametrize("m", [1, 2, 7, 64, 128, 150, 1000, 3000, 4099])
 def test_python_kernel_matches_sequential_loop(dim, m):
+    # record strides 3 (odd groups) and 50 (the benchmark's substep count)
+    # run on the stack sizes they divide
     rng = np.random.default_rng(1000 * dim + m)
     H = _random_hermitian_stack(rng, m, dim)
     ds = rng.uniform(0.01, 0.1, m)
@@ -240,7 +244,7 @@ def test_python_kernel_matches_sequential_loop(dim, m):
     U0s = [ak.unitary_exp(_random_hermitian_stack(rng, 1, dim)[0], 1.0)
            for _ in coefs]
     H_before = H.copy()
-    for record_every in (1, 2, 5):
+    for record_every in (1, 2, 3, 5, 50):
         if m % record_every:
             continue
         chains = _kernels_py.propagate_steps(H, coefs, ds, U0s, record_every)
@@ -252,6 +256,29 @@ def test_python_kernel_matches_sequential_loop(dim, m):
             assert np.max(np.abs(records - ref_records)) <= 1e-12
             assert np.max(np.abs(final - ref_final)) <= 1e-12
     assert np.array_equal(H, H_before)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(dim=st.integers(min_value=2, max_value=4),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       tau=st.floats(min_value=1.0, max_value=50.0),
+       substeps=st.integers(min_value=1, max_value=9),
+       nint=st.integers(min_value=1, max_value=40))
+def test_fixed_grid_is_unitary_and_matches_sequential_loop(dim, seed, tau,
+                                                           substeps, nint):
+    rng = np.random.default_rng(seed)
+    h = random_smooth_hamiltonian(dim, rng)
+    grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.02, 0.3, nint))])
+    res = ak.propagate(h, tau, grid, substeps=substeps)
+    assert np.array_equal(res.unitaries[0], np.eye(dim))
+    assert res.max_unitarity_defect <= 1e-12
+    dsub = np.diff(grid) / substeps
+    mids = (grid[:-1, None]
+            + (np.arange(substeps) + 0.5)[None, :] * dsub[:, None]).ravel()
+    records, _ = _sequential_steps(h.eval_batch(mids, tau), tau,
+                                   np.repeat(dsub, substeps), np.eye(dim),
+                                   substeps)
+    assert np.max(np.abs(res.unitaries[1:] - records)) <= 1e-12
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
