@@ -2,18 +2,21 @@
 
 Two batched entry points, ``eigh_batch`` and ``propagate_steps``, plus the
 helpers they share with the rest of the package: ``hermitize`` (re-exported
-by ``adiakit.linalg``), ``step_exponentials``, the 2x2 product
-``matmul_2x2`` and the blocked prefix product ``chain_steps``.
-``propagate_steps`` takes a list of coefficients: one eigensolve per
-midpoint Hamiltonian serves the step exponentials of every coefficient.
+by ``adiakit.linalg``), the step exponentials (``exponential_map``), the 2x2
+product ``matmul_2x2`` and the blocked prefix product ``chain_steps``.
+``propagate_steps`` takes a list of coefficients: one factorization of the
+midpoint stack serves the step exponentials of every coefficient.
 It multiplies the steps between two records together first, batched
 across the recorded intervals, and runs the prefix product over those
 interval products only, so a fixed-grid run with r substeps per interval
 chains m / r matrices rather than m.
 
-The route depends on the matrix dimension only (``eigensolver_route``):
-2x2 stacks, every spin-half frame and step, take closed forms built from
-components; larger matrices take numpy's stacked LAPACK eigensolver.
+The route depends on the matrix dimension only. 2x2 stacks, every
+spin-half frame and step, take closed forms built from the components
+(m, d, q, r) of ``su2_components``: the eigenpairs of ``eigh_batch``
+(``eigensolver_route``) and the step exponentials of ``su2_exponentials``,
+which need no eigenvectors. Larger matrices take numpy's stacked LAPACK
+eigensolver, and their exponentials V diag(e^{-i alpha w}) V^dagger.
 """
 
 import numpy as np
@@ -46,13 +49,62 @@ def eigh_batch(Hs):
     return np.linalg.eigh(hermitize(a))
 
 
+def su2_components(a):
+    """(m, d, q, r) of the Hermitian parts of a (..., 2, 2) stack.
+
+    With m = (h00 + h11)/2, d = (h00 - h11)/2 and q = (h01 + conj h10)/2,
+    the Hermitian part is m I + [[d, q], [conj q, -d]], whose traceless
+    part has eigenvalues -+ r, r = hypot(d, |q|). Both the eigenpairs of
+    ``_eigh_2x2`` and the exponentials of ``su2_exponentials`` are formed
+    from these four arrays alone.
+    """
+    h00 = a[..., 0, 0].real
+    h11 = a[..., 1, 1].real
+    m = h00 + h11
+    m *= 0.5
+    d = 0.5 * (h00 - h11)
+    q = np.conj(a[..., 1, 0])
+    q += a[..., 0, 1]
+    q *= 0.5
+    r = np.hypot(d, np.abs(q))
+    return m, d, q, r
+
+
+def su2_exponentials(comps, alphas):
+    """exp(-i alpha_k H_k) of 2x2 Hermitian H_k from their components
+    ``comps`` = (m, d, q, r) of ``su2_components``:
+
+        exp(-i alpha H) = e^{-i alpha m} (cos(alpha r) I
+                          - i sin(alpha r)/r [[d, q], [conj q, -d]]),
+
+    the SU(2) form (Moler & Van Loan, *Nineteen Dubious Ways to Compute the
+    Exponential of a Matrix, Twenty-Five Years Later*, SIAM Rev. 45 (2003)),
+    with sin(alpha r)/r = alpha at r = 0 (H = m I). No eigenvectors are
+    formed.
+    """
+    m, d, q, r = comps
+    ar = alphas * r
+    s = np.divide(np.sin(ar), r, out=np.array(alphas, dtype=float),
+                  where=r > 0)
+    phase = np.exp(-1j * (alphas * m))
+    g = phase * s
+    g *= -1j
+    c = phase * np.cos(ar)
+    gd = g * d
+    out = np.empty(np.shape(m) + (2, 2), dtype=np.complex128)
+    np.add(c, gd, out=out[..., 0, 0])
+    np.subtract(c, gd, out=out[..., 1, 1])
+    np.multiply(g, q, out=out[..., 0, 1])
+    np.multiply(g, np.conj(q), out=out[..., 1, 0])
+    return out
+
+
 def _eigh_2x2(a):
     """Closed-form eigenpairs of the Hermitian parts of a (..., 2, 2) stack.
 
-    With m = (h00 + h11)/2, d = (h00 - h11)/2, q = (h01 + conj h10)/2 and
-    r = hypot(d, |q|), the eigenvalues are m -+ r. Each eigenvector is read
-    off the row of H - w I without cancellation, chosen by the sign of d;
-    with t = r + |d| the vectors are
+    With the components (m, d, q, r) of ``su2_components`` the eigenvalues
+    are m -+ r. Each eigenvector is read off the row of H - w I without
+    cancellation, chosen by the sign of d; with t = r + |d| the vectors are
 
         d >= 0:  v- = (-q, t),  v+ = (t, conj q)
         d <  0:  v- = (t, -conj q),  v+ = (q, t)
@@ -63,19 +115,10 @@ def _eigh_2x2(a):
     (there the halvings cost the eigenvalues one subnormal unit).
     At r = 0 (H = m I) the frame is the identity.
     """
-    h00 = a[..., 0, 0].real
-    h11 = a[..., 1, 1].real
-    d = 0.5 * (h00 - h11)
-    q = np.conj(a[..., 1, 0])
-    q += a[..., 0, 1]
-    q *= 0.5
-    r = np.hypot(d, np.abs(q))
+    m, d, q, r = su2_components(a)
     w = np.empty(r.shape + (2,))
-    m = w[..., 0]
-    np.add(h00, h11, out=m)
-    m *= 0.5
+    np.subtract(m, r, out=w[..., 0])
     np.add(m, r, out=w[..., 1])
-    m -= r
     flat = r == 0
     upper = (d >= 0) & ~flat
     # in place, to bound the temporaries of large stacks: t = r + |d|,
@@ -113,10 +156,19 @@ def matmul_2x2(x, y):
 def step_exponentials(w, v, alphas):
     """exp(-i alpha_k H_k) from the stacked eigenpairs (W, V) of H_k."""
     phases = np.exp(-1j * alphas[:, None] * w)
-    if v.shape[-1] == 2:
-        return matmul_2x2(v * phases[:, None, :],
-                          np.conj(np.swapaxes(v, -1, -2)))
     return np.einsum("kij,kj,klj->kil", v, phases, v.conj())
+
+
+def exponential_map(h):
+    """alphas -> exp(-i alphas_k H_k) for the Hermitian parts H_k of an
+    (N, n, n) stack, from one factorization of the stack that serves every
+    alphas: the components of ``su2_components`` when n == 2, the eigenpairs
+    of ``eigh_batch`` otherwise."""
+    if h.shape[-1] == 2:
+        comps = su2_components(h)
+        return lambda alphas: su2_exponentials(comps, alphas)
+    w, v = eigh_batch(h)
+    return lambda alphas: step_exponentials(w, v, alphas)
 
 
 def chain_steps(steps, u0):
@@ -163,14 +215,14 @@ def propagate_steps(Hmid, coefs, ds, U0s, record_every, out=None):
     for every coefficient c = coefs[j], recording U after every
     ``record_every`` steps (the step count must be divisible by it).
 
-    One eigensolve of the step stack serves every coefficient. The steps of
-    each recorded interval are multiplied together first, batched across
-    intervals and in place in the step buffer; the prefix product
-    ``chain_steps`` then runs over the interval products only, in the record
-    buffer. Returns one (records, final) pair per coefficient, final being
-    records[-1]. The records of coefficient j are written into ``out[j]``
-    when it is given (C-contiguous, (steps / record_every, n, n)), and into
-    fresh arrays otherwise.
+    One factorization of the step stack (``exponential_map``) serves every
+    coefficient. The steps of each recorded interval are multiplied together
+    first, batched across intervals and in place in the step buffer; the
+    prefix product ``chain_steps`` then runs over the interval products only,
+    in the record buffer. Returns one (records, final) pair per coefficient,
+    final being records[-1]. The records of coefficient j are written into
+    ``out[j]`` when it is given (C-contiguous, (steps / record_every, n, n)),
+    and into fresh arrays otherwise.
     """
     h = np.asarray(Hmid, dtype=np.complex128)
     _check_square(h, "step matrices")
@@ -190,11 +242,10 @@ def propagate_steps(Hmid, coefs, ds, U0s, record_every, out=None):
         out = [np.empty((nrec, n, n), dtype=np.complex128) for _ in coefs]
     if m == 0:
         return [(rec, u) for rec, u in zip(out, us)]
-    w, v = eigh_batch(h)
+    exps = exponential_map(h)
     del h  # a converted copy of the stack is freed before the step products
     for coef, u, rec in zip(coefs, us, out):
-        groups = step_exponentials(w, v, coef * d).reshape(
-            nrec, record_every, n, n)
+        groups = exps(coef * d).reshape(nrec, record_every, n, n)
         _fold_groups(groups)
         rec[...] = groups[:, -1]
         del groups  # the step buffer is freed before the next one is made

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._backend import kernels
-from ._kernels_py import (hermitize,  # re-exported
-                          matmul_2x2, step_exponentials)
+from ._kernels_py import hermitize, matmul_2x2  # hermitize: re-exported
 from .exceptions import NonHermitianError
 
 HERMITICITY_RTOL = 1e-12
@@ -30,8 +29,15 @@ def dagger(M: np.ndarray) -> np.ndarray:
 
 def hermiticity_defect(M: np.ndarray) -> float:
     """max_k || M_k - M_k^dagger ||_F; ``M`` is one matrix or a stack
-    (..., n, n)."""
+    (..., n, n). For 2x2 the squared norm is read off the components:
+    4 (Im m00)^2 + 4 (Im m11)^2 + 2 |m01 - conj m10|^2."""
     M = np.asarray(M, dtype=complex)
+    if M.shape[-1] == 2:
+        e = M[..., 0, 1] - np.conj(M[..., 1, 0])
+        sq = 2.0 * (np.square(e.real) + np.square(e.imag))
+        sq += 4.0 * (np.square(M[..., 0, 0].imag)
+                     + np.square(M[..., 1, 1].imag))
+        return float(np.sqrt(np.max(sq)))
     return float(np.max(np.linalg.norm(M - dagger(M), axis=(-2, -1))))
 
 
@@ -96,6 +102,16 @@ class HermEig:
         return (self.vectors * self.values) @ self.vectors.conj().T
 
 
+def _one_hermitian(M, rtol: float, name: str) -> np.ndarray:
+    """``M`` as a one-matrix stack (1, n, n); ValueError unless it is
+    square, NonHermitianError as ``check_hermitian`` gives it."""
+    M = np.asarray(M, dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"{name} expects a square matrix")
+    check_hermitian(M, rtol)
+    return M[None]
+
+
 def herm_eig(M: np.ndarray, rtol: float = HERMITICITY_RTOL) -> HermEig:
     """Eigendecomposition of a Hermitian matrix: one row of the numpy
     kernel ``eigh_batch``, any dimension.
@@ -104,17 +120,15 @@ def herm_eig(M: np.ndarray, rtol: float = HERMITICITY_RTOL) -> HermEig:
     every kernel then works on the Hermitian part (M + M^dagger) / 2.
     Deterministic: identical input gives bit-identical output.
     """
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("herm_eig expects a square matrix")
-    check_hermitian(M, rtol)
-    w, v = kernels.eigh_batch(M[None])
+    w, v = kernels.eigh_batch(_one_hermitian(M, rtol, "herm_eig"))
     return HermEig(values=w[0], vectors=v[0])
 
 
 def unitary_exp(H: np.ndarray, alpha: float,
                 rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """exp(-i * alpha * H) for Hermitian H; unitary by construction."""
-    e = herm_eig(H, rtol)
-    return step_exponentials(e.values[None], e.vectors[None],
-                             np.array([float(alpha)]))[0]
+    """exp(-i * alpha * H) for Hermitian H; unitary by construction. One row
+    of the integrators' step exponentials (``kernels.exponential_map``):
+    the SU(2) closed form for 2x2, LAPACK eigenpairs otherwise. Rejects H
+    as ``herm_eig`` does."""
+    exps = kernels.exponential_map(_one_hermitian(H, rtol, "unitary_exp"))
+    return exps(np.array([float(alpha)]))[0]

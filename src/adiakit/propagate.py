@@ -10,7 +10,8 @@ oscillatory problems that arise at large tau:
 
   one exponential per step. The scenario runner records U at every grid
   point of a frame with two steps per interval, where a fourth-order step
-  would double the eigensolves per point, so that route stays midpoint.
+  would double the factorizations per point, so that route stays
+  midpoint.
 * ``propagate_adaptive`` uses the fourth-order commutator-free Magnus rule
   CF4 (Blanes & Moan, Appl. Numer. Math. 56 (2006)): with the Gauss nodes
   c_1,2 = 1/2 -+ sqrt(3)/6, H_j = H(s + c_j ds) and b_1,2 = 1/4 +- sqrt(3)/6,
@@ -22,11 +23,14 @@ oscillatory problems that arise at large tau:
   rule is second order. Step doubling controls the step size with the
   exponent 1/5 of an order-4 method.
 
-Each eigendecomposition of a Hermitian step matrix is made in the numpy
-kernels: in closed form for 2x2 steps (every spin-half system), by LAPACK
-for larger ones. On a fixed grid one eigensolve per midpoint serves every
-coefficient: ``_propagate_fixed`` solves i dU/ds = c H(s) U for several c
-on one grid from the same eigenpairs, which the scenario runner uses to
+Every step exponential is formed in the numpy kernels
+(``_kernels_py.exponential_map``): for 2x2 steps (every spin-half system)
+in the closed SU(2) form cos(alpha r) I - i sin(alpha r)/r (H - m I), times
+e^{-i alpha m}, from the components of each step matrix, with no
+eigensolve; for larger ones from LAPACK eigenpairs. On a fixed grid one
+factorization per midpoint serves every coefficient: ``_propagate_fixed``
+solves i dU/ds = c H(s) U for several c on one grid from the same
+components or eigenpairs, which the scenario runner uses to
 propagate a tau-independent base at tau and 2 tau of every tau sharing
 that grid. ``propagate`` is its one-coefficient case, c = tau. The
 kernel multiplies the substeps of each grid interval together, then chains
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._backend import kernels
-from ._kernels_py import chain_steps, step_exponentials
+from ._kernels_py import chain_steps
 from .exceptions import StepLimitError
 from .linalg import check_hermitian, unitarity_defect
 from .paths import HamiltonianPath, check_grid, grid_index
@@ -47,7 +51,7 @@ STEP_CAP = 10**7
 _CHUNK_TARGET = 65536
 _HERM_RTOL = 1e-10
 _NOISE_FLOOR = 64.0 * np.finfo(float).eps
-# step-doubling controller: steps compared per stacked eigensolve, the
+# step-doubling controller: steps compared per batch of CF4 steps, the
 # safety factor on the predicted step size, and the order of the CF4 step
 _ADAPTIVE_BATCH = 64
 _SAFETY = 0.9
@@ -94,8 +98,8 @@ def _propagate_fixed(path: HamiltonianPath, eval_tau: float, coefs, grid,
     """``propagate`` for several coefficients at once: one PropagationResult
     per c in ``coefs``, the solution of i dU/ds = c H(s, eval_tau) U.
 
-    H is evaluated, checked and eigensolved once per micro-step midpoint;
-    every coefficient exponentiates the same eigenpairs.
+    H is evaluated, checked and factorized once per micro-step midpoint;
+    every coefficient exponentiates the same factorization.
     """
     grid = check_grid(grid, min_points=2)
     substeps = int(substeps)
@@ -146,16 +150,15 @@ def _cf4_steps(path: HamiltonianPath, tau: float, lefts: np.ndarray,
                dts: np.ndarray) -> np.ndarray:
     """CF4 step propagators (see the module docstring) over the intervals
     [lefts_k, lefts_k + dts_k]; shape (m, n, n). One ``eval_batch``, one
-    Hermiticity check and one stacked eigensolve cover the 2m nodes and the
-    2m weighted combinations."""
+    Hermiticity check and one stacked factorization cover the 2m nodes and
+    the 2m weighted combinations."""
     m, n = len(lefts), path.dim
     nodes = lefts[:, None] + _CF4_NODES * dts[:, None]
     H = path.eval_batch(nodes.ravel(), tau)
     check_hermitian(H, _HERM_RTOL)  # kernels symmetrize their working copies
     combos = np.einsum("ij,kjab->kiab", _CF4_MIX, H.reshape(m, 2, n, n))
-    W, V = kernels.eigh_batch(combos.reshape(2 * m, n, n))
-    exps = step_exponentials(W, V, np.repeat(float(tau) * dts, 2))
-    exps = exps.reshape(m, 2, n, n)
+    exps = kernels.exponential_map(combos.reshape(2 * m, n, n))(
+        np.repeat(float(tau) * dts, 2)).reshape(m, 2, n, n)
     return exps[:, 1] @ exps[:, 0]
 
 

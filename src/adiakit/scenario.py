@@ -340,7 +340,7 @@ class SystemBundle:
 
         This is exact because custom_matrix_path ignores tau: the run at
         coefficient c solves i dU/ds = c H(s) U for any evaluation tau, so
-        all coefficients share one eigensolve per midpoint."""
+        all coefficients share one factorization per midpoint."""
         doubled = (False, True) if self.config["system"] == "c" else (False,)
         taus = {float(tau), *map(float, self.config["parameters"]["tau_list"])}
         keys = [(t, d) for t in sorted(taus) if self._intervals_for(t) == nint

@@ -14,27 +14,39 @@ upper (+omega0/2); analytic eigenvector phases obey parallel transport.
 
 import numpy as np
 
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger_dot
+from .linalg import dagger_dot
 from .paths import HamiltonianPath, UnitaryPath
 
 
 def hamiltonian(theta: float, omega0: float) -> HamiltonianPath:
-    """Rotating-field Hamiltonian path (tau-independent)."""
+    """Rotating-field Hamiltonian path (tau-independent).
+
+    H(s) = k [[cos(theta), sin(theta) e^{-is}], [sin(theta) e^{is},
+    -cos(theta)]] with k = -omega0/2, and dH/ds = k sin(theta)
+    [[0, -i e^{-is}], [i e^{is}, 0]]; both are filled entry by entry.
+    """
     if omega0 <= 0:
         raise ValueError("omega0 must be positive")
     st, ct = np.sin(theta), np.cos(theta)
+    k = -omega0 / 2.0
 
-    def _eval_batch(s, tau):
-        out = -(omega0 / 2.0) * (
-            SIGMA_X[None] * (st * np.cos(s))[:, None, None]
-            + SIGMA_Y[None] * (st * np.sin(s))[:, None, None]
-            + SIGMA_Z[None] * ct)
+    def _stack(scale, diag, off_re, off_im):
+        """scale [[diag, off], [conj off, -diag]], off = off_re + i off_im."""
+        out = np.empty(off_re.shape + (2, 2), dtype=complex)
+        out[:, 0, 0] = scale * diag
+        out[:, 1, 1] = -(scale * diag)
+        re, im = scale * off_re, scale * off_im
+        out[:, 0, 1].real = re
+        out[:, 0, 1].imag = im
+        out[:, 1, 0].real = re
+        out[:, 1, 0].imag = -im
         return out
 
+    def _eval_batch(s, tau):
+        return _stack(k, ct, st * np.cos(s), -(st * np.sin(s)))
+
     def _deriv_batch(s, tau):
-        return -(omega0 / 2.0) * st * (
-            -SIGMA_X[None] * np.sin(s)[:, None, None]
-            + SIGMA_Y[None] * np.cos(s)[:, None, None])
+        return _stack(k * st, 0.0, -np.sin(s), -np.cos(s))
 
     return HamiltonianPath(
         2, _eval_batch, derivative_fn=_deriv_batch,

@@ -1,5 +1,6 @@
 """The numpy kernels: the closed-form 2x2 eigensolver and step exponential
-against LAPACK and scipy, the ``sandwich`` product, and the dimension route."""
+against LAPACK and scipy, the 2x2 Frobenius quantities of ``linalg``, the
+``sandwich`` product, and the dimension route."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiakit import _kernels_py as kernels
+from adiakit import linalg
 from adiakit.linalg import sandwich
 
 TOL = 1e-14
@@ -149,29 +151,49 @@ def test_larger_matrices_stay_on_lapack(dim):
     assert np.array_equal(W, W_ref) and np.array_equal(V, V_ref)
 
 
+def expm_stack(H, alphas):
+    return np.stack([scipy.linalg.expm(-1j * a * h) for a, h in zip(alphas, H)])
+
+
+def assert_2x2_exponentials(H, alphas):
+    """exp(-i alpha_k H_k) of ``exponential_map`` within 1e-13 of expm,
+    each unitary to 1e-14."""
+    E = kernels.exponential_map(H)(alphas)
+    assert np.max(np.abs(E - expm_stack(H, alphas))) <= 1e-13
+    gram = np.conj(np.swapaxes(E, 1, 2)) @ E
+    assert np.max(np.linalg.norm(gram - np.eye(2), axis=(1, 2))) <= 1e-14
+
+
 def test_step_exponentials_2x2_match_expm():
-    H = random_hermitian_stack(32, 2, seed=9)
-    alphas = np.linspace(-3.0, 7.0, 32)
-    W, V = kernels.eigh_batch(H)
-    E = kernels.step_exponentials(W, V, alphas)
-    ref = np.stack([scipy.linalg.expm(-1j * a * h) for a, h in zip(alphas, H)])
-    assert np.max(np.abs(E - ref)) <= 1e-13
+    assert_2x2_exponentials(random_hermitian_stack(32, 2, seed=9),
+                            np.linspace(-3.0, 7.0, 32))
+    rng = np.random.default_rng(40)
+    assert_2x2_exponentials(random_hermitian_stack(200, 2, seed=41, scale=3.0),
+                            rng.uniform(-5.0, 5.0, 200))
 
 
-def test_propagate_steps_uses_the_kernel_eigensolver(monkeypatch):
+def count_calls(monkeypatch, name):
+    """Record the first argument's shape on every call of ``kernels.name``."""
     calls = []
-    original = kernels.eigh_batch
+    original = getattr(kernels, name)
 
     def counting(h):
         calls.append(h.shape)
         return original(h)
 
-    monkeypatch.setattr(kernels, "eigh_batch", counting)
+    monkeypatch.setattr(kernels, name, counting)
+    return calls
+
+
+def test_propagate_steps_uses_one_kernel_factorization(monkeypatch):
+    # 2x2 steps take the SU(2) components and no eigensolve
+    components = count_calls(monkeypatch, "su2_components")
+    eigensolves = count_calls(monkeypatch, "eigh_batch")
     H = random_hermitian_stack(8, 2, seed=10)
     coefs = (1.0, 2.0)
     chains = kernels.propagate_steps(H, coefs, np.full(8, 0.1),
                                      [np.eye(2)] * 2, 8)
-    assert calls == [(8, 2, 2)]
+    assert components == [(8, 2, 2)] and eigensolves == []
     for coef, (_, final) in zip(coefs, chains):
         ref = np.eye(2)
         for h in H:
@@ -181,6 +203,7 @@ def test_propagate_steps_uses_the_kernel_eigensolver(monkeypatch):
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_propagate_steps_coefficients_share_one_eigensolve(dim, monkeypatch):
+    # the shared factorization: SU(2) components for 2x2, eigenpairs above
     H = random_hermitian_stack(12, dim, seed=20 + dim)
     ds = np.linspace(0.05, 0.1, 12)
     coefs = (5.0, 10.0, -2.5)
@@ -188,19 +211,63 @@ def test_propagate_steps_coefficients_share_one_eigensolve(dim, monkeypatch):
            random_hermitian_stack(3, dim, seed=30 + dim)]
     separate = [kernels.propagate_steps(H, [c], ds, [u], 3)[0]
                 for c, u in zip(coefs, U0s)]
-    calls = []
-    original = kernels.eigh_batch
-
-    def counting(h):
-        calls.append(len(h))
-        return original(h)
-
-    monkeypatch.setattr(kernels, "eigh_batch", counting)
+    calls = count_calls(monkeypatch,
+                        "su2_components" if dim == 2 else "eigh_batch")
     joint = kernels.propagate_steps(H, coefs, ds, U0s, 3)
-    assert calls == [12]
+    assert calls == [(12, dim, dim)]
     for (records, final), (ref_records, ref_final) in zip(joint, separate):
         assert np.array_equal(records, ref_records)
         assert np.array_equal(final, ref_final)
+
+
+def test_su2_exponentials_at_and_near_r_zero():
+    rng = np.random.default_rng(42)
+    m = rng.uniform(-2.0, 2.0, 64)
+    alphas = rng.uniform(-4.0, 4.0, 64)
+    scalar = m[:, None, None] * np.eye(2)          # H = m I: r = 0
+    comps = kernels.su2_components(scalar)
+    assert np.all(comps[3] == 0.0)
+    E = kernels.su2_exponentials(comps, alphas)
+    assert np.all(E[:, 0, 1] == 0.0) and np.all(E[:, 1, 0] == 0.0)
+    assert np.array_equal(E[:, 0, 0], E[:, 1, 1])
+    assert np.max(np.abs(E[:, 0, 0] - np.exp(-1j * alphas * m))) <= 1e-15
+    near = scalar + random_hermitian_stack(64, 2, seed=43, scale=1e-12)
+    r = kernels.su2_components(near)[3]
+    assert np.all((r > 1e-13) & (r < 1e-11))
+    assert_2x2_exponentials(near, alphas)
+
+
+def test_su2_exponentials_at_large_alpha():
+    # |alpha| up to 1e4, both signs. The phase alpha w carries a rounding of
+    # eps |alpha w| on any route, so the stack is scaled to |alpha| ||H|| of
+    # order one: the bound then tests the closed form, not the conditioning
+    rng = np.random.default_rng(44)
+    alphas = rng.choice([-1.0, 1.0], 64) * np.logspace(0.0, 4.0, 64)
+    H = random_hermitian_stack(64, 2, seed=45) / np.abs(alphas)[:, None, None]
+    assert_2x2_exponentials(H, alphas)
+
+
+def test_unitary_exp_is_one_row_of_the_step_exponentials():
+    H = random_hermitian_stack(1, 2, seed=46)[0]
+    step = kernels.exponential_map(H[None])(np.array([0.7]))[0]
+    assert np.array_equal(linalg.unitary_exp(H, 0.7), step)
+
+
+def random_complex_stack(n, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    return scale * (rng.standard_normal((n, 2, 2))
+                    + 1j * rng.standard_normal((n, 2, 2)))
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 1e100])
+def test_2x2_hermiticity_defect_matches_frobenius(scale):
+    M = random_complex_stack(500, seed=47, scale=scale)
+    generic = np.linalg.norm(M - np.conj(np.swapaxes(M, 1, 2)), axis=(1, 2))
+    for k in (0, 1, 250, 499):
+        assert abs(linalg.hermiticity_defect(M[k]) - generic[k]) \
+            <= 1e-15 * generic[k]
+    assert abs(linalg.hermiticity_defect(M) - generic.max()) \
+        <= 1e-15 * generic.max()
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

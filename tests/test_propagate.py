@@ -185,6 +185,19 @@ def test_adaptive_cf4_matches_midpoint_and_composes(dim, seed, tau, s2, split):
     assert np.linalg.norm(right.final() @ left.final() - full.final()) <= 1e-7
 
 
+@settings(max_examples=20, deadline=None, database=None)
+@given(dim=st.integers(min_value=2, max_value=4),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       tau=st.floats(min_value=1.0, max_value=50.0))
+def test_adaptive_is_unitary_and_matches_fine_fixed_grid(dim, seed, tau):
+    h = random_smooth_hamiltonian(dim, np.random.default_rng(seed))
+    res = ak.propagate_adaptive(h, tau, 1.0, tol=1e-8)
+    assert np.array_equal(res.unitaries[0], np.eye(dim))
+    assert res.max_unitarity_defect <= 1e-12
+    fine = ak.propagate(h, tau, np.linspace(0.0, 1.0, 257), substeps=64)
+    assert np.linalg.norm(res.final() - fine.final()) <= 1e-7
+
+
 def test_adaptive_step_cap():
     # tau=1000 at tol=1e-10 needs far more steps than the cap allows
     h = spinhalf.hamiltonian(THETA, OMEGA0)

@@ -267,8 +267,8 @@ def test_transition_probability_max_separates_base_and_dual():
 def test_numeric_cache_fills_each_key_once_under_threads(monkeypatch):
     # negated dual of a custom path: each tau propagates the base at tau
     # and at 2 tau. The three taus share one grid, so one run covers the six
-    # keys and eigensolves the grid's midpoints once, and no worker thread
-    # fills a key a second time
+    # keys and factorizes the grid's midpoints once (2x2: their SU(2)
+    # components), and no worker thread fills a key a second time
     coefs = []
     original = sc._propagate_fixed
 
@@ -277,15 +277,19 @@ def test_numeric_cache_fills_each_key_once_under_threads(monkeypatch):
         return original(path, tau, cs, grid, **kwargs)
 
     propagated = []
-    eigh_batch = kernels.eigh_batch
+    su2_components = kernels.su2_components
 
     def counting(h):
-        if sys._getframe(1).f_code.co_name == "propagate_steps":
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        if "propagate_steps" in names:
             propagated.append(len(h))
-        return eigh_batch(h)
+        return su2_components(h)
 
     monkeypatch.setattr(sc, "_propagate_fixed", counted)
-    monkeypatch.setattr(kernels, "eigh_batch", counting)
+    monkeypatch.setattr(kernels, "su2_components", counting)
     sgrid = np.linspace(0.0, 1.0, 9)
     mats = np.zeros((9, 2, 2, 2))
     mats[:, 0, 0, 0], mats[:, 1, 1, 0] = 1.0, -1.0

@@ -19,6 +19,23 @@ def test_matrix_at_specific_point():
     assert np.allclose(h.eval(np.pi / 2), expected, atol=1e-14)
 
 
+def test_components_match_pauli_sums():
+    # H = -(omega0/2)(sx st cos s + sy st sin s + sz ct), and its derivative
+    for theta, omega0 in [(np.pi / 4, 1.0), (0.3, 2.7), (2.9, 0.05)]:
+        h = spinhalf.hamiltonian(theta, omega0)
+        s = np.linspace(-1.0, 13.0, 1001)
+        st, ct = np.sin(theta), np.cos(theta)
+        col = s[:, None, None]
+        H = -(omega0 / 2.0) * (ak.SIGMA_X * st * np.cos(col)
+                               + ak.SIGMA_Y * st * np.sin(col)
+                               + ak.SIGMA_Z * ct)
+        dH = -(omega0 / 2.0) * st * (-ak.SIGMA_X * np.sin(col)
+                                     + ak.SIGMA_Y * np.cos(col))
+        scale = omega0 / 2.0
+        assert np.max(np.abs(h.eval_batch(s) - H)) <= 1e-15 * scale
+        assert np.max(np.abs(h.derivative_batch(s) - dH)) <= 1e-15 * scale
+
+
 def test_derivative_matches_finite_difference():
     h = spinhalf.hamiltonian(0.9, 1.3)
     step = 1e-4
