@@ -17,10 +17,10 @@ from .exceptions import (AdiakitError, ConfigError, EigenvalueCrossingError,
                          NonHermitianError, NonSmoothUnitaryError,
                          ProjectorDiscontinuityError, ScalingUndefinedError,
                          StepLimitError)
-from .gauge import (EigenFrame, couplings, dynamical_phase, eigenframe,
-                    kato_generator, kato_operator, kernel, kernel_coefficients)
-from .linalg import (HermEig, SIGMA_X, SIGMA_Y, SIGMA_Z, herm_eig,
-                     hermiticity_defect, unitarity_defect, unitary_exp)
+from .gauge import (EigenFrame, couplings, eigenframe, kato_operator,
+                    kernel_coefficients)
+from .linalg import (SIGMA_X, SIGMA_Y, SIGMA_Z, hermiticity_defect,
+                     unitarity_defect)
 from .paths import HamiltonianPath, UnitaryPath, constant_hamiltonian, identity_unitary
 from .propagate import PropagationResult, propagate, propagate_adaptive
 from .transforms import (TransformedHamiltonianPath, dual_of, generator_of,
@@ -30,18 +30,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdiakitError", "Classification", "ConfigError", "EigenFrame",
-    "EigenvalueCrossingError", "HamiltonianPath", "HermEig",
-    "NonHermitianError", "NonSmoothUnitaryError", "PropagationResult",
+    "EigenvalueCrossingError", "HamiltonianPath", "NonHermitianError",
+    "NonSmoothUnitaryError", "PropagationResult",
     "ProjectorDiscontinuityError", "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
     "ScalingUndefinedError", "SlopeFit", "StepLimitError", "Thresholds",
     "TransformedHamiltonianPath", "UnitaryPath", "backend_name", "classify",
-    "constant_hamiltonian", "couplings", "dual_of", "dynamical_phase",
-    "eigenframe", "f_norm", "generator_of", "herm_eig", "hermiticity_defect",
-    "identity_unitary", "intertwining_defect", "intertwining_series",
-    "kato_generator", "kato_operator", "kernel", "kernel_coefficients",
-    "negate", "phase_rate_per_step", "premise_checks", "projector_drift",
-    "projector_drift_series", "propagate", "propagate_adaptive", "qac_max",
-    "resonance_integral", "resonance_max_abs", "resonance_series",
-    "scaling_slope", "transform", "transition_matrix", "unitarity_defect",
-    "unitary_exp", "w_deviation",
+    "constant_hamiltonian", "couplings", "dual_of", "eigenframe", "f_norm",
+    "generator_of", "hermiticity_defect", "identity_unitary",
+    "intertwining_defect", "intertwining_series", "kato_operator",
+    "kernel_coefficients", "negate", "phase_rate_per_step", "premise_checks",
+    "projector_drift", "projector_drift_series", "propagate",
+    "propagate_adaptive", "qac_max", "resonance_integral",
+    "resonance_max_abs", "resonance_series", "scaling_slope", "transform",
+    "transition_matrix", "unitarity_defect", "w_deviation",
 ]

@@ -52,21 +52,18 @@ class SlopeFit:
     residual: float    # rms residual of log values around the fit
 
 
-def qac_max(frame: EigenFrame, C: Optional[np.ndarray] = None,
-            real_time: bool = True) -> float:
-    """Largest quantitative-adiabatic-condition ratio over pairs and grid.
-
-    Real-time convention divides by tau (couplings are d/ds quantities);
-    ``real_time=False`` gives the scaled-time value.
-    """
+def qac_max(frame: EigenFrame, C: Optional[np.ndarray] = None) -> float:
+    """Largest quantitative-adiabatic-condition ratio
+    |<E_m|dE_n/ds>| / (tau |E_n - E_m|) over pairs and grid, in real time:
+    the couplings are d/ds quantities, so the scaled-time ratio is divided
+    by tau."""
     if C is None:
         C = couplings(frame)
     den = frame.values[:, None, :] - frame.values[:, :, None]
     n = frame.dim
     off = ~np.eye(n, dtype=bool)
     ratio = np.abs(C[:, off]) / np.abs(den[:, off])
-    value = float(np.max(ratio))
-    return value / frame.tau if real_time else value
+    return float(np.max(ratio)) / frame.tau
 
 
 def _pair_integrand(frame: EigenFrame, m: int, n: int,

@@ -72,9 +72,6 @@ class EigenFrame:
         v = self.vectors[:, :, level]
         return np.einsum("ki,kj->kij", v, v.conj())
 
-    def initial_vectors(self) -> np.ndarray:
-        return self.vectors[0]
-
     def completeness_defect(self) -> float:
         """max_k || sum_n P_n(s_k) - I ||_F (= frame orthonormality defect)."""
         return unitarity_defect(self.vectors)
@@ -382,36 +379,6 @@ def kato_operator(frame: EigenFrame) -> np.ndarray:
     """Geometric evolution U_A(s_k) = sum_n |E_n(s_k)><E_n(0)|; (N, n, n)."""
     v0 = frame.vectors[0]
     return np.einsum("kij,lj->kil", frame.vectors, v0.conj())
-
-
-def dynamical_phase(frame: EigenFrame) -> np.ndarray:
-    """Phase operator sum_n exp(-i tau int_0^s E_n) P_n(0); (N, n, n)."""
-    phases = np.exp(-1j * frame.phase_integrals())
-    v0 = frame.vectors[0]
-    return np.einsum("ij,kj,lj->kil", v0, phases, v0.conj())
-
-
-def kato_generator(frame: EigenFrame, C: Optional[np.ndarray] = None) -> np.ndarray:
-    """Generator of the geometric evolution, i sum_n Pdot_n P_n; (N, n, n)."""
-    if C is None:
-        C = couplings(frame)
-    n = frame.dim
-    off = C.copy()
-    off[:, np.arange(n), np.arange(n)] = 0.0
-    Vd = dagger(frame.vectors)
-    return 1j * sandwich(Vd, off, Vd)
-
-
-def kernel(frame: EigenFrame, C: Optional[np.ndarray] = None) -> np.ndarray:
-    """Phase-dressed kernel of the Volterra evolution equation; (N, n, n).
-
-    Entry (m, n) in the s=0 eigenbasis is
-    i exp(+i [phi_m - phi_n]) <E_m|dE_n/ds> with phi_j = tau int_0^s E_j;
-    the diagonal vanishes by gauge.
-    """
-    coeff = kernel_coefficients(frame, C)
-    v0 = frame.vectors[0]
-    return np.einsum("im,kmn,jn->kij", v0, coeff, v0.conj())
 
 
 def kernel_coefficients(frame: EigenFrame,

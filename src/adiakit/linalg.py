@@ -1,26 +1,20 @@
-"""Dense complex linear algebra for small Hermitian systems.
+"""Dense complex linear algebra on small matrices and their stacks.
 
 Conventions: hbar = 1, all norms Frobenius. Matrices are plain complex128
-numpy arrays; eigenvectors are returned as columns. Tolerances below are
-defaults and can be overridden per call.
+numpy arrays. Eigensolves and step exponentials live in the kernels
+(``_kernels_py.eigh_batch`` and ``exponential_map``).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import kernels
 from ._kernels_py import hermitize, matmul_2x2  # hermitize: re-exported
 from .exceptions import NonHermitianError
 
-HERMITICITY_RTOL = 1e-12
-UNITARITY_TOL = 1e-10
 _BLOCK = 65536
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 def dagger(M: np.ndarray) -> np.ndarray:
@@ -84,51 +78,3 @@ def unitarity_defect(U: np.ndarray) -> float:
     U = U.reshape((-1, n, n))
     return float(np.max(np.linalg.norm(dagger_dot(U, U) - np.eye(n),
                                        axis=(1, 2))))
-
-
-@dataclass(frozen=True)
-class HermEig:
-    """Eigendecomposition of a Hermitian matrix.
-
-    values are ascending; vectors[:, j] is the eigenvector of values[j].
-    Phases of the vectors are whatever the solver produced; gauge fixing is
-    a separate concern (see adiakit.gauge).
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
-
-
-def _one_hermitian(M, rtol: float, name: str) -> np.ndarray:
-    """``M`` as a one-matrix stack (1, n, n); ValueError unless it is
-    square, NonHermitianError as ``check_hermitian`` gives it."""
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} expects a square matrix")
-    check_hermitian(M, rtol)
-    return M[None]
-
-
-def herm_eig(M: np.ndarray, rtol: float = HERMITICITY_RTOL) -> HermEig:
-    """Eigendecomposition of a Hermitian matrix: one row of the numpy
-    kernel ``eigh_batch``, any dimension.
-
-    Rejects matrices whose Hermiticity defect exceeds ``rtol * ||M||_F``;
-    every kernel then works on the Hermitian part (M + M^dagger) / 2.
-    Deterministic: identical input gives bit-identical output.
-    """
-    w, v = kernels.eigh_batch(_one_hermitian(M, rtol, "herm_eig"))
-    return HermEig(values=w[0], vectors=v[0])
-
-
-def unitary_exp(H: np.ndarray, alpha: float,
-                rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """exp(-i * alpha * H) for Hermitian H; unitary by construction. One row
-    of the integrators' step exponentials (``kernels.exponential_map``):
-    the SU(2) closed form for 2x2, LAPACK eigenpairs otherwise. Rejects H
-    as ``herm_eig`` does."""
-    exps = kernels.exponential_map(_one_hermitian(H, rtol, "unitary_exp"))
-    return exps(np.array([float(alpha)]))[0]

@@ -181,16 +181,6 @@ class UnitaryPath:
             self.dim, lambda sv, tau: dagger(self.eval_batch(sv, tau)),
             name=name or (self.name + "^dagger"))
 
-    def compose(self, other: "UnitaryPath", name: str = "") -> "UnitaryPath":
-        """Pointwise product self(s) @ other(s)."""
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return UnitaryPath(
-            self.dim,
-            lambda sv, tau: np.einsum(
-                "kij,kjl->kil", self.eval_batch(sv, tau), other.eval_batch(sv, tau)),
-            name=name)
-
 
 def constant_hamiltonian(H0: np.ndarray, name: str = "constant") -> HamiltonianPath:
     H0 = np.asarray(H0, dtype=complex)

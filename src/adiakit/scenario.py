@@ -47,7 +47,7 @@ from .propagate import _propagate_fixed, propagate
 from .transforms import dual_of, negate, transform
 
 SCHEMA = "adiakit-scenario/1"
-REPORT_SCHEMA = "adiakit-report/1"
+REPORT_SCHEMA = "adiakit-report/2"
 
 S_WINDOW = 2.0 * np.pi
 PHASE_PER_STEP_TARGET = 0.3
@@ -435,15 +435,13 @@ def _entry_for_tau(bundle: SystemBundle, tau: float, config: dict) -> dict:
     series: Dict[str, np.ndarray] = {"s": frame.grid}
     if "qac_max" in diags:
         entry["qac_max"] = qac_max(frame, C)
-        entry["qac_max_scaled"] = qac_max(frame, C, real_time=False)
     if "resonance_integrals" in diags or "f_norm" in diags:
         K, peaks, fser, fmax = _kernel_summary(frame, C)
     if "resonance_integrals" in diags:
+        # one pair of each mirror: the integral of (n, m) is -conj of (m, n)
         res = {}
         for m in range(frame.dim):
-            for n in range(frame.dim):
-                if m == n:
-                    continue
+            for n in range(m):
                 ser = -1j * K[:, m, n]
                 res[f"{m},{n}"] = {
                     "end_re": float(ser[-1].real),

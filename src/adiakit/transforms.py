@@ -109,11 +109,6 @@ class GeneratorPath(HamiltonianPath):
         U = self.unitary.eval_batch(s_values, tau)
         return (1j / tau) * np.einsum("kij,klj->kil", dU, U.conj())
 
-    def antihermitian_residual(self, s, tau) -> float:
-        """Quality metric: Frobenius norm of the discarded anti-Hermitian part."""
-        raw = self._raw(np.atleast_1d(np.asarray(s, dtype=float)), tau)
-        return float(np.max(np.linalg.norm(raw - hermitize(raw), axis=(1, 2))))
-
     def _eval_many(self, s_values, tau):
         raw = self._raw(s_values, tau)
         herm = hermitize(raw)
@@ -132,9 +127,10 @@ def generator_of(unitary: UnitaryPath, tau: Optional[float] = None,
     """Extract the Hamiltonian generating a unitary path.
 
     The result satisfies i dU/ds = tau * G(s, tau) * U up to finite-difference
-    error; its output is hermitized, and the anti-Hermitian residual is both
-    queryable and enforced against ``residual_threshold``. If ``tau`` is
-    given, the residual is validated right away at a few sample points.
+    error; its output is hermitized, and every evaluation raises
+    NonSmoothUnitaryError where the discarded anti-Hermitian part exceeds
+    ``residual_threshold``. If ``tau`` is given, that check runs right away
+    at a few sample points.
     """
     gen = GeneratorPath(unitary, h=h, s_min=s_min,
                         residual_threshold=residual_threshold)

@@ -275,7 +275,7 @@ def check_classifier_scenarios():
             C = couplings(fr)
             qs.append(qac_max(fr, C))
             _, peaks, _, f_max = _kernel_summary(fr, C)
-            rs.append(max(peaks[1, 0], peaks[0, 1]))
+            rs.append(peaks[1, 0])
             fs.append(f_max)
         try:
             slope = scaling_slope(taus, fs).slope

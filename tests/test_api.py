@@ -1,28 +1,30 @@
-"""The public API is pinned, so that a change to it is deliberate."""
+"""The public API and the report schema are pinned, so that a change to
+either is deliberate."""
 
 import numpy as np
+import scipy.linalg
 
 import adiakit
-from adiakit import models
+from adiakit import models, scenario
+from adiakit._backend import kernels
 
 
 def test_public_api_is_pinned():
     assert sorted(adiakit.__all__) == [
         "AdiakitError", "Classification", "ConfigError", "EigenFrame",
-        "EigenvalueCrossingError", "HamiltonianPath", "HermEig",
-        "NonHermitianError", "NonSmoothUnitaryError", "ProjectorDiscontinuityError",
+        "EigenvalueCrossingError", "HamiltonianPath", "NonHermitianError",
+        "NonSmoothUnitaryError", "ProjectorDiscontinuityError",
         "PropagationResult", "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
         "ScalingUndefinedError", "SlopeFit", "StepLimitError", "Thresholds",
         "TransformedHamiltonianPath", "UnitaryPath", "backend_name", "classify",
-        "constant_hamiltonian", "couplings", "dual_of", "dynamical_phase",
-        "eigenframe", "f_norm", "generator_of", "herm_eig", "hermiticity_defect",
-        "identity_unitary", "intertwining_defect", "intertwining_series",
-        "kato_generator", "kato_operator", "kernel", "kernel_coefficients",
-        "negate", "phase_rate_per_step", "premise_checks", "projector_drift",
-        "projector_drift_series", "propagate", "propagate_adaptive", "qac_max",
-        "resonance_integral", "resonance_max_abs", "resonance_series",
-        "scaling_slope", "transform", "transition_matrix", "unitarity_defect",
-        "unitary_exp", "w_deviation",
+        "constant_hamiltonian", "couplings", "dual_of", "eigenframe", "f_norm",
+        "generator_of", "hermiticity_defect", "identity_unitary",
+        "intertwining_defect", "intertwining_series", "kato_operator",
+        "kernel_coefficients", "negate", "phase_rate_per_step",
+        "premise_checks", "projector_drift", "projector_drift_series",
+        "propagate", "propagate_adaptive", "qac_max", "resonance_integral",
+        "resonance_max_abs", "resonance_series", "scaling_slope", "transform",
+        "transition_matrix", "unitarity_defect", "w_deviation",
     ]
     for name in adiakit.__all__:
         assert hasattr(adiakit, name), name
@@ -30,7 +32,6 @@ def test_public_api_is_pinned():
 
 def test_kernel_entry_points():
     # the names the benchmark harness wraps and records
-    from adiakit._backend import kernels
     assert callable(kernels.eigh_batch) and callable(kernels.propagate_steps)
     assert adiakit.backend_name() == "python"
 
@@ -44,5 +45,43 @@ def test_kernels_take_any_dimension():
     res = adiakit.propagate(path, 1.0, grid)
     assert res.max_unitarity_defect <= 1e-12
     M = path.eval(0.0)
-    e = adiakit.herm_eig(M)
-    assert np.linalg.norm(e.reconstruct() - M) <= 1e-12 * np.linalg.norm(M)
+    W, V = kernels.eigh_batch(M[None])
+    assert np.linalg.norm((V[0] * W[0]) @ V[0].conj().T - M) \
+        <= 1e-12 * np.linalg.norm(M)
+    assert np.linalg.norm(scipy.linalg.expm(-1j * M) - kernels.exponential_map(
+        M[None])(np.ones(1))[0]) <= 1e-12 * np.sqrt(dim)
+
+
+def test_report_schema_is_pinned():
+    # the report is an interface too: its keys change with the schema string
+    path = models.random_smooth_hamiltonian(3, np.random.default_rng(3))
+    s = np.linspace(0.0, 2.0 * np.pi, 33)
+    H = path.eval_batch(s)
+    report, series = scenario.run({
+        "model": "custom_matrix_path", "system": "a",
+        "parameters": {"grid": s.tolist(), "tau": 20.0,
+                       "matrices": np.stack([H.real, H.imag], -1).tolist()},
+        "grid": 256, "auto_refine": False,
+        "diagnostics": list(scenario.ALL_DIAGNOSTICS)})
+    assert scenario.REPORT_SCHEMA == report["schema"] == "adiakit-report/2"
+    assert sorted(report) == [
+        "classification", "classification_inputs", "config", "entries",
+        "provenance", "scaling", "schema"]
+    assert sorted(report["provenance"]) == [
+        "backend", "eigensolver", "integrator", "norm", "package",
+        "phase_per_step_target", "version"]
+    entry, = report["entries"]
+    assert sorted(entry) == [
+        "f_norm_end", "f_norm_max", "frame_construction", "grid_capped",
+        "grid_points", "intertwining_defect", "min_gap",
+        "phase_rate_per_step", "premises", "projector_drift", "qac_max",
+        "resonance_integrals", "tau", "transition_probability_max",
+        "w_deviation", "window_real_time"]
+    # one pair of each mirror, m > n
+    assert set(entry["resonance_integrals"]) == {"1,0", "2,0", "2,1"}
+    assert all(sorted(v) == ["end_abs", "end_im", "end_re", "max_abs"]
+               for v in entry["resonance_integrals"].values())
+    assert list(series[0]) == [
+        "s", "resonance[1,0].re", "resonance[1,0].im", "resonance[2,0].re",
+        "resonance[2,0].im", "resonance[2,1].re", "resonance[2,1].im",
+        "f_norm", "projector_drift", "intertwining"]

@@ -32,8 +32,6 @@ def spin_frame(system="a", theta=THETA, omega=0.01, npts=4097):
 def test_qac_closed_form_and_theta_zero():
     fr = spin_frame("a", omega=0.01)
     assert abs(ak.qac_max(fr) - spinhalf.qac_value(THETA, OMEGA0, 0.01)) <= 1e-12
-    # scaled-time convention differs by the factor tau
-    assert np.isclose(ak.qac_max(fr, real_time=False), ak.qac_max(fr) * fr.tau)
     fr0 = spin_frame("a", theta=0.0)
     assert ak.qac_max(fr0) <= 1e-14
 
@@ -167,6 +165,25 @@ def test_kernel_summary_of_a_discrete_frame_matches_a_16x_grid(dim, seed,
     assert abs(norm_c - norm_f) <= 1e-8 * norm_f
 
 
+@pytest.mark.parametrize("system", ["discrete_4level", "transported_dual"])
+def test_resonance_pairs_are_mirrors(system):
+    # the kernel coefficients are Hermitian at every point (the couplings
+    # are anti-Hermitian), so res_nm = -conj res_mn along s and the running
+    # maxima of the pair agree: the report keeps only the pairs m > n
+    if system == "discrete_4level":
+        path = random_smooth_hamiltonian(4, np.random.default_rng(7),
+                                         base_gap=1.0, wobble=0.3)
+        frame = ak.eigenframe(path, 60.0, np.linspace(0.0, WINDOW, 4097))
+    else:
+        frame = spin_frame("b", npts=2049)
+    assert frame.construction == system.split("_")[0]
+    K, peaks, _, _ = _kernel_summary(frame)
+    res = -1j * K
+    mirror = res + np.conj(np.swapaxes(res, 1, 2))
+    assert np.max(np.abs(mirror)) <= 1e-13 * np.max(np.abs(res))
+    assert np.max(np.abs(peaks - peaks.T)) <= 1e-13 * np.max(peaks)
+
+
 def test_projector_drift_values():
     fr = spin_frame("a", theta=np.pi / 3, omega=0.01, npts=4097)
     ser = ak.projector_drift_series(fr)
@@ -211,9 +228,16 @@ def _intertwining_by_projectors(us, frame):
     return out
 
 
+def _dynamical_phase(frame):
+    """Phase operator sum_n exp(-i tau int_0^s E_n) P_n(0); (N, n, n)."""
+    phases = np.exp(-1j * frame.phase_integrals())
+    v0 = frame.vectors[0]
+    return np.einsum("ij,kj,lj->kil", v0, phases, v0.conj())
+
+
 def _w_deviation_by_operators(us, frame):
     ua = ak.kato_operator(frame)
-    ph = ak.dynamical_phase(frame)
+    ph = _dynamical_phase(frame)
     w = np.einsum("kji,klj,klm->kim", ph.conj(), ua.conj(), us)
     return float(np.max(np.linalg.norm(w - np.eye(frame.dim), axis=(1, 2))))
 

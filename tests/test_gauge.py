@@ -180,57 +180,20 @@ def test_kato_operator_constant_path_is_identity():
     assert np.max(np.abs(ua - np.eye(3))) <= 1e-12
 
 
-def test_dynamical_phase_structure(spin_frame):
-    ph = ak.dynamical_phase(spin_frame)
-    assert np.linalg.norm(ph[0] - np.eye(2)) <= 1e-13
-    gram = np.einsum("kji,kjl->kil", ph.conj(), ph) - np.eye(2)
-    assert np.max(np.linalg.norm(gram, axis=(1, 2))) <= 1e-12
-    # spin-half: constant eigenvalues give exactly linear phases
-    tau = spin_frame.tau
-    v0 = spin_frame.vectors[0]
-    expected = np.einsum("ij,kj,lj->kil", v0, np.exp(
-        -1j * tau * np.stack([-0.5 * GRID, 0.5 * GRID], axis=1)), v0.conj())
-    assert np.max(np.abs(ph - expected)) <= 1e-10
-
-
-def test_kato_generator_matches_couplings(spin_frame):
-    C = ak.couplings(spin_frame)
-    K = ak.kato_generator(spin_frame, C)
-    herm = np.max(np.linalg.norm(K - np.conj(np.swapaxes(K, 1, 2)),
-                                 axis=(1, 2)))
-    assert herm <= 1e-8
-    # matrix elements in the instantaneous basis equal i * couplings
-    for k in (10, 500, 900):
-        V = spin_frame.vectors[k]
-        M = V.conj().T @ K[k] @ V
-        assert abs(M[1, 0] - 1j * C[k, 1, 0]) <= 1e-12
-        assert abs(M[0, 0]) <= 1e-12
-    # norm bound: max coupling * sqrt(pairs)
-    bound = np.max(np.abs(C)) * np.sqrt(2.0) + 1e-12
-    assert np.max(np.linalg.norm(K, axis=(1, 2))) <= bound
-
-
-def test_kato_generator_zero_for_constant_path():
-    H0 = np.diag([0.2, -1.0]).astype(complex)
-    fr = ak.eigenframe(constant_hamiltonian(H0), 3.0, np.linspace(0, 1, 65))
-    assert np.max(np.abs(ak.kato_generator(fr))) <= 1e-12
-
-
 def test_kernel_structure(spin_frame):
     coeff = kernel_coefficients(spin_frame)
     # zero diagonal, modulus sin(theta)/2 on the off-diagonal
     assert np.max(np.abs(coeff[:, 0, 0])) == 0.0
     assert np.allclose(np.abs(coeff[:, 1, 0]), np.sin(THETA) / 2, atol=1e-12)
-    kb = ak.kernel(spin_frame)
-    # operator form is basis-rotated coefficients: norms match
-    assert np.allclose(np.linalg.norm(kb, axis=(1, 2)),
-                       np.linalg.norm(coeff, axis=(1, 2)), atol=1e-12)
+    # Hermitian per point (couplings are anti-Hermitian): the reason the
+    # resonance integral of (n, m) is -conj of that of (m, n)
+    assert np.allclose(coeff[:, 0, 1], np.conj(coeff[:, 1, 0]), atol=1e-12)
 
 
 def test_kernel_vanishes_at_theta_zero():
     h = spinhalf.hamiltonian(0.0, OMEGA0)
     fr = ak.eigenframe(h, 100.0, GRID)
-    assert np.max(np.abs(ak.kernel(fr))) <= 1e-12
+    assert np.max(np.abs(kernel_coefficients(fr))) <= 1e-12
 
 
 def test_dual_kernel_is_non_oscillatory():

@@ -247,12 +247,6 @@ def test_su2_exponentials_at_large_alpha():
     assert_2x2_exponentials(H, alphas)
 
 
-def test_unitary_exp_is_one_row_of_the_step_exponentials():
-    H = random_hermitian_stack(1, 2, seed=46)[0]
-    step = kernels.exponential_map(H[None])(np.array([0.7]))[0]
-    assert np.array_equal(linalg.unitary_exp(H, 0.7), step)
-
-
 def random_complex_stack(n, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     return scale * (rng.standard_normal((n, 2, 2))

@@ -447,7 +447,8 @@ def test_cli_run_writes_files(tmp_path):
     assert report["config"]["parameters"]["tau_list"] == [100.0]
     assert (out / "series_000.csv").exists()
     header = (out / "series_000.csv").read_text().splitlines()[1]
-    assert header.startswith("s,") and "a.resonance[0,1].re" in header
+    assert header.startswith("s,") and "a.resonance[1,0].re" in header
+    assert "a.resonance[0,1].re" not in header   # the mirror of (1, 0)
 
 
 def test_cli_reports_are_deterministic(tmp_path):

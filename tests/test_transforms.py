@@ -4,12 +4,22 @@ import numpy as np
 import pytest
 
 import adiakit as ak
+from adiakit import _kernels_py as kernels
 from adiakit import spinhalf
 from adiakit.exceptions import NonSmoothUnitaryError
+from adiakit.linalg import check_hermitian
 from adiakit.paths import UnitaryPath, identity_unitary
 
 THETA, OMEGA0 = np.pi / 4, 1.0
 TAU = 100.0
+
+
+def eigh_one(H):
+    """(ascending values, eigenvector columns) of one matrix, which must be
+    Hermitian to 1e-12 relative."""
+    check_hermitian(H, 1e-12)
+    W, V = kernels.eigh_batch(H[None])
+    return W[0], V[0]
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +39,7 @@ def test_dual_eigenvalues_negated(spin):
     h, u = spin
     hb = ak.dual_of(h, u)
     for s in [0.3, 1.9, 5.0]:
-        w = ak.herm_eig(hb.eval(s, TAU)).values
+        w, _ = eigh_one(hb.eval(s, TAU))
         assert np.allclose(np.sort(w), [-OMEGA0 / 2, OMEGA0 / 2], atol=1e-12)
 
 
@@ -39,10 +49,10 @@ def test_dual_projector_closed_form(spin):
     omega = 1.0 / TAU
     for s in [0.0, 0.8, 3.3]:
         H = hb.eval(s, TAU)
-        e = ak.herm_eig(H)
+        w, v = eigh_one(H)
         # level with eigenvalue -omega0/2 descends from the base upper level
-        j = int(np.argmin(e.values))
-        P = np.outer(e.vectors[:, j], e.vectors[:, j].conj())
+        j = int(np.argmin(w))
+        P = np.outer(v[:, j], v[:, j].conj())
         ref = spinhalf.dual_projector_offdiag(THETA, OMEGA0, omega, s)
         assert abs(P[0, 1] - ref) <= 1e-12
 
@@ -64,15 +74,15 @@ def test_negate_involution_and_projectors(spin):
     for s in np.linspace(0, 2 * np.pi, 20):
         assert np.allclose(hbb.eval(s, TAU), hb.eval(s, TAU), atol=1e-14)
         assert np.allclose(hc.eval(s, TAU), -hb.eval(s, TAU), atol=1e-14)
-        eb = ak.herm_eig(hb.eval(s, TAU))
-        ec = ak.herm_eig(hc.eval(s, TAU))
+        wb, vb = eigh_one(hb.eval(s, TAU))
+        wc, vc = eigh_one(hc.eval(s, TAU))
         # same eigenprojectors, flipped eigenvalues
         for jb in range(2):
-            pb = np.outer(eb.vectors[:, jb], eb.vectors[:, jb].conj())
+            pb = np.outer(vb[:, jb], vb[:, jb].conj())
             jc = 1 - jb
-            pc = np.outer(ec.vectors[:, jc], ec.vectors[:, jc].conj())
+            pc = np.outer(vc[:, jc], vc[:, jc].conj())
             assert np.linalg.norm(pb - pc) <= 1e-11
-        assert np.allclose(np.sort(ec.values), np.sort(-eb.values), atol=1e-13)
+        assert np.allclose(np.sort(wc), np.sort(-wb), atol=1e-13)
 
 
 def test_negate_plain_path_keeps_derivative():
@@ -111,8 +121,8 @@ def test_transform_preserves_spectrum_up_to_sign(spin):
     for sign in (+1, -1):
         hx = ak.transform(h, u, sign)
         for s in [0.9, 3.1]:
-            wx = ak.herm_eig(hx.eval(s, TAU)).values
-            wb = ak.herm_eig(h.eval(s, TAU)).values
+            wx, _ = eigh_one(hx.eval(s, TAU))
+            wb, _ = eigh_one(h.eval(s, TAU))
             assert np.allclose(np.sort(wx), np.sort(sign * wb), atol=1e-10)
 
 
@@ -165,9 +175,3 @@ def test_generator_of_flags_non_smooth_paths():
     gen = ak.generator_of(UnitaryPath(2, _u), residual_threshold=1e-6)
     with pytest.raises(NonSmoothUnitaryError):
         gen.eval(1.0, 3.0)
-
-
-def test_generator_residual_metric_small_for_smooth(spin):
-    _, u = spin
-    gen = ak.generator_of(u, h=1e-5)
-    assert gen.antihermitian_residual([0.5, 2.0], 10.0) <= 1e-6
