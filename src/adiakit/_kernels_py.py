@@ -3,13 +3,12 @@
 Two batched entry points, ``eigh_batch`` and ``propagate_steps``, plus the
 helpers they share with the rest of the package: ``hermitize`` (re-exported
 by ``adiakit.linalg``), the step exponentials (``exponential_map``), the 2x2
-product ``matmul_2x2`` and the blocked prefix product ``chain_steps``.
-``propagate_steps`` takes a list of coefficients: one factorization of the
-midpoint stack serves the step exponentials of every coefficient.
-It multiplies the steps between two records together first, batched
+product ``matmul_2x2``, the blocked prefix product ``chain_steps`` and
+``chain_records``, which every fixed-grid integrator runs on its step
+stack: it multiplies the steps between two records together first, batched
 across the recorded intervals, and runs the prefix product over those
-interval products only, so a fixed-grid run with r substeps per interval
-chains m / r matrices rather than m.
+interval products only, so a run with r steps per recorded interval chains
+m / r matrices rather than m.
 
 The route depends on the matrix dimension only. 2x2 stacks, every
 spin-half frame and step, take closed forms built from the components
@@ -191,7 +190,7 @@ def chain_steps(steps, u0):
     sequential pass carries the block totals, and a second batched pass
     applies the carries; the remainder of fewer than b steps is chained
     sequentially. Every temporary holds at most one matrix per block.
-    ``propagate_steps`` runs it over the products of its recorded intervals,
+    ``chain_records`` runs it over the products of its recorded intervals,
     ``propagate_adaptive`` over its accepted step pairs.
     """
     m = steps.shape[0]
@@ -210,51 +209,45 @@ def chain_steps(steps, u0):
         steps[k] = steps[k] @ steps[k - 1]
 
 
-def _fold_groups(groups):
-    """groups[:, -1] <- groups[:, -1] ... groups[:, 0] in place, batched
-    across the first axis of a (k, r, n, n) stack."""
-    for j in range(1, groups.shape[1]):
-        _matmul_stack(groups[:, j], groups[:, j - 1], groups[:, j])
+def chain_records(steps, u0, record_every, out=None):
+    """Records of the chain U <- steps[k] U from ``u0``, taken after every
+    ``record_every`` steps (the step count must be divisible by it); returns
+    them as a (m / record_every, n, n) stack, ``out`` when it is given.
 
-
-def propagate_steps(Hmid, coefs, ds, U0s, record_every, out=None):
-    """Chain midpoint exponentials U <- exp(-i c ds_k H_k) U from U0s[j],
-    for every coefficient c = coefs[j], recording U after every
-    ``record_every`` steps (the step count must be divisible by it).
-
-    One factorization of the step stack (``exponential_map``) serves every
-    coefficient. The steps of each recorded interval are multiplied together
-    first, batched across intervals and in place in the step buffer; the
-    prefix product ``chain_steps`` then runs over the interval products only,
-    in the record buffer. Returns one (records, final) pair per coefficient,
-    final being records[-1]. The records of coefficient j are written into
-    ``out[j]`` when it is given (C-contiguous, (steps / record_every, n, n)),
-    and into fresh arrays otherwise.
+    The steps of each recorded interval are multiplied together first,
+    batched across intervals and in place in ``steps``; the prefix product
+    ``chain_steps`` then runs over the interval products only, in the record
+    buffer.
     """
-    h = np.asarray(Hmid, dtype=np.complex128)
-    _check_square(h, "step matrices")
-    d = np.asarray(ds, dtype=np.float64)
-    m, n = h.shape[0], h.shape[1]
-    if d.shape != (m,):
-        raise ValueError("ds length must match step count")
+    m, n = steps.shape[0], steps.shape[-1]
     if record_every <= 0 or m % record_every != 0:
         raise ValueError("record_every must divide the step count")
-    us = [np.array(u0, dtype=np.complex128) for u0 in U0s]
-    if len(us) != len(coefs):
-        raise ValueError("one initial state per coefficient is needed")
-    if any(u.shape != (n, n) for u in us):
-        raise ValueError("U0 dimension mismatch")
-    nrec = m // record_every
     if out is None:
-        out = [np.empty((nrec, n, n), dtype=np.complex128) for _ in coefs]
+        out = np.empty((m // record_every, n, n), dtype=np.complex128)
     if m == 0:
-        return [(rec, u) for rec, u in zip(out, us)]
-    exps = exponential_map(h)
+        return out
+    groups = steps.reshape(m // record_every, record_every, n, n)
+    for j in range(1, record_every):
+        _matmul_stack(groups[:, j], groups[:, j - 1], groups[:, j])
+    out[...] = groups[:, -1]
+    chain_steps(out, u0)
+    return out
+
+
+def propagate_steps(Hmid, alphas, U0, record_every, out=None):
+    """Chain midpoint exponentials U <- exp(-i alphas_k H_k) U from U0 and
+    record U after every ``record_every`` steps (see ``chain_records``);
+    returns the (steps / record_every, n, n) records, written into ``out``
+    (C-contiguous) when it is given."""
+    h = np.asarray(Hmid, dtype=np.complex128)
+    _check_square(h, "step matrices")
+    a = np.asarray(alphas, dtype=np.float64)
+    m, n = h.shape[0], h.shape[1]
+    if a.shape != (m,):
+        raise ValueError("alphas length must match step count")
+    u0 = np.array(U0, dtype=np.complex128)
+    if u0.shape != (n, n):
+        raise ValueError("U0 dimension mismatch")
+    steps = exponential_map(h)(a)
     del h  # a converted copy of the stack is freed before the step products
-    for coef, u, rec in zip(coefs, us, out):
-        groups = exps(coef * d).reshape(nrec, record_every, n, n)
-        _fold_groups(groups)
-        rec[...] = groups[:, -1]
-        del groups  # the step buffer is freed before the next one is made
-        chain_steps(rec, u)
-    return [(rec, rec[-1]) for rec in out]
+    return chain_records(steps, u0, record_every, out)

@@ -193,12 +193,19 @@ def _track_levels(W, V, grid, overlap_floor):
     return W, V, _neighbor_overlaps(V)
 
 
-def _discrete_frame(path, tau, grid, initial_vectors, gap_floor,
-                    overlap_floor):
+def _path_eigenpairs(path, tau, grid):
+    """Eigenpairs (W, V) of the Hermiticity-checked path on the grid, in
+    the eigensolver's order and gauge."""
     H = path.eval_batch(grid, tau)
     check_hermitian(H, HERMITICITY_FRAME_RTOL)
-    W, V = kernels.eigh_batch(H)
-    del H  # the (N, n, n) stack is not needed past the eigensolve
+    return kernels.eigh_batch(H)
+
+
+def _discrete_frame(path, tau, grid, initial_vectors, gap_floor,
+                    overlap_floor, eigenpairs=None):
+    """The discrete frame; ``eigenpairs`` (W, V) on the grid, when given,
+    stand in for the eigensolve."""
+    W, V = eigenpairs or _path_eigenpairs(path, tau, grid)
     W, V, ov = _track_levels(W, V, grid, overlap_floor)
 
     gap, kmin = _min_pairwise_gap(W)

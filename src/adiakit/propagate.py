@@ -1,17 +1,29 @@
 """Numerical solution of the scaled-time Schrodinger equation.
 
-Two integrators, both unitary by construction and well behaved on the highly
-oscillatory problems that arise at large tau:
+Three integrators, all unitary by construction and well behaved on the
+highly oscillatory problems that arise at large tau:
 
 * ``propagate`` (fixed grid) uses the midpoint exponential (second-order
   Magnus) rule
 
       U(s + ds) = exp(-i tau ds H(s + ds/2, tau)) U(s),
 
-  one exponential per step. The scenario runner records U at every grid
-  point of a frame with two steps per interval, where a fourth-order step
-  would double the factorizations per point, so that route stays
-  midpoint.
+  one exponential per step. The kernel multiplies the substeps of each grid
+  interval together, then chains only the interval products and writes them
+  straight into the result.
+* ``propagate_eigenbasis`` (fixed grid, in the adiabatic basis) takes the
+  eigenpairs (E_j, V_j) of H at the points t_j of a fine grid and returns
+  Q(t_j) = V_j^dagger U(t_j) V_0 on every r-th point. Its step is the
+  exponential midpoint rule on the grid staggered by half a step (Strang),
+  whose exponentials are diagonal in the eigenbasis:
+
+      Q_{j+1} = D_{j+1} (V_{j+1}^dagger V_j) D_j Q_j,
+      D_j = diag(exp(-i c h_j E_j / 2)),
+
+  second order like the midpoint rule. Nothing is factorized per
+  coefficient c, so one set of eigenpairs and overlaps serves every c; the
+  scenario runner propagates a tau-independent custom path at tau and
+  2 tau this way (after Jahnke & Lubich, Numer. Math. 94 (2003) 289-314).
 * ``propagate_adaptive`` uses the fourth-order commutator-free Magnus rule
   CF4 (Blanes & Moan, Appl. Numer. Math. 56 (2006)): with the Gauss nodes
   c_1,2 = 1/2 -+ sqrt(3)/6, H_j = H(s + c_j ds) and b_1,2 = 1/4 +- sqrt(3)/6,
@@ -27,14 +39,7 @@ Every step exponential is formed in the numpy kernels
 (``_kernels_py.exponential_map``): for 2x2 steps (every spin-half system)
 in the closed SU(2) form cos(alpha r) I - i sin(alpha r)/r (H - m I), times
 e^{-i alpha m}, from the components of each step matrix, with no
-eigensolve; for larger ones from LAPACK eigenpairs. On a fixed grid one
-factorization per midpoint serves every coefficient: ``_propagate_fixed``
-solves i dU/ds = c H(s) U for several c on one grid from the same
-components or eigenpairs, which the scenario runner uses to
-propagate a tau-independent base at tau and 2 tau of every tau sharing
-that grid. ``propagate`` is its one-coefficient case, c = tau. The
-kernel multiplies the substeps of each grid interval together, then chains
-only the interval products and writes them straight into the result.
+eigensolve; for larger ones from LAPACK eigenpairs.
 """
 
 from dataclasses import dataclass
@@ -42,13 +47,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._backend import kernels
-from ._kernels_py import chain_steps
+from ._kernels_py import _matmul_stack, chain_records, chain_steps
 from .exceptions import StepLimitError
 from .linalg import check_hermitian, unitarity_defect
 from .paths import HamiltonianPath, check_grid, grid_index
 
 STEP_CAP = 10**7
 _CHUNK_TARGET = 65536
+_EIGENBASIS_CHUNK = 4096
 _HERM_RTOL = 1e-10
 _NOISE_FLOOR = 64.0 * np.finfo(float).eps
 # step-doubling controller: steps compared per batch of CF4 steps, the
@@ -90,17 +96,6 @@ def propagate(path: HamiltonianPath, tau: float, grid,
     Each grid interval is subdivided into ``substeps`` midpoint-exponential
     micro-steps. Global error is O(ds^2) in the micro-step size.
     """
-    return _propagate_fixed(path, tau, [tau], grid, substeps, step_cap)[0]
-
-
-def _propagate_fixed(path: HamiltonianPath, eval_tau: float, coefs, grid,
-                     substeps: int = 1, step_cap: int = STEP_CAP):
-    """``propagate`` for several coefficients at once: one PropagationResult
-    per c in ``coefs``, the solution of i dU/ds = c H(s, eval_tau) U.
-
-    H is evaluated, checked and factorized once per micro-step midpoint;
-    every coefficient exponentiates the same factorization.
-    """
     grid = check_grid(grid, min_points=2)
     substeps = int(substeps)
     if substeps < 1:
@@ -112,38 +107,57 @@ def _propagate_fixed(path: HamiltonianPath, eval_tau: float, coefs, grid,
                              f"{total} steps requested, cap is {step_cap}")
 
     n = path.dim
-    coefs = [float(c) for c in coefs]
-    unitaries = [np.empty((len(grid), n, n), dtype=complex) for _ in coefs]
-    for u in unitaries:
-        u[0] = np.eye(n)
-    ucur = [u[0] for u in unitaries]
+    tau = float(tau)
+    unitaries = np.empty((len(grid), n, n), dtype=complex)
+    unitaries[0] = np.eye(n)
 
     # chunk whole grid intervals so records line up with grid points
     per_chunk = max(1, _CHUNK_TARGET // substeps)
-    pos = 0
-    while pos < nint:
+    for pos in range(0, nint, per_chunk):
         hi = min(pos + per_chunk, nint)
         lefts = grid[pos:hi]
-        rights = grid[pos + 1:hi + 1]
-        dsub = (rights - lefts) / substeps
+        dsub = (grid[pos + 1:hi + 1] - lefts) / substeps
         # midpoints of all micro-steps in the chunk, interval-major order
         offsets = (np.arange(substeps) + 0.5)[None, :] * dsub[:, None]
         mids = (lefts[:, None] + offsets).ravel()
-        ds = np.repeat(dsub, substeps)
-        H = path.eval_batch(mids, eval_tau)
+        H = path.eval_batch(mids, tau)
         check_hermitian(H, _HERM_RTOL)
         # kernels symmetrize their working copies; no pre-hermitization
-        # needed. The records go straight into the result arrays.
-        chains = kernels.propagate_steps(
-            H, coefs, ds, ucur, substeps,
-            out=[u[pos + 1:hi + 1] for u in unitaries])
-        ucur = [final for _, final in chains]
-        pos = hi
+        # needed. The records go straight into the result array.
+        kernels.propagate_steps(H, tau * np.repeat(dsub, substeps),
+                                unitaries[pos], substeps,
+                                out=unitaries[pos + 1:hi + 1])
 
-    return [PropagationResult(grid=grid, unitaries=u,
-                              max_unitarity_defect=unitarity_defect(u),
-                              steps_taken=total, tau=c)
-            for c, u in zip(coefs, unitaries)]
+    return PropagationResult(grid=grid, unitaries=unitaries,
+                             max_unitarity_defect=unitarity_defect(unitaries),
+                             steps_taken=total, tau=tau)
+
+
+def propagate_eigenbasis(values: np.ndarray, overlaps: np.ndarray,
+                         grid: np.ndarray, coef: float,
+                         record_every: int) -> np.ndarray:
+    """Q(t_k) = V(t_k)^dagger U(t_k) V(t_0) for i dU/ds = coef H U on every
+    ``record_every``-th point t_k of ``grid`` (see the module docstring);
+    (len(grid) - 1) / record_every + 1 matrices, the first the identity.
+
+    ``values`` (J + 1, n) are the eigenvalues of H at the grid points, with
+    eigenvector columns V_j in any gauge and order, and ``overlaps``
+    (J, n, n) are V_{j+1}^dagger V_j. Global error is O(h^2).
+    """
+    m, n = overlaps.shape[0], overlaps.shape[-1]
+    half = -0.5j * float(coef) * np.diff(grid)
+    out = np.empty((m // record_every + 1, n, n), dtype=complex)
+    out[0] = np.eye(n)
+    # chunk whole recorded intervals; the step buffer is (chunk, n, n)
+    per_chunk = max(1, _EIGENBASIS_CHUNK // record_every) * record_every
+    for lo in range(0, m, per_chunk):
+        hi = min(lo + per_chunk, m)
+        h = half[lo:hi, None]
+        steps = overlaps[lo:hi] * np.exp(h * values[lo + 1:hi + 1])[:, :, None]
+        steps *= np.exp(h * values[lo:hi])[:, None, :]
+        k, kend = lo // record_every, hi // record_every
+        chain_records(steps, out[k], record_every, out=out[k + 1:kend + 1])
+    return out
 
 
 def _cf4_steps(path: HamiltonianPath, tau: float, lefts: np.ndarray,
@@ -159,7 +173,8 @@ def _cf4_steps(path: HamiltonianPath, tau: float, lefts: np.ndarray,
     combos = np.einsum("ij,kjab->kiab", _CF4_MIX, H.reshape(m, 2, n, n))
     exps = kernels.exponential_map(combos.reshape(2 * m, n, n))(
         np.repeat(float(tau) * dts, 2)).reshape(m, 2, n, n)
-    return exps[:, 1] @ exps[:, 0]
+    _matmul_stack(exps[:, 1], exps[:, 0], exps[:, 1])
+    return exps[:, 1]
 
 
 def propagate_adaptive(path: HamiltonianPath, tau: float, s_end: float,
@@ -212,7 +227,8 @@ def propagate_adaptive(path: HamiltonianPath, tau: float, s_end: float,
                                 s + np.arange(2 * m) * (0.5 * heff)])
         dts = np.repeat([heff, 0.5 * heff], [m, 2 * m])
         steps = _cf4_steps(path, tau, lefts, dts)
-        step_h = steps[m + 1::2] @ steps[m::2]
+        step_h = np.empty((m, n, n), dtype=complex)
+        _matmul_stack(steps[m + 1::2], steps[m::2], step_h)
         local = np.linalg.norm(steps[:m] - step_h, axis=(1, 2))
         target = max(tol * heff, _NOISE_FLOOR)
         ok = local <= target

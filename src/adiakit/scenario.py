@@ -16,8 +16,20 @@ with f_n the rate the transport folds into its vectors (see
 configured density at every tau. A discrete frame refines on twice the
 dynamical phase, tau * gap. Refinement stops at GRID_CAP intervals, and the
 entry's ``grid_capped`` says when that left the target unmet.
+
+Numeric route: the duals of a custom path (systems b and c) have no closed
+form, and a custom path ignores tau. Each grid eigensolves the base once on
+the grid refined 2 * ``substeps`` times, for every tau on that grid; the
+frame grid's points are among the refined ones, so the base's discrete
+frame needs no eigensolve of its own. Each tau then chains
+Q_c = V^dagger U_c V(0) in the base's eigenbasis (``propagate_eigenbasis``)
+at c = tau, and at 2 tau for the negated dual, and reads every entry value
+from Q and the base frame: the dual's transported frame, its projector
+drift and its transition matrix (``_DualEvolution``). The grids are those of
+a discrete frame (2 tau * gap), which the chain's steps need.
 """
 
+import csv
 import dataclasses
 import json
 import math
@@ -32,18 +44,20 @@ from . import __version__ as _version
 from ._backend import backend_name, kernels
 from . import spinhalf
 from .diagnostics import (Thresholds, _intertwining_of, _kernel_summary,
-                          _phase_spread,
+                          _off_diagonal_populations, _phase_spread,
                           _transition_probability_max, _w_deviation_of,
                           classify, phase_rate_per_step, premise_checks,
                           projector_drift_series, qac_max, scaling_slope,
                           transition_matrix)
 from .exceptions import ConfigError, ScalingUndefinedError
-from .gauge import _generator_rates, _uses_transport, couplings, eigenframe
-from .linalg import dagger, hermiticity_defect
+from .gauge import (GAP_FLOOR, OVERLAP_FLOOR, EigenFrame, _discrete_frame,
+                    _generator_rates, _path_eigenpairs, _uses_transport,
+                    couplings, eigenframe)
+from .linalg import dagger, dagger_dot, hermiticity_defect, unitarity_defect
 from .models import driven_two_level
 from .paths import (HamiltonianPath, UnitaryPath, constant_hamiltonian,
                     identity_unitary)
-from .propagate import _propagate_fixed, propagate
+from .propagate import propagate, propagate_eigenbasis
 from .transforms import dual_of, negate, transform
 
 SCHEMA = "adiakit-scenario/1"
@@ -53,6 +67,9 @@ S_WINDOW = 2.0 * np.pi
 PHASE_PER_STEP_TARGET = 0.3
 GRID_CAP = 2**21
 SERIES_MAX_ROWS = 4096
+# the base eigenvectors are orthonormal to rounding, and so their overlaps
+# are unitary; a larger defect means the eigensolver failed
+OVERLAP_UNITARITY_TOL = 1e-9
 
 ALL_DIAGNOSTICS = ("qac_max", "resonance_integrals", "f_norm",
                    "projector_drift", "intertwining_defect", "w_deviation",
@@ -211,26 +228,116 @@ def custom_matrix_path(sgrid, matrices) -> HamiltonianPath:
                            name="custom_matrix_path")
 
 
-class _RecordedUnitary(UnitaryPath):
-    """UnitaryPath view of a PropagationResult (exact grid-point lookups)."""
+def _grid_indices(grid: np.ndarray, s_values: np.ndarray) -> np.ndarray:
+    """Indices of the grid points at ``s_values``; ValueError unless each
+    lies within 1e-9 of one."""
+    idx = np.clip(np.searchsorted(grid, s_values), 1, len(grid) - 1)
+    idx -= np.abs(grid[idx - 1] - s_values) < np.abs(grid[idx] - s_values)
+    if np.max(np.abs(grid[idx] - s_values)) > 1e-9:
+        raise ValueError("requested s values are not frame grid points")
+    return idx
 
-    def __init__(self, result):
-        self._result = result
-        super().__init__(result.dim, self._eval_many,
-                         name="numeric_propagator")
 
-    def _indices(self, s_values):
-        idx = np.searchsorted(self._result.grid, s_values)
-        idx = np.clip(idx, 0, len(self._result.grid) - 1)
-        left = np.clip(idx - 1, 0, None)
-        pick = np.where(np.abs(self._result.grid[left] - s_values)
-                        < np.abs(self._result.grid[idx] - s_values), left, idx)
-        if np.max(np.abs(self._result.grid[pick] - s_values)) > 1e-9:
-            raise ValueError("requested s values are not propagation grid points")
-        return pick
+class _EigenbasisGrid:
+    """The numeric route's data on one frame grid, shared by every tau the
+    grid serves (a custom path ignores tau): the base's eigenvalues on the
+    grid refined ``refine`` times, the overlaps V_{j+1}^dagger V_j of
+    neighbouring refined points, and the base's discrete frame, its hf
+    couplings and int_0^s E on the frame grid, whose points are every
+    ``refine``-th refined point."""
 
-    def _eval_many(self, s_values, tau):
-        return self._result.unitaries[self._indices(s_values)]
+    def __init__(self, base: HamiltonianPath, grid: np.ndarray, refine: int):
+        steps = np.arange(refine) / refine
+        fine = np.append((grid[:-1, None]
+                          + np.diff(grid)[:, None] * steps).ravel(), grid[-1])
+        W, V = _path_eigenpairs(base, 1.0, fine)
+        self.frame = _discrete_frame(
+            base, 1.0, grid, None, GAP_FLOOR, OVERLAP_FLOOR,
+            eigenpairs=(W[::refine].copy(), V[::refine].copy()))
+        # the chain works in any gauge and level order per point; this one
+        # makes Q come out in the frame's on the frame grid
+        W[::refine], V[::refine] = self.frame.values, self.frame.vectors
+        self.values, self.grid, self.refine = W, fine, refine
+        self.overlaps = dagger_dot(V[1:], V[:-1])
+        del V
+        defect = unitarity_defect(self.overlaps)
+        if defect > OVERLAP_UNITARITY_TOL:
+            raise ValueError(f"eigenvector overlaps are not unitary (defect "
+                             f"{defect:.2e} > {OVERLAP_UNITARITY_TOL:.0e})")
+        self.couplings = couplings(self.frame)
+        self.phase = self.frame.phase_integrals()   # tau = 1
+
+    def transition(self, coef: float) -> np.ndarray:
+        """Q_c(s) = V(s)^dagger U_c(s) V(0) on the frame grid, U_c the base
+        propagator at coefficient c and V the frame's vectors."""
+        return propagate_eigenbasis(self.values, self.overlaps, self.grid,
+                                    coef, self.refine)
+
+
+class _DualEvolution:
+    """A custom path's dual (sign -1, system b) or negated dual (sign +1,
+    system c) at one tau, from the base frame and Q_tau, without lab-frame
+    propagators: the transported frame's vectors are U^dagger V e^{-i phi}
+    = V(0) Q_tau^dagger e^{-i phi}, with phi = tau int_0^s E, its values
+    sign E and its couplings the base's times e^{i(phi_m - phi_n)}."""
+
+    def __init__(self, data: _EigenbasisGrid, sign: int, tau: float):
+        self.data, self.sign, self.tau = data, sign, float(tau)
+        fr = data.frame
+        self.q = data.transition(tau)
+        self.e = np.exp(1j * tau * data.phase)
+        vectors = fr.vectors[0] @ dagger(self.q)
+        vectors *= self.e.conj()[:, None, :]
+        self.frame = EigenFrame(grid=fr.grid, tau=self.tau,
+                                values=sign * fr.values, vectors=vectors,
+                                min_gap=fr.min_gap,
+                                construction="transported",
+                                generator_rates=fr.values)
+        self.couplings = data.couplings * self.e[:, :, None]
+        self.couplings *= self.e.conj()[:, None, :]
+
+    def path(self, base: HamiltonianPath) -> HamiltonianPath:
+        """The dual path sign U_tau^dagger H U_tau, whose unitary
+        U_tau = V Q_tau V(0)^dagger is known at frame grid points only."""
+        fr, q = self.data.frame, self.q
+
+        def base_propagator(s_values, tau):
+            idx = _grid_indices(fr.grid, s_values)
+            return fr.vectors[idx] @ q[idx] @ dagger(fr.vectors[0])
+
+        dual = dual_of(base, UnitaryPath(base.dim, base_propagator,
+                                         generator=base,
+                                         name="eigenbasis_propagator"))
+        return dual if self.sign < 0 else negate(dual)
+
+    def projector_drift_series(self) -> np.ndarray:
+        """max_n ||P_n(s) - P_n(0)||_F = max_n sqrt(2 sum_{m != n}
+        |Q_tau,mn|^2): the frame's vectors at s and 0 overlap by
+        e^{i phi_n} Q_tau,nn, and the columns of Q_tau are unit vectors."""
+        leak = _off_diagonal_populations(self.q).sum(axis=1)
+        return np.sqrt(2.0 * leak.max(axis=1))
+
+    def _system_transition(self) -> np.ndarray:
+        """V(s)^dagger U_sys(s) V(0): V(s)^dagger V(0) for the dual
+        (U_sys = U_tau^dagger), Q_2tau for the negated dual
+        (U_sys = U_tau^dagger U_2tau)."""
+        if self.sign < 0:
+            v = self.data.frame.vectors
+            return dagger_dot(v, np.broadcast_to(v[0], v.shape))
+        return self.data.transition(2.0 * self.tau)
+
+    def transition_matrix(self) -> np.ndarray:
+        """M = e^{i phi} V(s)^dagger U_sys(s) V(0), which is
+        ``diagnostics.transition_matrix`` on this frame."""
+        return self.e[:, :, None] * self._system_transition()
+
+    def unitaries(self, grid) -> np.ndarray:
+        """U_sys = V(0) Q_tau^dagger V(s)^dagger U_sys V(0) V(0)^dagger at
+        frame grid points."""
+        idx = _grid_indices(self.data.frame.grid, np.asarray(grid, float))
+        v0 = self.data.frame.vectors[0]
+        return v0 @ dagger(self.q[idx]) @ self._system_transition()[idx] \
+            @ dagger(v0)
 
 
 class SystemBundle:
@@ -242,12 +349,12 @@ class SystemBundle:
         p = config["parameters"]
         self.s_range = (0.0, S_WINDOW)   # the s interval every grid spans
         self.initial_vectors = None
-        self.transport = "auto"
         # tau -> (grid intervals, whether GRID_CAP stopped the refinement)
         self._intervals: Dict[float, tuple] = {}
-        self._numeric_cache: Dict[tuple, object] = {}
         self._lock = threading.Lock()
-        self._grid_locks: Dict[int, threading.Lock] = {}
+        # grid intervals -> the numeric route's _EigenbasisGrid
+        self._eigenbasis: Dict[int, _EigenbasisGrid] = {}
+        self._eigenbasis_lock = threading.Lock()
 
         if model == "spin_half":
             theta, omega0 = float(p["theta"]), float(p["omega0"])
@@ -289,11 +396,8 @@ class SystemBundle:
             self._u_closed = None
             self.closed_form = False
             system = config["system"]
-            if system == "a":
-                self.path = base
-            else:
-                self.path = None   # built per tau from the numeric propagator
-                self.transport = "discrete"
+            # the duals are built per tau by ``evolution``
+            self.path = base if system == "a" else None
 
     @staticmethod
     def _build_ux(tr: dict, base, u_base) -> UnitaryPath:
@@ -315,40 +419,19 @@ class SystemBundle:
 
         return UnitaryPath(2, _u_batch, generator=gen, name="rotating_z")
 
-    def path_for(self, tau: float) -> HamiltonianPath:
-        if self.path is not None:
-            return self.path
-        u = _RecordedUnitary(self._propagate_base(tau))
-        system = self.config["system"]
-        dual = dual_of(self.base, u)
-        return dual if system == "b" else negate(dual)
-
-    def _propagate_base(self, tau, doubled: bool = False):
-        key = (float(tau), doubled)
+    def evolution(self, tau: float) -> _DualEvolution:
+        """A custom path's dual at tau (systems b and c). The refined
+        eigenpairs and overlaps of its grid are made once, under one lock,
+        for every tau on that grid."""
         nint = self._intervals_for(tau)
-        with self._lock:
-            grid_lock = self._grid_locks.setdefault(nint, threading.Lock())
-        with grid_lock:   # one fill per grid, whichever worker comes first
-            if key not in self._numeric_cache:
-                self._fill_numeric_cache(tau, nint)
-        return self._numeric_cache[key]
-
-    def _fill_numeric_cache(self, tau, nint):
-        """Propagate the base at tau (and at 2 tau for the negated dual) for
-        every configured tau whose grid has ``nint`` intervals, in one run
-        over that grid, with two midpoint steps per substep and interval.
-
-        This is exact because custom_matrix_path ignores tau: the run at
-        coefficient c solves i dU/ds = c H(s) U for any evaluation tau, so
-        all coefficients share one factorization per midpoint."""
-        doubled = (False, True) if self.config["system"] == "c" else (False,)
-        taus = {float(tau), *map(float, self.config["parameters"]["tau_list"])}
-        keys = [(t, d) for t in sorted(taus) if self._intervals_for(t) == nint
-                for d in doubled]
-        coefs = [(2.0 if d else 1.0) * t for t, d in keys]
-        results = _propagate_fixed(self.base, tau, coefs, self.grid_for(tau),
-                                   substeps=2 * int(self.config["substeps"]))
-        self._numeric_cache.update(zip(keys, results))
+        with self._eigenbasis_lock:
+            if nint not in self._eigenbasis:
+                self._eigenbasis[nint] = _EigenbasisGrid(
+                    self.base, self.grid_for(tau),
+                    2 * int(self.config["substeps"]))
+            data = self._eigenbasis[nint]
+        sign = -1 if self.config["system"] == "b" else 1
+        return _DualEvolution(data, sign, tau)
 
     def _grid_policy(self, tau: float) -> tuple:
         """(grid intervals, grid_capped) for tau, worked out once per tau."""
@@ -384,7 +467,7 @@ class SystemBundle:
         the vectors' own rotation, which the eigenvalues do not show, and
         the factor 2 keeps that rotation resolved."""
         probe = np.linspace(*self.s_range, 33)
-        if _uses_transport(self.path, self.transport):
+        if _uses_transport(self.path, "auto"):
             w, v = kernels.eigh_batch(self.path.base.eval_batch(probe, tau))
             f = _generator_rates(self.path, tau, probe, w, v)
             return tau * _phase_spread(self.path.sign * w, f)
@@ -399,30 +482,24 @@ class SystemBundle:
         """Evolution operators of the configured system on the grid."""
         if self.closed_form and self._u_closed is not None:
             return self._u_closed.eval_batch(grid, tau)
-        system = self.config["system"]
-        if self.path is None and system in ("b", "c"):
-            # dual systems evolve by exact algebra on the base propagator:
-            # U_dual = U_base^dagger, and the negated dual by
-            # U_base^dagger @ (solution at doubled coupling)
-            u_base = _RecordedUnitary(self._propagate_base(tau))
-            ub = dagger(u_base.eval_batch(grid, tau))
-            if system == "b":
-                return ub
-            w = _RecordedUnitary(self._propagate_base(tau, doubled=True))
-            return ub @ w.eval_batch(grid, tau)
-        path = self.path_for(tau)
-        res = propagate(path, tau, grid, substeps=int(self.config["substeps"]))
+        if self.path is None:
+            return self.evolution(tau).unitaries(grid)
+        res = propagate(self.path, tau, grid,
+                        substeps=int(self.config["substeps"]))
         return res.unitaries
 
 
 def _entry_for_tau(bundle: SystemBundle, tau: float, config: dict) -> dict:
     grid = bundle.grid_for(tau)
-    path = bundle.path_for(tau)
-    frame = eigenframe(path, tau, grid,
-                       initial_vectors=bundle.initial_vectors,
-                       transport=bundle.transport)
+    if bundle.path is None:
+        evo = bundle.evolution(tau)
+        frame, C = evo.frame, evo.couplings
+    else:
+        evo = None
+        frame = eigenframe(bundle.path, tau, grid,
+                           initial_vectors=bundle.initial_vectors)
+        C = couplings(frame)
     diags = config["diagnostics"]
-    C = couplings(frame)
     entry: dict = {
         "tau": tau,
         "window_real_time": tau * (grid[-1] - grid[0]),
@@ -456,11 +533,13 @@ def _entry_for_tau(bundle: SystemBundle, tau: float, config: dict) -> dict:
         entry["f_norm_end"], entry["f_norm_max"] = float(fser[-1]), fmax
         series["f_norm"] = fser
     if "projector_drift" in diags:
-        dser = projector_drift_series(frame)
+        dser = (projector_drift_series(frame) if evo is None
+                else evo.projector_drift_series())
         entry["projector_drift"] = float(np.max(dser))
         series["projector_drift"] = dser
     if "intertwining_defect" in diags or "w_deviation" in diags:
-        M = transition_matrix(bundle.unitaries_for(tau, grid), frame)
+        M = (transition_matrix(bundle.unitaries_for(tau, grid), frame)
+             if evo is None else evo.transition_matrix())
         entry["transition_probability_max"] = _transition_probability_max(M)
         if "intertwining_defect" in diags:
             iser = _intertwining_of(M)
@@ -470,8 +549,9 @@ def _entry_for_tau(bundle: SystemBundle, tau: float, config: dict) -> dict:
             entry["w_deviation"] = _w_deviation_of(M, frame)
     if "premises" in diags:
         # the premise grid and its midpoints are frame grid points, where
-        # a recorded propagator is known
+        # a custom dual's propagator is known
         coarse = grid[::max(2, (len(grid) - 1) // config["grid"])]
+        path = bundle.path if evo is None else evo.path(bundle.base)
         entry["premises"] = premise_checks(path, tau, coarse)
     return entry, series
 
@@ -531,7 +611,8 @@ def _run_normalized(config: dict, threads: int):
             "version": _version,
             "backend": backend_name(),
             "eigensolver": kernels.eigensolver_route(bundle.base.dim),
-            "integrator": "midpoint-exponential",
+            "integrator": ("midpoint-exponential" if bundle.path is not None
+                           else "eigenbasis-strang"),
             "norm": "frobenius",
             "phase_per_step_target": PHASE_PER_STEP_TARGET,
         },
@@ -581,10 +662,11 @@ def _write_series_csv(path: str, system: str, entry: dict, ser: dict) -> str:
     stride = max(1, math.ceil(len(ser["s"]) / SERIES_MAX_ROWS))
     columns = [np.asarray(ser[k][::stride], dtype=float).tolist()
                for k in ["s"] + names]
-    with open(path, "w") as fh:
-        header = ",".join(["s"] + [f"{system}.{name}" for name in names])
+    with open(path, "w", newline="") as fh:
         fh.write(f"# tau={entry['tau']!r}\n")
-        fh.write(header + "\n")
+        # quoted where a name holds a comma, as in resonance[1,0].re
+        csv.writer(fh, lineterminator="\n").writerow(
+            ["s"] + [f"{system}.{name}" for name in names])
         fh.writelines(",".join(map(repr, row)) + "\n"
                       for row in zip(*columns))
     return path

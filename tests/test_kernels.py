@@ -190,34 +190,12 @@ def test_propagate_steps_uses_one_kernel_factorization(monkeypatch):
     components = count_calls(monkeypatch, "su2_components")
     eigensolves = count_calls(monkeypatch, "eigh_batch")
     H = random_hermitian_stack(8, 2, seed=10)
-    coefs = (1.0, 2.0)
-    chains = kernels.propagate_steps(H, coefs, np.full(8, 0.1),
-                                     [np.eye(2)] * 2, 8)
+    records = kernels.propagate_steps(H, np.full(8, 0.2), np.eye(2), 8)
     assert components == [(8, 2, 2)] and eigensolves == []
-    for coef, (_, final) in zip(coefs, chains):
-        ref = np.eye(2)
-        for h in H:
-            ref = scipy.linalg.expm(-0.1j * coef * h) @ ref
-        assert np.max(np.abs(final - ref)) <= 1e-13
-
-
-@pytest.mark.parametrize("dim", [2, 3, 4])
-def test_propagate_steps_coefficients_share_one_eigensolve(dim, monkeypatch):
-    # the shared factorization: SU(2) components for 2x2, eigenpairs above
-    H = random_hermitian_stack(12, dim, seed=20 + dim)
-    ds = np.linspace(0.05, 0.1, 12)
-    coefs = (5.0, 10.0, -2.5)
-    U0s = [scipy.linalg.expm(-1j * h) for h in
-           random_hermitian_stack(3, dim, seed=30 + dim)]
-    separate = [kernels.propagate_steps(H, [c], ds, [u], 3)[0]
-                for c, u in zip(coefs, U0s)]
-    calls = count_calls(monkeypatch,
-                        "su2_components" if dim == 2 else "eigh_batch")
-    joint = kernels.propagate_steps(H, coefs, ds, U0s, 3)
-    assert calls == [(12, dim, dim)]
-    for (records, final), (ref_records, ref_final) in zip(joint, separate):
-        assert np.array_equal(records, ref_records)
-        assert np.array_equal(final, ref_final)
+    ref = np.eye(2)
+    for h in H:
+        ref = scipy.linalg.expm(-0.2j * h) @ ref
+    assert np.max(np.abs(records[-1] - ref)) <= 1e-13
 
 
 def test_su2_exponentials_at_and_near_r_zero():

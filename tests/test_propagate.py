@@ -8,6 +8,9 @@ step-doubling comparison, and it is checked against a fine fixed midpoint
 run on random smooth paths of dimension 2 to 4. The fixed-grid run and its
 kernel, which multiplies each recorded interval's steps before chaining the
 records, are checked against a plain loop of one exponential per step.
+The adiabatic-basis chain is checked against a plain loop of its Strang
+steps in the lab frame, in any per-point gauge and level order, and for
+its order (2) against the closed form.
 """
 
 import importlib
@@ -24,7 +27,6 @@ from adiakit.exceptions import NonHermitianError, StepLimitError
 from adiakit.models import random_smooth_hamiltonian
 from adiakit.paths import HamiltonianPath, constant_hamiltonian
 from adiakit.propagate import _cf4_steps
-from adiakit.scenario import custom_matrix_path
 
 # the package attribute ``adiakit.propagate`` is the function
 propagate_module = importlib.import_module("adiakit.propagate")
@@ -261,14 +263,12 @@ def test_python_kernel_matches_sequential_loop(dim, m):
     for record_every in (1, 2, 3, 5, 50):
         if m % record_every:
             continue
-        chains = _kernels_py.propagate_steps(H, coefs, ds, U0s, record_every)
-        assert len(chains) == len(coefs)
-        for coef, U0, (records, final) in zip(coefs, U0s, chains):
-            ref_records, ref_final = _sequential_steps(H, coef, ds, U0,
-                                                       record_every)
+        for coef, U0 in zip(coefs, U0s):
+            records = _kernels_py.propagate_steps(H, coef * ds, U0,
+                                                  record_every)
+            ref_records, _ = _sequential_steps(H, coef, ds, U0, record_every)
             assert records.shape == (m // record_every, dim, dim)
             assert np.max(np.abs(records - ref_records)) <= 1e-12
-            assert np.max(np.abs(final - ref_final)) <= 1e-12
     assert np.array_equal(H, H_before)
 
 
@@ -295,27 +295,56 @@ def test_fixed_grid_is_unitary_and_matches_sequential_loop(dim, seed, tau,
     assert np.max(np.abs(res.unitaries[1:] - records)) <= 1e-12
 
 
+def _scrambled_eigenpairs(rng, H):
+    """Eigenpairs of H with random column phases and order per point."""
+    w, v = np.linalg.eigh(H)
+    n = H.shape[-1]
+    perm = np.argsort(rng.random((len(H), n)), axis=1)
+    w = np.take_along_axis(w, perm, axis=1)
+    v = np.take_along_axis(v, perm[:, None, :], axis=2)
+    return w, v * np.exp(2j * np.pi * rng.random((len(H), 1, n)))
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4])
-def test_fixed_grid_coefficients_match_separate_runs(dim, monkeypatch):
-    # a custom path ignores tau, so one run at evaluation tau with the
-    # coefficients tau and 2 tau is the pair of runs propagate(path, c, ...)
-    # on the same grid, to the bit; a small chunk size carries U across
-    # chunks
-    monkeypatch.setattr(propagate_module, "_CHUNK_TARGET", 64)
-    rng = np.random.default_rng(dim)
-    nodes = np.linspace(0.0, 1.0, 17)
-    path = custom_matrix_path(nodes, _random_hermitian_stack(rng, 17, dim))
-    grid = np.linspace(0.0, 1.0, 101)
-    tau = 30.0
-    results = propagate_module._propagate_fixed(path, tau, [tau, 2.0 * tau],
-                                                grid, substeps=3)
-    for coef, res in zip([tau, 2.0 * tau], results):
-        ref = ak.propagate(path, coef, grid, substeps=3)
-        assert np.array_equal(res.unitaries, ref.unitaries)
-        assert np.array_equal(res.grid, ref.grid)
-        assert res.tau == ref.tau == coef
-        assert res.steps_taken == ref.steps_taken == 300
-        assert res.max_unitarity_defect == ref.max_unitarity_defect
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_eigenbasis_chain_matches_lab_frame_strang_loop(dim, record_every,
+                                                        monkeypatch):
+    # Q_k = V_k^dagger U_k V_0 with U_{j+1} = e^{-i c h H_{j+1}/2}
+    # e^{-i c h H_j/2} U_j; a small chunk size carries Q across chunks
+    monkeypatch.setattr(propagate_module, "_CHUNK_TARGET", 4)
+    rng = np.random.default_rng(dim + 10 * record_every)
+    m, coef = 12 * record_every, 7.5
+    grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.05, m))])
+    H = _random_hermitian_stack(rng, m + 1, dim)
+    w, v = _scrambled_eigenpairs(rng, H)
+    overlaps = np.conj(np.swapaxes(v[1:], 1, 2)) @ v[:-1]
+    q = propagate_module.propagate_eigenbasis(w, overlaps, grid, coef,
+                                              record_every)
+    u, ref = np.eye(dim), [np.eye(dim)]
+    for j in range(m):
+        h = coef * (grid[j + 1] - grid[j]) / 2
+        u = (scipy.linalg.expm(-1j * h * H[j + 1])
+             @ scipy.linalg.expm(-1j * h * H[j]) @ u)
+        if (j + 1) % record_every == 0:
+            k = j + 1
+            ref.append(v[k].conj().T @ u @ v[0])
+    assert q.shape == (m // record_every + 1, dim, dim)
+    assert np.max(np.abs(q - np.array(ref))) <= 1e-12
+
+
+def test_eigenbasis_chain_convergence_order_two():
+    tau = 20.0
+    h = spinhalf.hamiltonian(THETA, OMEGA0)
+    errs = []
+    for n in (256, 512):
+        grid = np.linspace(0.0, WINDOW, n + 1)
+        w, v = _kernels_py.eigh_batch(h.eval_batch(grid, tau))
+        overlaps = np.conj(np.swapaxes(v[1:], 1, 2)) @ v[:-1]
+        q = propagate_module.propagate_eigenbasis(w, overlaps, grid, tau, n)
+        ref = spinhalf.propagator_matrix(THETA, OMEGA0, 1.0 / tau,
+                                         np.array([WINDOW]))[0]
+        errs.append(np.linalg.norm(v[-1] @ q[-1] @ v[0].conj().T - ref))
+    assert 3.5 <= errs[0] / errs[1] <= 4.5
 
 
 def _non_hermitian_path():

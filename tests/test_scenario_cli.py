@@ -1,5 +1,6 @@
 """Config validation, scenario runner, file outputs, CLI exit codes."""
 
+import csv
 import json
 import os
 import subprocess
@@ -196,8 +197,9 @@ def test_custom_matrix_dual_numeric():
     }
     report, _ = sc.run(cfg)
     e = report["entries"][0]
-    assert e["frame_construction"] == "discrete"
+    assert e["frame_construction"] == "transported"
     assert e["qac_max"] > 0
+    assert report["provenance"]["integrator"] == "eigenbasis-strang"
 
 
 def test_custom_matrix_dual_intertwining_via_base_algebra():
@@ -265,31 +267,24 @@ def test_transition_probability_max_separates_base_and_dual():
 
 
 def test_numeric_cache_fills_each_key_once_under_threads(monkeypatch):
-    # negated dual of a custom path: each tau propagates the base at tau
-    # and at 2 tau. The three taus share one grid, so one run covers the six
-    # keys and factorizes the grid's midpoints once (2x2: their SU(2)
-    # components), and no worker thread fills a key a second time
-    coefs = []
-    original = sc._propagate_fixed
+    # negated dual of a custom path: each tau chains Q at tau and at 2 tau
+    # in the base's eigenbasis. The three taus share one grid, so its
+    # refined points (256 intervals, two steps each) are factorized once
+    # (2x2: their SU(2) components), whichever worker comes first, and
+    # nothing else is factorized
+    rows, components = [], []
+    eigh_batch, su2_components = kernels.eigh_batch, kernels.su2_components
 
-    def counted(path, tau, cs, grid, **kwargs):
-        coefs.extend(cs)
-        return original(path, tau, cs, grid, **kwargs)
+    def counted_eigh(h):
+        rows.append(len(h))
+        return eigh_batch(h)
 
-    propagated = []
-    su2_components = kernels.su2_components
-
-    def counting(h):
-        frame, names = sys._getframe(1), set()
-        while frame is not None:
-            names.add(frame.f_code.co_name)
-            frame = frame.f_back
-        if "propagate_steps" in names:
-            propagated.append(len(h))
+    def counted_components(h):
+        components.append(len(h))
         return su2_components(h)
 
-    monkeypatch.setattr(sc, "_propagate_fixed", counted)
-    monkeypatch.setattr(kernels, "su2_components", counting)
+    monkeypatch.setattr(kernels, "eigh_batch", counted_eigh)
+    monkeypatch.setattr(kernels, "su2_components", counted_components)
     sgrid = np.linspace(0.0, 1.0, 9)
     mats = np.zeros((9, 2, 2, 2))
     mats[:, 0, 0, 0], mats[:, 1, 1, 0] = 1.0, -1.0
@@ -309,12 +304,10 @@ def test_numeric_cache_fills_each_key_once_under_threads(monkeypatch):
     sys.setswitchinterval(1e-6)   # switch threads often, to expose races
     try:
         for threads in (2, 3):
-            coefs.clear()
-            propagated.clear()
+            rows.clear()
+            components.clear()
             report, _ = sc.scan(cfg, threads=threads)
-            assert sorted(coefs) == sorted(taus + [2.0 * t for t in taus])
-            # 256 intervals, two midpoint steps each
-            assert propagated == [512]
+            assert rows == components == [513]
             assert json.dumps(report, sort_keys=True) == \
                 json.dumps(single, sort_keys=True)
     finally:
@@ -447,8 +440,29 @@ def test_cli_run_writes_files(tmp_path):
     assert report["config"]["parameters"]["tau_list"] == [100.0]
     assert (out / "series_000.csv").exists()
     header = (out / "series_000.csv").read_text().splitlines()[1]
-    assert header.startswith("s,") and "a.resonance[1,0].re" in header
+    assert header.startswith("s,") and '"a.resonance[1,0].re"' in header
     assert "a.resonance[0,1].re" not in header   # the mirror of (1, 0)
+
+
+def test_series_csv_header_has_one_field_per_column(tmp_path):
+    # pair labels hold a comma, so the header quotes them
+    rng = np.random.default_rng(4)
+    s = np.linspace(0.0, 1.0, 9)
+    H = rng.standard_normal((9, 3, 3)) + np.diag([-2.0, 0.0, 2.0])
+    H = H + np.swapaxes(H, 1, 2)
+    report, series = sc.run({
+        "model": "custom_matrix_path", "system": "b",
+        "parameters": {"grid": s.tolist(), "tau": 5.0,
+                       "matrices": np.stack([H, 0 * H], -1).tolist()},
+        "grid": 256, "auto_refine": False})
+    path, = [p for p in sc.write_report(report, series, str(tmp_path))
+             if p.endswith("series_000.csv")]
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    header = rows[1]
+    assert header == ["s"] + [f"b.{k}" for k in series[0] if k != "s"]
+    assert "b.resonance[2,1].im" in header
+    assert {len(row) for row in rows[2:]} == {len(header)}
 
 
 def test_cli_reports_are_deterministic(tmp_path):
