@@ -1,20 +1,25 @@
 """Adiabaticity criteria, inconsistency detectors, and scenario classification.
 
 All quantities are computed from an EigenFrame (plus evolution operators
-where needed). The resonance series and the kernel norm come from one
-cumulative kernel stack per frame (``_kernel_summary``), integrated by the
-Filon-Hermite rule of ``quadrature._cumtrapz``, which is exact for a linear
-phase and a cubic amplitude at any number of radians per step; end values
-are the ends of those series. The running maxima of cumulative integrals
-(``f_norm_max``, resonance ``max_abs``) include the peaks between grid
-points, searched on the rule's own interpolant in the same pass;
-pointwise series (projector drift, intertwining) keep their grid maxima.
+where needed). The resonance series and the kernel norm come from one pass
+over the cumulative kernel K per frame (``_kernel_summary``), integrated by
+the Filon-Hermite rule of ``quadrature._cumtrapz``, which is exact for a
+linear phase and a cubic amplitude at any number of radians per step; end
+values are the ends of those series. K is Hermitian with a zero diagonal,
+so it is integrated for the level pairs m > n alone, one column per pair
+in the order of ``np.tril_indices(n, -1)``; this module is the only one
+that knows that order (``_pair_entry``). The running maxima of cumulative
+integrals (``f_norm_max``, resonance ``max_abs``) include the peaks
+between grid points, searched on the rule's own interpolant in the same
+pass; pointwise series (projector drift, intertwining) keep their grid
+maxima.
 The phase advance per step left in the integrands is exposed so callers
 can refine grids (0.3 rad per step is the refinement trigger used by the
 scenario layer, which the pointwise series and the numeric route need).
 """
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -25,7 +30,7 @@ from .gauge import EigenFrame, couplings, eigenframe, kernel_coefficients
 from .linalg import sandwich
 from .paths import HamiltonianPath, grid_index, midpoint_refined
 from .propagate import PropagationResult
-from .quadrature import _cumtrapz, _cumtrapz_with_maxima, _re_inner
+from .quadrature import _cumtrapz_with_maxima
 
 
 class Classification(enum.Enum):
@@ -66,14 +71,6 @@ def qac_max(frame: EigenFrame, C: Optional[np.ndarray] = None) -> float:
     return float(np.max(ratio)) / frame.tau
 
 
-def _pair_integrand(frame: EigenFrame, m: int, n: int,
-                    C: Optional[np.ndarray] = None) -> np.ndarray:
-    if C is None:
-        C = couplings(frame)
-    phi = frame.phase_integrals()
-    return np.exp(1j * (phi[:, m] - phi[:, n])) * C[:, m, n]
-
-
 def _phase_spread(values: np.ndarray,
                   rates: Optional[np.ndarray] = None) -> float:
     """Largest spread max_n - min_n of E_n + f_n over the grid points; the
@@ -93,37 +90,46 @@ def phase_rate_per_step(frame: EigenFrame) -> float:
 
 
 def _kernel_integrand(frame: EigenFrame, C: Optional[np.ndarray] = None):
-    """(kernel coefficients, the phases left in them): the integrand of
-    the cumulative kernel stack K. K_mn is the integral of
-    i e^{i(phi_m - phi_n)} C_mn, so the resonance integral of the pair
-    (m, n) is -i K_mn."""
-    return kernel_coefficients(frame, C), frame.integrand_phases()
+    """(kernel coefficients, the phases left in them) of the pairs m > n,
+    one column per pair: the integrand of the cumulative kernel K. K_mn is
+    the integral of i e^{i(phi_m - phi_n)} C_mn, so the resonance integral
+    of the pair (m, n) is -i K_mn; K_nm = conj(K_mn)."""
+    m, n = np.tril_indices(frame.dim, -1)
+    theta = frame.integrand_phases()
+    return (kernel_coefficients(frame, C)[:, m, n],
+            None if theta is None else theta[:, m] - theta[:, n])
 
 
-def _kernel_summary(frame: EigenFrame, C: Optional[np.ndarray] = None,
-                    entry: Optional[tuple] = None):
-    """(K, max_s |K_mn| per entry, ||K||_F per grid point, max_s ||K||_F),
-    all from one pass over the cumulative kernel stack
-    (``quadrature._cumtrapz_with_maxima``); the maxima include the peaks
-    between grid points. ``entry`` (m, n) searches that entry's peaks alone
-    and leaves max_s ||K||_F at its grid value. Each call integrates the
-    whole stack, so a caller that wants several entries makes one call."""
+def _kernel_summary(frame: EigenFrame, C: Optional[np.ndarray] = None):
+    """(K, max_s |K_mn| per pair, ||K||_F per grid point, max_s ||K||_F),
+    all from one pass over the cumulative kernel of the pairs m > n
+    (``quadrature._cumtrapz_with_maxima``), one column per pair; the
+    maxima include the peaks between grid points. ``_pair_entry`` reads
+    the entry (m, n) of K or of its peaks."""
     coeff, phase = _kernel_integrand(frame, C)
-    return _cumtrapz_with_maxima(coeff, frame.grid, phase, entry)
+    K, peaks, norms, norm_max = _cumtrapz_with_maxima(coeff, frame.grid,
+                                                      phase)
+    # ||K||_F^2 = 2 sum_p |K_p|^2: each pair stands for itself and its mirror
+    norms *= math.sqrt(2.0)
+    return K, peaks, norms, math.sqrt(2.0) * norm_max
 
 
-def _kernel_integral(frame: EigenFrame,
-                     C: Optional[np.ndarray] = None) -> np.ndarray:
-    """The cumulative kernel stack K alone; (N, n, n)."""
-    coeff, phase = _kernel_integrand(frame, C)
-    return _cumtrapz(coeff, frame.grid, phase)
+def _pair_entry(columns: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Entry (m, n) of the Hermitian matrix with zero diagonal whose pairs
+    m > n are the last axis of ``columns``: the conjugate of the column of
+    (n, m) for m < n, zero for m == n."""
+    if m == n:
+        return np.zeros(columns.shape[:-1], dtype=columns.dtype)
+    hi, lo = max(m, n), min(m, n)
+    column = columns[..., hi * (hi - 1) // 2 + lo]
+    return column if m > n else column.conj()
 
 
 def resonance_series(frame: EigenFrame, m: int, n: int,
                      C: Optional[np.ndarray] = None) -> np.ndarray:
     """Cumulative integral of exp(i tau int (E_m - E_n)) <E_m|dE_n/ds>.
-    Each call integrates the frame's whole kernel stack."""
-    return -1j * _kernel_integral(frame, C)[:, m, n]
+    Each call makes one pass over the frame's kernel."""
+    return -1j * _pair_entry(_kernel_summary(frame, C)[0], m, n)
 
 
 def _end_index(grid: np.ndarray, s_end: Optional[float]) -> int:
@@ -141,9 +147,8 @@ def resonance_integral(frame: EigenFrame, m: int, n: int,
 def resonance_max_abs(frame: EigenFrame, m: int, n: int,
                       C: Optional[np.ndarray] = None) -> float:
     """Max over s of |cumulative resonance integral|, peaks between grid
-    points included. Each call integrates the frame's whole kernel stack
-    and searches the peaks of the pair (m, n) alone."""
-    return float(_kernel_summary(frame, C, (m, n))[1][m, n])
+    points included. Each call makes one pass over the frame's kernel."""
+    return float(_pair_entry(_kernel_summary(frame, C)[1], m, n))
 
 
 def f_norm(frame: EigenFrame, s_end: Optional[float] = None,
@@ -156,8 +161,7 @@ def f_norm(frame: EigenFrame, s_end: Optional[float] = None,
 def f_norm_series(frame: EigenFrame,
                   C: Optional[np.ndarray] = None) -> np.ndarray:
     """|| int_0^s kernel ||_F per grid point; shape (N,)."""
-    K = _kernel_integral(frame, C)
-    return np.sqrt(_re_inner(K, K))
+    return _kernel_summary(frame, C)[2]
 
 
 def f_norm_max(frame: EigenFrame, C: Optional[np.ndarray] = None) -> float:
@@ -306,8 +310,8 @@ def classify(qac_max_value: float, max_resonance: float,
     return Classification.STRONG_OSCILLATORY
 
 
-def premise_checks(path: HamiltonianPath, tau: float, grid,
-                   gap_floor: float = 1e-8) -> Dict[str, float]:
+def premise_checks(path: HamiltonianPath, tau: float,
+                   grid) -> Dict[str, float]:
     """Numerical proxies for the adiabatic-theorem premises.
 
     p1: eigenvalue continuity (largest level increment per step, absolute and
@@ -318,8 +322,8 @@ def premise_checks(path: HamiltonianPath, tau: float, grid,
     grid = np.asarray(grid, dtype=float)
     fine = midpoint_refined(grid)
 
-    fr_c = eigenframe(path, tau, grid, gap_floor=gap_floor)
-    fr_f = eigenframe(path, tau, fine, gap_floor=gap_floor)
+    fr_c = eigenframe(path, tau, grid)
+    fr_f = eigenframe(path, tau, fine)
 
     def _proj_derivative_norms(fr):
         h = np.diff(fr.grid).mean()

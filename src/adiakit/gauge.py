@@ -18,10 +18,10 @@ Two constructions exist:
   frequencies proportional to tau.
 
 Cumulative integrals along a frame (the phase integrals, the transport
-phase and the kernel stack) take the one rule of ``quadrature._cumtrapz``:
-Filon-Hermite, which integrates a cubic amplitude under a linear phase
-exactly and is the Euler-Maclaurin-corrected trapezoid rule when there is
-no phase.
+phase and the kernel of the level pairs) take the one rule of
+``quadrature._cumtrapz``: Filon-Hermite, which integrates a cubic
+amplitude under a linear phase exactly and is the Euler-Maclaurin-corrected
+trapezoid rule when there is no phase.
 """
 
 from dataclasses import dataclass, field

@@ -47,15 +47,15 @@ class _Piece(NamedTuple):
     a1: np.ndarray      # ... and at the right end
     s0: np.ndarray      # slope h dA/dx at the left end
     s1: np.ndarray      # ... and at the right end
-    # phase steps delta_mn over each interval, and e = e^{i(theta_m -
-    # theta_n)} at the points lo .. hi; both None without a phase
+    # phase steps delta over each interval, and e = e^{i theta} at the
+    # points lo .. hi; both None without a phase
     delta: Optional[np.ndarray]
     turn: Optional[np.ndarray]
 
 
 def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re <a_k, b_k> over the trailing axes, per row k; (N,). Reads the
-    real and imaginary parts as views, so no stack-sized temporary."""
+    real and imaginary parts as views, so no temporary as large as ``a``."""
     a = a.reshape(len(a), -1)
     b = b.reshape(len(b), -1)
     return (np.einsum("ki,ki->k", a.real, b.real)
@@ -67,16 +67,16 @@ def _cumtrapz(y: np.ndarray, x: np.ndarray,
     """Cumulative integral of the samples ``y`` over ``x`` along axis 0,
     starting at 0, by the Filon-Hermite rule.
 
-    ``phase`` (N, n) holds level phases theta for a stack ``y`` of shape
-    (N, n, n) whose entry (m, n) oscillates as e^{i(theta_m - theta_n)};
-    None means no phase. On each interval the rule takes that phase as
-    linear and the amplitude A = y e^{-i(theta_m - theta_n)} as the cubic
-    Hermite through its values and slopes at the two ends, and integrates
-    their product exactly (``_hermite_moments``), at any number of radians
-    per step. The slopes are the FD4 stencils of ``paths`` applied to the
-    samples of A (central inside, one-sided at the two points next to each
-    end), plus i (theta' - (theta_k+1 - theta_k) / h) A: the phase's own
-    rate theta' (FD4 of theta) differs from the interval's linear rate.
+    ``phase`` holds a phase theta in the shape of ``y``, and each column
+    of ``y`` oscillates as e^{i theta} of the same column; None means no
+    phase. On each interval the rule takes that phase as linear and the
+    amplitude A = y e^{-i theta} as the cubic Hermite through its values
+    and slopes at the two ends, and integrates their product exactly
+    (``_hermite_moments``), at any number of radians per step. The slopes
+    are the FD4 stencils of ``paths`` applied to the samples of A (central
+    inside, one-sided at the two points next to each end), plus
+    i (theta' - (theta_k+1 - theta_k) / h) A: the phase's own rate theta'
+    (FD4 of theta) differs from the interval's linear rate.
 
     With no phase this is the trapezoid rule with the Euler-Maclaurin end
     correction, S_k = T_k - (h^2/12)(y'_k - y'_0), fourth order on uniform
@@ -92,64 +92,57 @@ def _cumtrapz(y: np.ndarray, x: np.ndarray,
 
 
 def _cumtrapz_with_maxima(y: np.ndarray, x: np.ndarray,
-                          phase: Optional[np.ndarray] = None,
-                          entry: Optional[tuple] = None):
-    """(I, max over s of |I_mn(s)| per entry, ||I||_F per grid point, max
-    over s of ||I(s)||_F) for I = ``_cumtrapz(y, x, phase)`` of an
-    (N, n, n) stack, in one pass over its blocks.
+                          phase: Optional[np.ndarray] = None):
+    """(I, max over s of |I_p(s)| per column, ||I||_2 per grid point, max
+    over s of ||I(s)||_2) for I = ``_cumtrapz(y, x, phase)`` of (N, P)
+    samples, in one pass over its blocks.
 
     Grid maxima miss the peaks between the points of an oscillating I, by
     many radians per step on coarse grids. Between two points, I is the
     rule's own interpolant (``_interpolant``), exact for a linear phase and
-    a cubic amplitude. An entry's peak in an interval is searched from the
+    a cubic amplitude. A column's peak in an interval is searched from the
     better of two start times (``_start_times``: the peak of a circle that
     turns at the phase step plus the amplitude's rotation, right at many
     radians per step, and the interpolated sign change of d|I|^2/dt, right
-    at a fraction of a radian), followed by one Newton step. The Frobenius
-    norm mixes entries that turn at different rates; its rule is the same
-    search on the sum of the squared moduli, from every entry's circle peak
-    and the sum's own sign change. An interval is searched only where a
-    bound on its interpolant (``_interval_bound``) beats the grid maxima:
-    each block keeps the intervals that beat the maxima of the blocks so
-    far, and one search at the end takes those that still beat the maxima
-    of the whole grid. ``entry`` (m, n) searches that entry's peaks alone
-    and leaves the norm's maximum at its grid value.
+    at a fraction of a radian), followed by one Newton step. The norm mixes
+    columns that turn at different rates; its rule is the same search on
+    the sum of the squared moduli, from every column's circle peak and the
+    sum's own sign change. An interval is searched only where a bound on
+    its interpolant (``_interval_bound``) beats the grid maxima: each block
+    keeps the intervals that beat the maxima of the blocks so far, and one
+    search at the end takes those that still beat the maxima of the whole
+    grid.
     """
     out = _empty_integral(y, phase)
-    entry_max = np.zeros(y.shape[1:])
+    column_max = np.zeros(y.shape[1:])
     norms = np.empty(len(x))
     best = 0.0
-    wanted = np.ones(y.shape[1:], dtype=bool)
-    if entry is not None:
-        wanted[:] = False
-        wanted[entry] = True
-    # candidate intervals, (bound, m, n, *model) per entry and
+    # candidate intervals, (bound, p, *model) per column and
     # (bound, *model) per norm, gathered block by block
-    entries, rows = [], []
+    columns, rows = [], []
     for piece in _integrate(out, y, x, phase):
         integral = out[piece.lo:piece.hi + 1]
         mag = np.abs(integral)
-        np.maximum(entry_max, mag.max(axis=0), out=entry_max)
+        np.maximum(column_max, mag.max(axis=0), out=column_max)
         block_norms = norms[piece.lo:piece.hi + 1]
         block_norms[:] = np.sqrt(_re_inner(integral, integral))
         best = max(best, float(np.max(block_norms)))
         bound = _interval_bound(piece, mag)
-        hit = np.nonzero((bound > entry_max) & wanted)
-        frob = np.sqrt(np.sum(bound ** 2, axis=(1, 2)))
-        hit_rows = (np.flatnonzero(frob > best) if entry is None
-                    else np.zeros(0, dtype=int))
+        hit = np.nonzero(bound > column_max)
+        norm_bound = np.sqrt(np.sum(bound ** 2, axis=1))
+        hit_rows = np.flatnonzero(norm_bound > best)
         if len(hit[0]) or len(hit_rows):
             model = _model_data(piece, integral)
-            entries.append((bound[hit], hit[1], hit[2],
+            columns.append((bound[hit], hit[1],
                             *(a[hit][:, None] for a in model)))
-            rows.append((frob[hit_rows], *(
-                a.reshape(len(a), -1)[hit_rows] for a in model)))
+            rows.append((norm_bound[hit_rows],
+                         *(a[hit_rows] for a in model)))
     # one search over the candidates that can still beat the grid maxima
-    if entries:
-        bound, m, n, *model = (np.concatenate(c) for c in zip(*entries))
-        keep = bound > entry_max[m, n]
+    if columns:
+        bound, p, *model = (np.concatenate(c) for c in zip(*columns))
+        keep = bound > column_max[p]
         if keep.any():
-            np.maximum.at(entry_max, (m[keep], n[keep]),
+            np.maximum.at(column_max, p[keep],
                           _model_peak(tuple(a[keep] for a in model)))
     if rows:
         bound, *model = (np.concatenate(c) for c in zip(*rows))
@@ -157,7 +150,7 @@ def _cumtrapz_with_maxima(y: np.ndarray, x: np.ndarray,
         if keep.any():
             best = max(best, float(np.max(
                 _model_peak(tuple(a[keep] for a in model)))))
-    return out, entry_max, norms, best
+    return out, column_max, norms, best
 
 
 def _empty_integral(y: np.ndarray, phase: Optional[np.ndarray]) -> np.ndarray:
@@ -180,7 +173,7 @@ def _integrate(out: np.ndarray, y: np.ndarray, x: np.ndarray,
             inc *= 0.5
             inc += (piece.s0 - piece.s1) / 12.0
         else:
-            w01, w11 = _pair_moments(piece.delta)
+            w01, w11 = _hermite_moments(piece.delta)
             _combine(w01, w11, piece.a0, piece.a1, piece.s0, piece.s1,
                      piece.turn[:-1], piece.turn[1:], out=inc)
         inc *= piece.h
@@ -224,8 +217,7 @@ def _hermite_pieces(y: np.ndarray, x: np.ndarray,
         amp = y[a:b]
         if phase is not None:
             e = np.exp(1j * phase[a:b])
-            amp = amp * e.conj()[:, :, None]
-            amp *= e[:, None, :]
+            amp = amp * e.conj()
         left, right = amp[k0:k1], amp[k0 + 1:k1 + 1]
         if uniform:
             slope = _fd4_steps(amp, k0, k1 + 1)
@@ -235,14 +227,12 @@ def _hermite_pieces(y: np.ndarray, x: np.ndarray,
         delta = turn = None
         if phase is not None:
             th = phase[a:b]
-            step = np.diff(th[k0:k1 + 1], axis=0)
-            delta = step[:, :, None] - step[:, None, :]
+            delta = np.diff(th[k0:k1 + 1], axis=0)
             if uniform:
                 rate = _fd4_steps(th, k0, k1 + 1)     # h theta'
-                rate = rate[:, :, None] - rate[:, None, :]
                 s_left = s_left + 1j * (rate[:-1] - delta) * left
                 s_right = s_right + 1j * (rate[1:] - delta) * right
-            turn = e[k0:k1 + 1, :, None] * e.conj()[k0:k1 + 1, None, :]
+            turn = e[k0:k1 + 1]
         yield _Piece(lo, hi, steps[lo:hi], left, right, s_left, s_right,
                      delta, turn)
 
@@ -312,25 +302,6 @@ def _hermite_moments(delta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_moments(delta: np.ndarray) -> np.ndarray:
-    """``_hermite_moments`` of a (rows, n, n) stack of pair phase steps with
-    delta_nm = -delta_mn: computed once per pair m < n, conjugated for the
-    pair n, m (the moments of -delta), constant on the diagonal (delta 0);
-    shape (2, rows, n, n)."""
-    rows, n = delta.shape[:2]
-    iu, ju = np.triu_indices(n, 1)
-    pairs = len(iu)
-    # entry (m, n) reads column k of [upper, conj(upper), diagonal]
-    table = np.empty((2, rows, 2 * pairs + 1), dtype=complex)
-    table[:, :, :pairs] = _hermite_moments(delta[:, iu, ju])
-    np.conjugate(table[:, :, :pairs], out=table[:, :, pairs:-1])
-    table[:, :, -1] = _hermite_moments(np.zeros(1))
-    column = np.full((n, n), 2 * pairs)
-    column[iu, ju] = np.arange(pairs)
-    column[ju, iu] = np.arange(pairs) + pairs
-    return np.take(table, column.ravel(), axis=2).reshape(2, rows, n, n)
-
-
 def _interval_bound(piece: _Piece, mag: np.ndarray) -> np.ndarray:
     """An upper bound on |I| over each interval of ``piece``, from the
     moduli ``mag`` of the integral at its points lo .. hi. |I| stays within
@@ -385,8 +356,8 @@ def _interpolant(t, model):
 
 def _start_times(model):
     """Start times for the peak search on each row of ``model``, summed
-    over its last axis: the peak of each entry's circle, and the sign
-    change of d/dt sum |I|^2 (NaN where there is none); (rows, E + 1).
+    over its last axis: the peak of each column's circle, and the sign
+    change of d/dt sum |I|^2 (NaN where there is none); (rows, P + 1).
 
     The circle c + b e^{i omega t} turns at the phase step delta plus the
     amplitude's own rotation arg(A_k+1 / A_k); it is the mean of the two

@@ -33,6 +33,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -44,11 +45,11 @@ from . import __version__ as _version
 from ._backend import backend_name, kernels
 from . import spinhalf
 from .diagnostics import (Thresholds, _intertwining_of, _kernel_summary,
-                          _off_diagonal_populations, _phase_spread,
-                          _transition_probability_max, _w_deviation_of,
-                          classify, phase_rate_per_step, premise_checks,
-                          projector_drift_series, qac_max, scaling_slope,
-                          transition_matrix)
+                          _off_diagonal_populations, _pair_entry,
+                          _phase_spread, _transition_probability_max,
+                          _w_deviation_of, classify, phase_rate_per_step,
+                          premise_checks, projector_drift_series, qac_max,
+                          scaling_slope, transition_matrix)
 from .exceptions import ConfigError, ScalingUndefinedError
 from .gauge import (GAP_FLOOR, OVERLAP_FLOOR, EigenFrame, _discrete_frame,
                     _generator_rates, _path_eigenpairs, _uses_transport,
@@ -83,6 +84,15 @@ SYSTEMS = ("a", "b", "c", "x")
 def _require(cond, msg):
     if not cond:
         raise ConfigError(msg)
+
+
+def _integer(value, name: str, low: int) -> int:
+    """``value`` as an int, if it is a number >= ``low`` with no fractional
+    part; raises ConfigError otherwise."""
+    _require(isinstance(value, numbers.Real) and not isinstance(value, bool)
+             and float(value).is_integer() and value >= low,
+             f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def normalize_config(cfg: dict) -> dict:
@@ -147,11 +157,10 @@ def normalize_config(cfg: dict) -> dict:
             _require("rate" in tr, "rotating_z transform needs a rate")
         out["transform"] = tr
 
-    grid = int(out.get("grid", 2048))
-    _require(grid >= 256, "grid must be at least 256 points per window")
-    out["grid"] = grid
+    # points per window
+    out["grid"] = _integer(out.get("grid", 2048), "grid", 256)
     out.setdefault("auto_refine", True)
-    out.setdefault("substeps", 1)
+    out["substeps"] = _integer(out.get("substeps", 1), "substeps", 1)
     out.setdefault("propagator", "auto")
     _require(out["propagator"] in ("auto", "closed_form", "numeric"),
              "propagator must be auto, closed_form or numeric")
@@ -428,7 +437,7 @@ class SystemBundle:
             if nint not in self._eigenbasis:
                 self._eigenbasis[nint] = _EigenbasisGrid(
                     self.base, self.grid_for(tau),
-                    2 * int(self.config["substeps"]))
+                    2 * self.config["substeps"])
             data = self._eigenbasis[nint]
         sign = -1 if self.config["system"] == "b" else 1
         return _DualEvolution(data, sign, tau)
@@ -485,7 +494,7 @@ class SystemBundle:
         if self.path is None:
             return self.evolution(tau).unitaries(grid)
         res = propagate(self.path, tau, grid,
-                        substeps=int(self.config["substeps"]))
+                        substeps=self.config["substeps"])
         return res.unitaries
 
 
@@ -519,12 +528,12 @@ def _entry_for_tau(bundle: SystemBundle, tau: float, config: dict) -> dict:
         res = {}
         for m in range(frame.dim):
             for n in range(m):
-                ser = -1j * K[:, m, n]
+                ser = -1j * _pair_entry(K, m, n)
                 res[f"{m},{n}"] = {
                     "end_re": float(ser[-1].real),
                     "end_im": float(ser[-1].imag),
                     "end_abs": float(abs(ser[-1])),
-                    "max_abs": float(peaks[m, n]),
+                    "max_abs": float(_pair_entry(peaks, m, n)),
                 }
                 series[f"resonance[{m},{n}].re"] = ser.real
                 series[f"resonance[{m},{n}].im"] = ser.imag

