@@ -26,9 +26,10 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .exceptions import ScalingUndefinedError
-from .gauge import EigenFrame, couplings, eigenframe, kernel_coefficients
+from .gauge import (EigenFrame, _min_pairwise_gap, couplings, eigenframe,
+                    kernel_coefficients)
 from .linalg import sandwich
-from .paths import HamiltonianPath, grid_index, midpoint_refined
+from .paths import HamiltonianPath, check_grid, grid_index, midpoint_refined
 from .propagate import PropagationResult
 from .quadrature import _cumtrapz_with_maxima
 
@@ -310,48 +311,50 @@ def classify(qac_max_value: float, max_resonance: float,
     return Classification.STRONG_OSCILLATORY
 
 
-def premise_checks(path: HamiltonianPath, tau: float,
-                   grid) -> Dict[str, float]:
-    """Numerical proxies for the adiabatic-theorem premises.
+def _premises(frame: EigenFrame, step: int) -> Dict[str, float]:
+    """Numerical proxies for the adiabatic-theorem premises, read from one
+    frame at every ``step``-th point (coarse) and every ``step // 2``-th
+    point (fine); ``step`` is even, so the fine points hold the coarse
+    points and their midpoints.
 
     p1: eigenvalue continuity (largest level increment per step, absolute and
     after grid halving); p2: minimum spectral gap; p3: grid-refinement
     stability of the projector derivatives (finite-difference norms at ds and
     ds/2 should agree within a factor of two when the derivatives exist).
     """
-    grid = np.asarray(grid, dtype=float)
-    fine = midpoint_refined(grid)
-
-    fr_c = eigenframe(path, tau, grid)
-    fr_f = eigenframe(path, tau, fine)
-
-    def _proj_derivative_norms(fr):
-        h = np.diff(fr.grid).mean()
-        dmax = 0.0
-        d2max = 0.0
-        for j in range(fr.dim):
-            P = fr.projector(j)
+    end = (frame.npoints - 1) // step * step + 1
+    coarse = slice(0, end, step)
+    reads = []   # (max ||dP||, max ||d2P||, max level step), coarse then fine
+    for points in (coarse, slice(0, end, step // 2)):
+        h = np.diff(frame.grid[points]).mean()
+        d1 = d2 = 0.0
+        for j in range(frame.dim):
+            v = frame.vectors[points, :, j]
+            P = np.einsum("ki,kj->kij", v, v.conj())
             dP = (P[2:] - P[:-2]) / (2 * h)
             d2P = (P[2:] - 2 * P[1:-1] + P[:-2]) / (h * h)
-            dmax = max(dmax, float(np.max(np.linalg.norm(dP, axis=(1, 2)))))
-            d2max = max(d2max, float(np.max(np.linalg.norm(d2P, axis=(1, 2)))))
-        return dmax, d2max
-
-    d1c, d2c = _proj_derivative_norms(fr_c)
-    d1f, d2f = _proj_derivative_norms(fr_f)
+            d1 = max(d1, float(np.max(np.linalg.norm(dP, axis=(1, 2)))))
+            d2 = max(d2, float(np.max(np.linalg.norm(d2P, axis=(1, 2)))))
+        values = frame.values[points]
+        reads.append((d1, d2, float(np.max(np.abs(np.diff(values, axis=0))))))
+    (d1c, d2c, step_c), (d1f, d2f, step_f) = reads
     ratio1 = d1f / d1c if d1c > 0 else 1.0
     ratio2 = d2f / d2c if d2c > 0 else 1.0
-
-    step_c = float(np.max(np.abs(np.diff(fr_c.values, axis=0))))
-    step_f = float(np.max(np.abs(np.diff(fr_f.values, axis=0))))
-
     return {
         "p1_max_value_step": step_c,
         "p1_refined_ratio": step_f / step_c if step_c > 0 else 1.0,
-        "p2_min_gap": fr_c.min_gap,
+        "p2_min_gap": _min_pairwise_gap(frame.values[coarse])[0],
         "p3_dP_norm": d1c,
         "p3_d2P_norm": d2c,
         "p3_dP_ratio": ratio1,
         "p3_d2P_ratio": ratio2,
         "p3_stable": float(0.5 <= ratio1 <= 2.0 and 0.5 <= ratio2 <= 2.0),
     }
+
+
+def premise_checks(path: HamiltonianPath, tau: float,
+                   grid) -> Dict[str, float]:
+    """``_premises`` on ``grid`` and its midpoints, read from one frame on
+    the midpoint-refined grid."""
+    fine = midpoint_refined(check_grid(grid, min_points=3))
+    return _premises(eigenframe(path, tau, fine), 2)

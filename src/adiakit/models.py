@@ -53,11 +53,11 @@ def driven_two_level(omega0: float, amplitude: float, drive_frequency: float,
 
 
 def random_smooth_hamiltonian(dim: int, rng: np.random.Generator,
-                              base_gap: float = 1.0, wobble: float = 0.25,
-                              modes: int = 3,
-                              period: float = 2.0 * np.pi) -> HamiltonianPath:
-    """Smooth random Hermitian path: spread diagonal plus a low-order Fourier
-    series in s with decaying mode amplitudes. Derivative is analytic."""
+                              base_gap: float = 1.0,
+                              wobble: float = 0.25) -> HamiltonianPath:
+    """Smooth random Hermitian path: spread diagonal plus a Fourier series
+    in s of three modes over the period 2 pi, with amplitudes decaying as
+    1/j^2. Derivative is analytic."""
 
     base = np.diag(base_gap * (np.arange(dim) - 0.5 * (dim - 1))).astype(complex)
 
@@ -65,23 +65,21 @@ def random_smooth_hamiltonian(dim: int, rng: np.random.Generator,
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         return hermitize(m) / np.sqrt(dim)
 
-    freq = 2.0 * np.pi / period
-    cos_coeff = [wobble / (j * j) * _random_herm() for j in range(1, modes + 1)]
-    sin_coeff = [wobble / (j * j) * _random_herm() for j in range(1, modes + 1)]
+    cos_coeff = [wobble / (j * j) * _random_herm() for j in (1, 2, 3)]
+    sin_coeff = [wobble / (j * j) * _random_herm() for j in (1, 2, 3)]
 
     def _eval_batch(s, tau):
         out = np.broadcast_to(base, (len(s), dim, dim)).copy()
         for j, (cj, sj) in enumerate(zip(cos_coeff, sin_coeff), start=1):
-            out += np.cos(j * freq * s)[:, None, None] * cj
-            out += np.sin(j * freq * s)[:, None, None] * sj
+            out += np.cos(j * s)[:, None, None] * cj
+            out += np.sin(j * s)[:, None, None] * sj
         return out
 
     def _deriv_batch(s, tau):
         out = np.zeros((len(s), dim, dim), dtype=complex)
         for j, (cj, sj) in enumerate(zip(cos_coeff, sin_coeff), start=1):
-            w = j * freq
-            out += -w * np.sin(w * s)[:, None, None] * cj
-            out += w * np.cos(w * s)[:, None, None] * sj
+            out += -j * np.sin(j * s)[:, None, None] * cj
+            out += j * np.cos(j * s)[:, None, None] * sj
         return out
 
     return HamiltonianPath(

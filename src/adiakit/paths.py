@@ -25,7 +25,7 @@ from .linalg import dagger
 
 BatchFn = Callable[[np.ndarray, float], np.ndarray]
 
-# default finite-difference step for path derivatives
+# finite-difference step of path derivatives without an analytic one
 FD_STEP = 1e-4
 
 # 4th-order finite-difference stencils as integer weights over a common
@@ -136,16 +136,15 @@ class HamiltonianPath:
         s_values = np.asarray(s_values, dtype=float)
         return _call_batch(self._eval_fn, s_values, tau, self.dim)
 
-    def derivative(self, s: float, tau: float = 1.0,
-                   h: float = FD_STEP) -> np.ndarray:
-        return self.derivative_batch(np.array([float(s)]), tau, h)[0]
+    def derivative(self, s: float, tau: float = 1.0) -> np.ndarray:
+        return self.derivative_batch(np.array([float(s)]), tau)[0]
 
-    def derivative_batch(self, s_values: np.ndarray, tau: float = 1.0,
-                         h: float = FD_STEP) -> np.ndarray:
-        """dH/ds, analytic when registered, else 4th-order central difference."""
+    def derivative_batch(self, s_values: np.ndarray,
+                         tau: float = 1.0) -> np.ndarray:
+        """dH/ds, analytic when registered, else ``fd4_derivative``."""
         s_values = np.asarray(s_values, dtype=float)
         if self._deriv_fn is None:
-            return fd4_derivative(self, s_values, tau, h)
+            return fd4_derivative(self, s_values, tau, FD_STEP)
         return _call_batch(self._deriv_fn, s_values, tau, self.dim)
 
 

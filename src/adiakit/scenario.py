@@ -35,6 +35,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List
@@ -46,14 +47,14 @@ from ._backend import backend_name, kernels
 from . import spinhalf
 from .diagnostics import (Thresholds, _intertwining_of, _kernel_summary,
                           _off_diagonal_populations, _pair_entry,
-                          _phase_spread, _transition_probability_max,
-                          _w_deviation_of, classify, phase_rate_per_step,
-                          premise_checks, projector_drift_series, qac_max,
-                          scaling_slope, transition_matrix)
+                          _phase_spread, _premises,
+                          _transition_probability_max, _w_deviation_of,
+                          classify, phase_rate_per_step,
+                          projector_drift_series, qac_max, scaling_slope,
+                          transition_matrix)
 from .exceptions import ConfigError, ScalingUndefinedError
-from .gauge import (GAP_FLOOR, OVERLAP_FLOOR, EigenFrame, _discrete_frame,
-                    _generator_rates, _path_eigenpairs, _uses_transport,
-                    couplings, eigenframe)
+from .gauge import (EigenFrame, _discrete_frame, _generator_rates,
+                    _path_eigenpairs, _uses_transport, couplings, eigenframe)
 from .linalg import dagger, dagger_dot, hermiticity_defect, unitarity_defect
 from .models import driven_two_level
 from .paths import (HamiltonianPath, UnitaryPath, constant_hamiltonian,
@@ -95,6 +96,15 @@ def _integer(value, name: str, low: int) -> int:
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float, if it is a finite real number and not a bool;
+    raises ConfigError otherwise."""
+    _require(isinstance(value, numbers.Real) and not isinstance(value, bool)
+             and abs(value) <= sys.float_info.max,
+             f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def normalize_config(cfg: dict) -> dict:
     """Validate a raw config dict and fill defaults; raises ConfigError."""
     _require(isinstance(cfg, dict), "config must be a JSON object")
@@ -107,26 +117,26 @@ def normalize_config(cfg: dict) -> dict:
     _require(system in SYSTEMS, f"system must be one of {SYSTEMS}")
 
     p = dict(out.get("parameters") or {})
-    taus = _extract_taus(p, model)
+    taus = _extract_taus(p)
     _require(len(taus) > 0, "at least one tau (or omega) is required")
     _require(all(t > 0 for t in taus), "every tau must be positive")
-    p["tau_list"] = sorted(float(t) for t in taus)
+    p["tau_list"] = sorted(taus)
     _require(len(set(p["tau_list"])) == len(taus), "tau values must be distinct")
     for key in ("omega", "omega_list", "tau"):
         p.pop(key, None)
 
     if model == "spin_half":
-        theta = p.get("theta")
-        _require(theta is not None, "spin_half needs parameters.theta")
-        _require(0.0 <= theta <= np.pi, "theta must lie in [0, pi]")
+        _require("theta" in p, "spin_half needs parameters.theta")
+        _require(0.0 <= _real(p["theta"], "theta") <= np.pi,
+                 "theta must lie in [0, pi]")
         p.setdefault("omega0", 1.0)
-        _require(p["omega0"] > 0, "omega0 must be positive")
+        _require(_real(p["omega0"], "omega0") > 0, "omega0 must be positive")
     elif model == "driven_two_level":
         p.setdefault("omega0", 1.0)
-        _require(p["omega0"] > 0, "omega0 must be positive")
-        _require("amplitude" in p, "driven_two_level needs parameters.amplitude")
-        _require("drive_frequency" in p,
-                 "driven_two_level needs parameters.drive_frequency")
+        _require(_real(p["omega0"], "omega0") > 0, "omega0 must be positive")
+        for key in ("amplitude", "drive_frequency"):
+            _require(key in p, f"driven_two_level needs parameters.{key}")
+            _real(p[key], key)
         p.setdefault("scaled_frequency", False)
         p.setdefault("envelope", False)
         _require(system == "a",
@@ -155,6 +165,7 @@ def normalize_config(cfg: dict) -> dict:
                  "transform.unitary must be base_propagator, rotating_z or identity")
         if tr["unitary"] == "rotating_z":
             _require("rate" in tr, "rotating_z transform needs a rate")
+            _real(tr["rate"], "transform.rate")
         out["transform"] = tr
 
     # points per window
@@ -169,6 +180,7 @@ def normalize_config(cfg: dict) -> dict:
              "propagator closed_form exists only for spin_half systems a, b, c")
 
     diags = out.get("diagnostics") or list(DEFAULT_DIAGNOSTICS)
+    _require(isinstance(diags, (list, tuple)), "diagnostics must be a list")
     for d in diags:
         _require(d in ALL_DIAGNOSTICS, f"unknown diagnostic {d!r}")
     out["diagnostics"] = list(diags)
@@ -178,11 +190,15 @@ def normalize_config(cfg: dict) -> dict:
     unknown = sorted(set(th) - set(defaults))
     _require(not unknown, f"unknown thresholds {unknown}; "
                           f"allowed keys are {sorted(defaults)}")
+    for key, value in th.items():
+        _real(value, f"thresholds.{key}")
     out["thresholds"] = {**defaults, **th}
 
     output = dict(out.get("output") or {})
     output.setdefault("directory", "adiakit-out")
     output.setdefault("formats", ["json", "csv"])
+    _require(isinstance(output["formats"], (list, tuple)),
+             "output.formats must be a list")
     for f in output["formats"]:
         _require(f in ("json", "csv"), f"unknown output format {f!r}")
     out["output"] = output
@@ -190,7 +206,7 @@ def normalize_config(cfg: dict) -> dict:
     return out
 
 
-def _extract_taus(p: dict, model: str) -> List[float]:
+def _extract_taus(p: dict) -> List[float]:
     given = [k for k in ("omega", "omega_list", "tau", "tau_list") if k in p]
     _require(len(given) == 1,
              "give exactly one of parameters.omega / omega_list / tau / tau_list")
@@ -198,11 +214,11 @@ def _extract_taus(p: dict, model: str) -> List[float]:
     vals = p[key]
     if not isinstance(vals, (list, tuple)):
         vals = [vals]
-    vals = [float(v) for v in vals]
+    vals = [_real(v, key) for v in vals]
     if key.startswith("omega"):
         _require(all(v > 0 for v in vals), "omega values must be positive")
-        return [1.0 / v for v in vals]
-    return vals
+        vals = [1.0 / v for v in vals]
+    return [_real(v, "tau") for v in vals]
 
 
 def _parse_matrices(raw, npoints: int) -> np.ndarray:
@@ -237,16 +253,6 @@ def custom_matrix_path(sgrid, matrices) -> HamiltonianPath:
                            name="custom_matrix_path")
 
 
-def _grid_indices(grid: np.ndarray, s_values: np.ndarray) -> np.ndarray:
-    """Indices of the grid points at ``s_values``; ValueError unless each
-    lies within 1e-9 of one."""
-    idx = np.clip(np.searchsorted(grid, s_values), 1, len(grid) - 1)
-    idx -= np.abs(grid[idx - 1] - s_values) < np.abs(grid[idx] - s_values)
-    if np.max(np.abs(grid[idx] - s_values)) > 1e-9:
-        raise ValueError("requested s values are not frame grid points")
-    return idx
-
-
 class _EigenbasisGrid:
     """The numeric route's data on one frame grid, shared by every tau the
     grid serves (a custom path ignores tau): the base's eigenvalues on the
@@ -261,8 +267,7 @@ class _EigenbasisGrid:
                           + np.diff(grid)[:, None] * steps).ravel(), grid[-1])
         W, V = _path_eigenpairs(base, 1.0, fine)
         self.frame = _discrete_frame(
-            base, 1.0, grid, None, GAP_FLOOR, OVERLAP_FLOOR,
-            eigenpairs=(W[::refine].copy(), V[::refine].copy()))
+            base, 1.0, grid, None, eigenpairs=(W[::refine].copy(), V[::refine].copy()))
         # the chain works in any gauge and level order per point; this one
         # makes Q come out in the frame's on the frame grid
         W[::refine], V[::refine] = self.frame.values, self.frame.vectors
@@ -305,20 +310,6 @@ class _DualEvolution:
         self.couplings = data.couplings * self.e[:, :, None]
         self.couplings *= self.e.conj()[:, None, :]
 
-    def path(self, base: HamiltonianPath) -> HamiltonianPath:
-        """The dual path sign U_tau^dagger H U_tau, whose unitary
-        U_tau = V Q_tau V(0)^dagger is known at frame grid points only."""
-        fr, q = self.data.frame, self.q
-
-        def base_propagator(s_values, tau):
-            idx = _grid_indices(fr.grid, s_values)
-            return fr.vectors[idx] @ q[idx] @ dagger(fr.vectors[0])
-
-        dual = dual_of(base, UnitaryPath(base.dim, base_propagator,
-                                         generator=base,
-                                         name="eigenbasis_propagator"))
-        return dual if self.sign < 0 else negate(dual)
-
     def projector_drift_series(self) -> np.ndarray:
         """max_n ||P_n(s) - P_n(0)||_F = max_n sqrt(2 sum_{m != n}
         |Q_tau,mn|^2): the frame's vectors at s and 0 overlap by
@@ -326,27 +317,17 @@ class _DualEvolution:
         leak = _off_diagonal_populations(self.q).sum(axis=1)
         return np.sqrt(2.0 * leak.max(axis=1))
 
-    def _system_transition(self) -> np.ndarray:
-        """V(s)^dagger U_sys(s) V(0): V(s)^dagger V(0) for the dual
-        (U_sys = U_tau^dagger), Q_2tau for the negated dual
-        (U_sys = U_tau^dagger U_2tau)."""
-        if self.sign < 0:
-            v = self.data.frame.vectors
-            return dagger_dot(v, np.broadcast_to(v[0], v.shape))
-        return self.data.transition(2.0 * self.tau)
-
     def transition_matrix(self) -> np.ndarray:
         """M = e^{i phi} V(s)^dagger U_sys(s) V(0), which is
-        ``diagnostics.transition_matrix`` on this frame."""
-        return self.e[:, :, None] * self._system_transition()
-
-    def unitaries(self, grid) -> np.ndarray:
-        """U_sys = V(0) Q_tau^dagger V(s)^dagger U_sys V(0) V(0)^dagger at
-        frame grid points."""
-        idx = _grid_indices(self.data.frame.grid, np.asarray(grid, float))
-        v0 = self.data.frame.vectors[0]
-        return v0 @ dagger(self.q[idx]) @ self._system_transition()[idx] \
-            @ dagger(v0)
+        ``diagnostics.transition_matrix`` on this frame. V(s)^dagger U_sys
+        V(0) is V(s)^dagger V(0) for the dual (U_sys = U_tau^dagger) and
+        Q_2tau for the negated dual (U_sys = U_tau^dagger U_2tau)."""
+        if self.sign < 0:
+            v = self.data.frame.vectors
+            q = dagger_dot(v, np.broadcast_to(v[0], v.shape))
+        else:
+            q = self.data.transition(2.0 * self.tau)
+        return self.e[:, :, None] * q
 
 
 class SystemBundle:
@@ -358,9 +339,6 @@ class SystemBundle:
         p = config["parameters"]
         self.s_range = (0.0, S_WINDOW)   # the s interval every grid spans
         self.initial_vectors = None
-        # tau -> (grid intervals, whether GRID_CAP stopped the refinement)
-        self._intervals: Dict[float, tuple] = {}
-        self._lock = threading.Lock()
         # grid intervals -> the numeric route's _EigenbasisGrid
         self._eigenbasis: Dict[int, _EigenbasisGrid] = {}
         self._eigenbasis_lock = threading.Lock()
@@ -432,32 +410,22 @@ class SystemBundle:
         """A custom path's dual at tau (systems b and c). The refined
         eigenpairs and overlaps of its grid are made once, under one lock,
         for every tau on that grid."""
-        nint = self._intervals_for(tau)
+        grid = self.grid_for(tau)
+        nint = len(grid) - 1
         with self._eigenbasis_lock:
             if nint not in self._eigenbasis:
                 self._eigenbasis[nint] = _EigenbasisGrid(
-                    self.base, self.grid_for(tau),
-                    2 * self.config["substeps"])
+                    self.base, grid, 2 * self.config["substeps"])
             data = self._eigenbasis[nint]
         sign = -1 if self.config["system"] == "b" else 1
         return _DualEvolution(data, sign, tau)
 
-    def _grid_policy(self, tau: float) -> tuple:
-        """(grid intervals, grid_capped) for tau, worked out once per tau."""
-        tau = float(tau)
-        with self._lock:
-            if tau not in self._intervals:
-                self._intervals[tau] = self._refined_intervals(tau)
-            return self._intervals[tau]
-
-    def _intervals_for(self, tau: float) -> int:
-        return self._grid_policy(tau)[0]
-
     def grid_capped(self, tau: float) -> bool:
         """Whether GRID_CAP left tau's grid above the phase-per-step target."""
-        return self._grid_policy(tau)[1]
+        return self._refined_intervals(tau)[1]
 
     def _refined_intervals(self, tau: float) -> tuple:
+        """(grid intervals, whether GRID_CAP stopped the refinement)."""
         npts = self.config["grid"]
         if not self.config["auto_refine"]:
             return npts, False
@@ -485,14 +453,17 @@ class SystemBundle:
 
     def grid_for(self, tau: float) -> np.ndarray:
         lo, hi = self.s_range
-        return np.linspace(lo, hi, self._intervals_for(tau) + 1)
+        return np.linspace(lo, hi, self._refined_intervals(tau)[0] + 1)
 
     def unitaries_for(self, tau: float, grid: np.ndarray):
-        """Evolution operators of the configured system on the grid."""
+        """Evolution operators of the configured path system on the grid.
+        A custom dual has none: its entries read the transition matrix from
+        Q (``evolution``)."""
+        if self.path is None:
+            raise ValueError("a custom dual has no lab-frame evolution "
+                             "operators; read it through evolution(tau)")
         if self.closed_form and self._u_closed is not None:
             return self._u_closed.eval_batch(grid, tau)
-        if self.path is None:
-            return self.evolution(tau).unitaries(grid)
         res = propagate(self.path, tau, grid,
                         substeps=self.config["substeps"])
         return res.unitaries
@@ -557,11 +528,10 @@ def _entry_for_tau(bundle: SystemBundle, tau: float, config: dict) -> dict:
         if "w_deviation" in diags:
             entry["w_deviation"] = _w_deviation_of(M, frame)
     if "premises" in diags:
-        # the premise grid and its midpoints are frame grid points, where
-        # a custom dual's propagator is known
-        coarse = grid[::max(2, (len(grid) - 1) // config["grid"])]
-        path = bundle.path if evo is None else evo.path(bundle.base)
-        entry["premises"] = premise_checks(path, tau, coarse)
+        # at the configured density (a stride of 2 or a power of 4) and at
+        # its midpoints
+        entry["premises"] = _premises(
+            frame, max(2, (len(grid) - 1) // config["grid"]))
     return entry, series
 
 

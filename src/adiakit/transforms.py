@@ -92,20 +92,19 @@ def negate(path: HamiltonianPath, name: str = "") -> HamiltonianPath:
 
 
 class GeneratorPath(HamiltonianPath):
-    """Hermitized generator of a unitary path: (i/tau) (dU/ds) U^dagger."""
+    """Hermitized generator of a unitary path: (i/tau) (dU/ds) U^dagger,
+    by 4th-order finite differences that sample no s below 0."""
 
     def __init__(self, unitary: UnitaryPath, h: float = 1e-5,
-                 s_min: Optional[float] = 0.0,
                  residual_threshold: float = 1e-3, name: str = ""):
         self.unitary = unitary
         self._h = float(h)
-        self._s_min = s_min
         self.residual_threshold = float(residual_threshold)
         super().__init__(unitary.dim, self._eval_many,
                          name=name or f"generator({unitary.name})")
 
     def _raw(self, s_values, tau):
-        dU = fd4_derivative(self.unitary, s_values, tau, self._h, self._s_min)
+        dU = fd4_derivative(self.unitary, s_values, tau, self._h, 0.0)
         U = self.unitary.eval_batch(s_values, tau)
         return (1j / tau) * np.einsum("kij,klj->kil", dU, U.conj())
 
@@ -122,8 +121,8 @@ class GeneratorPath(HamiltonianPath):
 
 
 def generator_of(unitary: UnitaryPath, tau: Optional[float] = None,
-                 h: float = 1e-5, residual_threshold: float = 1e-3,
-                 s_min: Optional[float] = 0.0) -> GeneratorPath:
+                 h: float = 1e-5,
+                 residual_threshold: float = 1e-3) -> GeneratorPath:
     """Extract the Hamiltonian generating a unitary path.
 
     The result satisfies i dU/ds = tau * G(s, tau) * U up to finite-difference
@@ -132,8 +131,7 @@ def generator_of(unitary: UnitaryPath, tau: Optional[float] = None,
     ``residual_threshold``. If ``tau`` is given, that check runs right away
     at a few sample points.
     """
-    gen = GeneratorPath(unitary, h=h, s_min=s_min,
-                        residual_threshold=residual_threshold)
+    gen = GeneratorPath(unitary, h=h, residual_threshold=residual_threshold)
     if tau is not None:
         gen.eval_batch(np.array([0.1, 0.5, 1.0]), tau)
     return gen

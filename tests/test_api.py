@@ -1,6 +1,8 @@
 """The public API and the report schema are pinned, so that a change to
 either is deliberate."""
 
+import inspect
+
 import numpy as np
 import scipy.linalg
 
@@ -28,6 +30,24 @@ def test_public_api_is_pinned():
     ]
     for name in adiakit.__all__:
         assert hasattr(adiakit, name), name
+
+
+def test_signatures_are_pinned():
+    # keywords that no caller set were removed; they come back on purpose
+    def names(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert names(adiakit.eigenframe) == [
+        "path", "tau", "grid", "initial_vectors", "transport"]
+    assert names(adiakit.couplings) == ["frame", "method"]
+    assert names(adiakit.premise_checks) == ["path", "tau", "grid"]
+    assert names(adiakit.HamiltonianPath.derivative) == ["self", "s", "tau"]
+    assert names(adiakit.HamiltonianPath.derivative_batch) == [
+        "self", "s_values", "tau"]
+    assert names(models.random_smooth_hamiltonian) == [
+        "dim", "rng", "base_gap", "wobble"]
+    assert names(adiakit.generator_of) == [
+        "unitary", "tau", "h", "residual_threshold"]
 
 
 def test_kernel_entry_points():

@@ -1,7 +1,9 @@
 """The numeric route of custom duals: the base propagated in its own
 adiabatic basis (``propagate_eigenbasis``) and the transported dual frame
 built from it, checked against the lab-frame algebra it replaced and
-against the discrete frame of the same dual."""
+against the discrete frame of the same dual; and the premises an entry
+reads from its own frame, checked against the two-frame computation they
+replaced."""
 
 import dataclasses
 
@@ -10,14 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adiakit.gauge as gauge
 import adiakit.scenario as sc
 from adiakit.diagnostics import (_intertwining_of, _kernel_summary,
                                  _w_deviation_of, projector_drift_series,
                                  transition_matrix)
 from adiakit.gauge import couplings, eigenframe
-from adiakit.linalg import dagger
+from adiakit.linalg import dagger, dagger_dot
 from adiakit.models import random_smooth_hamiltonian
+from adiakit.paths import UnitaryPath, midpoint_refined
 from adiakit.propagate import propagate
+from adiakit.transforms import dual_of, negate
 
 CASES = dict(dim=st.integers(min_value=2, max_value=4),
              seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -41,6 +46,32 @@ def _bundle(dim, seed, system, tau, grid=1024, **over):
 
 def _rel(value, ref):
     return abs(value - ref) / abs(ref)
+
+
+def _lab_frame(bundle, evo):
+    """The route's lab-frame reference at the frame's grid points: the dual
+    path sign U_tau^dag H U_tau, whose unitary U_tau = V Q_tau V(0)^dag is
+    known there only, and U_sys = V(0) Q_tau^dag (V(s)^dag U_sys V(0))
+    V(0)^dag, where V(s)^dag U_sys V(0) is V(s)^dag V(0) for the dual and
+    Q_2tau for the negated dual."""
+    fr, q = evo.data.frame, evo.q
+    v0 = fr.vectors[0]
+
+    def base_propagator(s_values, tau):
+        # the nearest grid point, which must lie within 1e-9
+        idx = np.clip(np.searchsorted(fr.grid, s_values), 1, len(fr.grid) - 1)
+        idx -= (np.abs(fr.grid[idx - 1] - s_values)
+                < np.abs(fr.grid[idx] - s_values))
+        if np.max(np.abs(fr.grid[idx] - s_values)) > 1e-9:
+            raise ValueError("requested s values are not frame grid points")
+        return fr.vectors[idx] @ q[idx] @ dagger(v0)
+
+    dual = dual_of(bundle.base, UnitaryPath(bundle.base.dim, base_propagator,
+                                            generator=bundle.base))
+    inner = (dagger_dot(fr.vectors, np.broadcast_to(v0, fr.vectors.shape))
+             if evo.sign < 0 else evo.data.transition(2.0 * evo.tau))
+    return (dual if evo.sign < 0 else negate(dual),
+            v0 @ dagger(q) @ inner @ dagger(v0))
 
 
 def _end_moduli(K, dim):
@@ -97,10 +128,9 @@ def test_discrete_and_transported_frames_agree(dim, seed, system, tau):
     grid = bundle.grid_for(tau)
     evo = bundle.evolution(tau)
     transported = evo.frame
-    discrete = eigenframe(evo.path(bundle.base), tau, grid,
-                          transport="discrete")
+    path, u_sys = _lab_frame(bundle, evo)
+    discrete = eigenframe(path, tau, grid, transport="discrete")
     assert discrete.construction == "discrete"
-    u_sys = bundle.unitaries_for(tau, grid)
     m_d = transition_matrix(u_sys, discrete)
     m_t = transition_matrix(u_sys, transported)
     assert _rel(np.max(_intertwining_of(m_d)),
@@ -150,7 +180,8 @@ def test_route_frame_is_the_transported_frame_of_the_dual(system):
     bundle = _bundle(3, 11, system, tau)
     grid = bundle.grid_for(tau)
     evo = bundle.evolution(tau)
-    frame = dataclasses.replace(evo.frame, path=evo.path(bundle.base))
+    path, u_sys = _lab_frame(bundle, evo)
+    frame = dataclasses.replace(evo.frame, path=path)
     assert frame.construction == "transported"
     H = frame.path.eval_batch(grid, tau)
     resid = H @ frame.vectors - frame.vectors * frame.values[:, None, :]
@@ -161,8 +192,85 @@ def test_route_frame_is_the_transported_frame_of_the_dual(system):
     assert np.max(np.abs(evo.projector_drift_series()
                          - projector_drift_series(frame))) <= 1e-12
     assert np.max(np.abs(evo.transition_matrix()
-                         - transition_matrix(bundle.unitaries_for(tau, grid),
-                                             frame))) <= 1e-12
+                         - transition_matrix(u_sys, frame))) <= 1e-12
+
+
+def test_custom_duals_have_no_lab_frame_unitaries():
+    bundle = _bundle(2, 5, "c", 6.0, grid=256)
+    with pytest.raises(ValueError, match="evolution"):
+        bundle.unitaries_for(6.0, bundle.grid_for(6.0))
+
+
+def _two_frame_premises(path, tau, grid):
+    """The premises as computed before they were read from the entry's
+    frame: one eigenframe on ``grid`` and one on its midpoint refinement."""
+    frames = [eigenframe(path, tau, g) for g in (grid, midpoint_refined(grid))]
+    d = []
+    for fr in frames:
+        h = np.diff(fr.grid).mean()
+        d1 = d2 = 0.0
+        for j in range(fr.dim):
+            P = fr.projector(j)
+            dP = (P[2:] - P[:-2]) / (2 * h)
+            d2P = (P[2:] - 2 * P[1:-1] + P[:-2]) / (h * h)
+            d1 = max(d1, float(np.max(np.linalg.norm(dP, axis=(1, 2)))))
+            d2 = max(d2, float(np.max(np.linalg.norm(d2P, axis=(1, 2)))))
+        d.append((d1, d2))
+    (d1c, d2c), (d1f, d2f) = d
+    step_c, step_f = (float(np.max(np.abs(np.diff(fr.values, axis=0))))
+                      for fr in frames)
+    ratio1 = d1f / d1c if d1c > 0 else 1.0
+    ratio2 = d2f / d2c if d2c > 0 else 1.0
+    return {
+        "p1_max_value_step": step_c,
+        "p1_refined_ratio": step_f / step_c if step_c > 0 else 1.0,
+        "p2_min_gap": frames[0].min_gap,
+        "p3_dP_norm": d1c,
+        "p3_d2P_norm": d2c,
+        "p3_dP_ratio": ratio1,
+        "p3_d2P_ratio": ratio2,
+        "p3_stable": float(0.5 <= ratio1 <= 2.0 and 0.5 <= ratio2 <= 2.0),
+    }
+
+
+SPIN = {"model": "spin_half", "grid": 512,
+        "parameters": {"theta": 0.7, "tau": 20.0}}
+PREMISE_CASES = {
+    "spin_a": dict(SPIN, system="a"),
+    "spin_b": dict(SPIN, system="b"),
+    "spin_c": dict(SPIN, system="c"),
+    "spin_x": dict(SPIN, system="x", transform={
+        "sign": -1, "unitary": "rotating_z", "rate": 0.5}),
+    "driven": {"model": "driven_two_level", "grid": 512, "parameters": {
+        "amplitude": 0.3, "drive_frequency": 1.0, "tau": 10.0}},
+}
+
+
+@pytest.mark.parametrize("case", [*PREMISE_CASES, "custom_c"])
+def test_premises_of_the_entry_frame_match_two_frames(case, monkeypatch):
+    # the entry reads coarse and fine points of its own frame where two
+    # frames were built; projectors at s values an ulp apart leave the
+    # second differences to rounding (largest measured: 6e-11 relative)
+    if case == "custom_c":
+        bundle = _bundle(3, 11, "c", 8.0, grid=256)
+        # the reference unitary cannot be probed off the frame grid, so its
+        # transported frames go without the generator spot-check
+        monkeypatch.setattr(gauge, "_check_transport_generator",
+                            lambda path, tau, grid: None)
+    else:
+        bundle = sc.SystemBundle(sc.normalize_config(PREMISE_CASES[case]))
+    tau, = bundle.config["parameters"]["tau_list"]
+    report, _ = sc.run(dict(bundle.config, diagnostics=["premises"]))
+    got = report["entries"][0]["premises"]
+    grid = bundle.grid_for(tau)
+    path = (bundle.path if bundle.path is not None
+            else _lab_frame(bundle, bundle.evolution(tau))[0])
+    step = max(2, (len(grid) - 1) // bundle.config["grid"])
+    ref = _two_frame_premises(path, tau, grid[::step])
+    assert sorted(got) == sorted(ref)
+    assert got["p3_stable"] == ref["p3_stable"]
+    for key in ref:
+        assert abs(got[key] - ref[key]) <= 1e-9 * abs(ref[key]), key
 
 
 @pytest.mark.parametrize("system", ["b", "c"])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adiakit as ak
 from adiakit import spinhalf
@@ -143,6 +145,22 @@ def test_frame_transport_corrected_at_every_size(npts):
     frames, grid = _spin_frames(THETA, OMEGA0, 100.0, npts)
     ref = spinhalf.parallel_eigvecs(THETA)(grid)
     assert np.max(np.abs(frames["a"].vectors - ref)) <= 1e-12
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(dim=st.integers(min_value=2, max_value=6),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       npts=st.integers(min_value=257, max_value=1025),
+       tau=st.floats(min_value=1.0, max_value=50.0))
+def test_random_frames_are_complete_and_transported(dim, seed, npts, tau):
+    # the discrete frame's vectors stay orthonormal, and the Richardson-
+    # corrected transport leaves an O(ds^2) diagonal connection (largest
+    # over 300 draws: 4.4e-15 and 0.18 ds^2)
+    path = random_smooth_hamiltonian(dim, np.random.default_rng(seed))
+    grid = np.linspace(0.0, WINDOW, npts)
+    fr = ak.eigenframe(path, tau, grid)
+    assert fr.completeness_defect() <= 1e-13
+    assert fr.gauge_residual() <= 0.5 * (grid[1] - grid[0]) ** 2
 
 
 def test_frame_determinism(spin_frame):

@@ -60,6 +60,24 @@ def test_normalize_fills_defaults():
                         propagator="closed_form"), "closed_form"),
     (lambda c: c.update(thresholds={"foo": 1}), "allowed keys"),
     (lambda c: c.update(thresholds={"slope_tol": 0.15}), "slope_tol"),
+    (lambda c: c["parameters"].update(theta="abc"), "theta must be a finite"),
+    (lambda c: c.update(parameters={"theta": THETA, "tau": "abc"}),
+     "tau must be a finite"),
+    (lambda c: c.update(parameters={"theta": THETA, "tau": float("inf")}),
+     "tau must be a finite"),
+    (lambda c: c["parameters"].update(omega=1e-320), "tau must be a finite"),
+    (lambda c: c["parameters"].update(omega0="1"), "omega0 must be a finite"),
+    (lambda c: c.update(model="driven_two_level", parameters={
+        "amplitude": "x", "drive_frequency": 1.0, "tau": 5.0}),
+     "amplitude must be a finite"),
+    (lambda c: c.update(system="x", transform={
+        "sign": -1, "unitary": "rotating_z", "rate": "fast"}),
+     "transform.rate must be a finite"),
+    (lambda c: c.update(thresholds={"eps_q": "x"}),
+     "thresholds.eps_q must be a finite"),
+    (lambda c: c.update(diagnostics="qac_max"), "diagnostics must be a list"),
+    (lambda c: c.update(output={"formats": "json"}),
+     "output.formats must be a list"),
 ])
 def test_invalid_configs_rejected(mutate, msg):
     cfg = base_config()
