@@ -4,18 +4,21 @@ Two batched entry points, ``eigh_batch`` and ``propagate_steps``, plus the
 helpers they share with the rest of the package: ``hermitize`` (re-exported
 by ``adiakit.linalg``), the step exponentials (``exponential_map``), the 2x2
 product ``matmul_2x2``, the blocked prefix product ``chain_steps`` and
-``chain_records``, which every fixed-grid integrator runs on its step
-stack: it multiplies the steps between two records together first, batched
-across the recorded intervals, and runs the prefix product over those
-interval products only, so a run with r steps per recorded interval chains
-m / r matrices rather than m.
+``chain_records``, which chains a step stack: it multiplies the steps
+between two records together first, batched across the recorded intervals,
+and runs the prefix product over those interval products only, so a run
+with r steps per recorded interval chains m / r matrices rather than m.
 
 The route depends on the matrix dimension only. 2x2 stacks, every
 spin-half frame and step, take closed forms built from the components
 (m, d, q, r) of ``su2_components``: the eigenpairs of ``eigh_batch``
-(``eigensolver_route``) and the step exponentials of ``su2_exponentials``,
-which need no eigenvectors. Larger matrices take numpy's stacked LAPACK
-eigensolver, and their exponentials V diag(e^{-i alpha w}) V^dagger.
+(``eigensolver_route``) and the step exponentials, which need no
+eigenvectors; each is a phase angle and a unit quaternion
+(``su2_quaternions``). ``propagate_steps`` folds the 2x2 steps of each
+recorded interval as quaternions (``quaternion_product``) and forms
+matrices (``su2_matrices``) of the interval products only. Larger matrices
+take numpy's stacked LAPACK eigensolver, their exponentials
+V diag(e^{-i alpha w}) V^dagger, and ``chain_records``.
 """
 
 import numpy as np
@@ -69,33 +72,78 @@ def su2_components(a):
     return m, d, q, r
 
 
-def su2_exponentials(comps, alphas):
-    """exp(-i alpha_k H_k) of 2x2 Hermitian H_k from their components
-    ``comps`` = (m, d, q, r) of ``su2_components``:
+def su2_quaternions(comps, alphas):
+    """Phase angles and unit quaternions of exp(-i alpha_k H_k) for 2x2
+    Hermitian H_k with components ``comps`` = (m, d, q, r) of
+    ``su2_components``; returns (alphas m, a) with a of shape (4, ...):
 
-        exp(-i alpha H) = e^{-i alpha m} (cos(alpha r) I
-                          - i sin(alpha r)/r [[d, q], [conj q, -d]]),
+        exp(-i alpha H) = e^{-i alpha m} (a0 I - i a . sigma),
+        a0 = cos(alpha r),  (a1, a2, a3) = sin(alpha r)/r (Re q, -Im q, d),
 
     the SU(2) form (Moler & Van Loan, *Nineteen Dubious Ways to Compute the
     Exponential of a Matrix, Twenty-Five Years Later*, SIAM Rev. 45 (2003)),
     with sin(alpha r)/r = alpha at r = 0 (H = m I). No eigenvectors are
-    formed.
+    formed. The quaternions multiply by ``quaternion_product``.
     """
     m, d, q, r = comps
     ar = alphas * r
     s = np.divide(np.sin(ar), r, out=np.array(alphas, dtype=float),
                   where=r > 0)
-    phase = np.exp(-1j * (alphas * m))
-    g = phase * s
-    g *= -1j
-    c = phase * np.cos(ar)
-    gd = g * d
-    out = np.empty(np.shape(m) + (2, 2), dtype=np.complex128)
-    np.add(c, gd, out=out[..., 0, 0])
-    np.subtract(c, gd, out=out[..., 1, 1])
-    np.multiply(g, q, out=out[..., 0, 1])
-    np.multiply(g, np.conj(q), out=out[..., 1, 0])
+    quat = np.empty((4,) + np.shape(ar))
+    np.cos(ar, out=quat[0])
+    np.multiply(s, q.real, out=quat[1])
+    np.multiply(s, q.imag, out=quat[2])
+    np.negative(quat[2], out=quat[2])
+    np.multiply(s, d, out=quat[3])
+    return alphas * m, quat
+
+
+def quaternion_product(x, y):
+    """Hamilton product x y of two (4, ...) quaternion stacks: the
+    quaternion of the SU(2) product (x0 I - i x.sigma)(y0 I - i y.sigma),
+
+        (x0 y0 - x.y,  x0 y + y0 x + x cross y),
+
+    16 real multiplies per pair."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    out = np.empty(np.shape(y))
+    out[0] = x0 * y0 - x1 * y1 - x2 * y2 - x3 * y3
+    out[1] = x0 * y1 + y0 * x1 + x2 * y3 - x3 * y2
+    out[2] = x0 * y2 + y0 * x2 + x3 * y1 - x1 * y3
+    out[3] = x0 * y3 + y0 * x3 + x1 * y2 - x2 * y1
     return out
+
+
+def su2_matrices(angles, quat, out=None):
+    """The (..., 2, 2) matrices e^{-i angle} (a0 I - i a . sigma) of phase
+    angles and quaternions a = ``quat`` (4, ...), written into ``out`` when
+    it is given:
+
+        e^{-i angle} [[a0 - i a3, -a2 - i a1], [a2 - i a1, a0 + i a3]].
+    """
+    phase = np.exp(-1j * angles)
+    if out is None:
+        out = np.empty(np.shape(angles) + (2, 2), dtype=np.complex128)
+    z = np.empty(np.shape(angles), dtype=np.complex128)
+    z.real = quat[0]
+    np.negative(quat[3], out=z.imag)
+    np.multiply(phase, z, out=out[..., 0, 0])
+    np.conj(z, out=z)
+    np.multiply(phase, z, out=out[..., 1, 1])
+    np.negative(quat[2], out=z.real)
+    np.negative(quat[1], out=z.imag)
+    np.multiply(phase, z, out=out[..., 0, 1])
+    np.negative(z.real, out=z.real)
+    np.multiply(phase, z, out=out[..., 1, 0])
+    return out
+
+
+def su2_exponentials(comps, alphas):
+    """exp(-i alpha_k H_k) of 2x2 Hermitian H_k from their components
+    ``comps`` = (m, d, q, r) of ``su2_components``, as the matrices of
+    their ``su2_quaternions``."""
+    return su2_matrices(*su2_quaternions(comps, alphas))
 
 
 def _eigh_2x2(a):
@@ -209,6 +257,11 @@ def chain_steps(steps, u0):
         steps[k] = steps[k] @ steps[k - 1]
 
 
+def _check_record_every(m, record_every):
+    if record_every <= 0 or m % record_every != 0:
+        raise ValueError("record_every must divide the step count")
+
+
 def chain_records(steps, u0, record_every, out=None):
     """Records of the chain U <- steps[k] U from ``u0``, taken after every
     ``record_every`` steps (the step count must be divisible by it); returns
@@ -220,8 +273,7 @@ def chain_records(steps, u0, record_every, out=None):
     buffer.
     """
     m, n = steps.shape[0], steps.shape[-1]
-    if record_every <= 0 or m % record_every != 0:
-        raise ValueError("record_every must divide the step count")
+    _check_record_every(m, record_every)
     if out is None:
         out = np.empty((m // record_every, n, n), dtype=np.complex128)
     if m == 0:
@@ -236,9 +288,18 @@ def chain_records(steps, u0, record_every, out=None):
 
 def propagate_steps(Hmid, alphas, U0, record_every, out=None):
     """Chain midpoint exponentials U <- exp(-i alphas_k H_k) U from U0 and
-    record U after every ``record_every`` steps (see ``chain_records``);
-    returns the (steps / record_every, n, n) records, written into ``out``
-    (C-contiguous) when it is given."""
+    record U after every ``record_every`` steps; returns the
+    (steps / record_every, n, n) records, written into ``out``
+    (C-contiguous) when it is given.
+
+    2x2 steps are kept as phase angles and unit quaternions
+    (``su2_quaternions``), laid out step-major: row j holds the j-th step of
+    every recorded interval. The steps of each interval are folded by
+    ``quaternion_product`` on those contiguous rows and their phase angles
+    summed, so only the interval products become matrices, which
+    ``chain_steps`` chains. Larger steps are exponentiated from one
+    eigensolve of the stack and chained by ``chain_records``.
+    """
     h = np.asarray(Hmid, dtype=np.complex128)
     _check_square(h, "step matrices")
     a = np.asarray(alphas, dtype=np.float64)
@@ -248,6 +309,26 @@ def propagate_steps(Hmid, alphas, U0, record_every, out=None):
     u0 = np.array(U0, dtype=np.complex128)
     if u0.shape != (n, n):
         raise ValueError("U0 dimension mismatch")
-    steps = exponential_map(h)(a)
-    del h  # a converted copy of the stack is freed before the step products
-    return chain_records(steps, u0, record_every, out)
+    if n != 2:
+        steps = exponential_map(h)(a)
+        del h  # a converted copy of the stack is freed before the products
+        return chain_records(steps, u0, record_every, out)
+    _check_record_every(m, record_every)
+    k = m // record_every
+    if out is None:
+        out = np.empty((k, 2, 2), dtype=np.complex128)
+    if k == 0:
+        return out
+
+    def step_major(x):
+        return x.reshape(k, record_every).T
+
+    comps = [step_major(c) for c in su2_components(h)]
+    del h
+    angles, quat = su2_quaternions(comps, step_major(a))
+    folded = quat[:, 0]
+    for j in range(1, record_every):
+        folded = quaternion_product(quat[:, j], folded)
+    su2_matrices(angles.sum(axis=0), folded, out=out)
+    chain_steps(out, u0)
+    return out

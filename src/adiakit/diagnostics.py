@@ -26,8 +26,8 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .exceptions import ScalingUndefinedError
-from .gauge import (EigenFrame, _min_pairwise_gap, couplings, eigenframe,
-                    kernel_coefficients)
+from .gauge import (EigenFrame, _dress_kernel, _min_pairwise_gap, couplings,
+                    eigenframe)
 from .linalg import sandwich
 from .paths import HamiltonianPath, check_grid, grid_index, midpoint_refined
 from .propagate import PropagationResult
@@ -97,7 +97,8 @@ def _kernel_integrand(frame: EigenFrame, C: Optional[np.ndarray] = None):
     of the pair (m, n) is -i K_mn; K_nm = conj(K_mn)."""
     m, n = np.tril_indices(frame.dim, -1)
     theta = frame.integrand_phases()
-    return (kernel_coefficients(frame, C)[:, m, n],
+    C = couplings(frame) if C is None else C
+    return (_dress_kernel(frame, C[:, m, n], m, n),
             None if theta is None else theta[:, m] - theta[:, n])
 
 

@@ -383,11 +383,20 @@ def kernel_coefficients(frame: EigenFrame,
     Couplings built here are dressed in place; a caller's ``C`` is copied.
     """
     coeff = couplings(frame) if C is None else C.copy()
+    idx = np.arange(frame.dim)
+    _dress_kernel(frame, coeff, idx[:, None], idx[None, :])
+    coeff[:, idx, idx] = 0.0
+    return coeff
+
+
+def _dress_kernel(frame: EigenFrame, coeff: np.ndarray, rows, cols):
+    """coeff <- i e^{i(phi_m - phi_n)} coeff in place, with m = ``rows`` and
+    n = ``cols`` indexing the levels: the kernel coefficients of the
+    couplings C_mn held in ``coeff`` (a full (N, n, n) stack, or the pair
+    columns of ``diagnostics._kernel_integrand``). Returns ``coeff``."""
     # e^{i(phi_m - phi_n)} = e_m conj(e_n): n exponentials per point, not n^2
     e = np.exp(1j * frame.phase_integrals())
-    n = frame.dim
-    coeff *= e[:, :, None]
-    coeff *= e.conj()[:, None, :]
+    coeff *= e[:, rows]
+    coeff *= e.conj()[:, cols]
     coeff *= 1j
-    coeff[:, np.arange(n), np.arange(n)] = 0.0
     return coeff

@@ -10,7 +10,9 @@ highly oscillatory problems that arise at large tau:
 
   one exponential per step. The kernel multiplies the substeps of each grid
   interval together, then chains only the interval products and writes them
-  straight into the result.
+  straight into the result. 2x2 substeps are multiplied as unit
+  quaternions with summed phase angles, and only the interval products
+  become matrices (``_kernels_py.propagate_steps``).
 * ``propagate_eigenbasis`` (fixed grid, in the adiabatic basis) takes the
   eigenpairs (E_j, V_j) of H at the points t_j of a fine grid and returns
   Q(t_j) = V_j^dagger U(t_j) V_0 on every r-th point. Its step is the
@@ -36,9 +38,10 @@ highly oscillatory problems that arise at large tau:
   exponent 1/5 of an order-4 method.
 
 Every step exponential is formed in the numpy kernels
-(``_kernels_py.exponential_map``): for 2x2 steps (every spin-half system)
-in the closed SU(2) form cos(alpha r) I - i sin(alpha r)/r (H - m I), times
-e^{-i alpha m}, from the components of each step matrix, with no
+(``_kernels_py.exponential_map`` and ``propagate_steps``): for 2x2 steps
+(every spin-half system) in the closed SU(2) form
+e^{-i alpha m} (cos(alpha r) I - i sin(alpha r)/r (H - m I)), a phase angle
+and a unit quaternion from the components of each step matrix, with no
 eigensolve; for larger ones from LAPACK eigenpairs.
 """
 

@@ -59,7 +59,7 @@ from .linalg import dagger, dagger_dot, hermiticity_defect, unitarity_defect
 from .models import driven_two_level
 from .paths import (HamiltonianPath, UnitaryPath, constant_hamiltonian,
                     identity_unitary)
-from .propagate import propagate, propagate_eigenbasis
+from .propagate import STEP_CAP, propagate, propagate_eigenbasis
 from .transforms import dual_of, negate, transform
 
 SCHEMA = "adiakit-scenario/1"
@@ -87,12 +87,12 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
-def _integer(value, name: str, low: int) -> int:
-    """``value`` as an int, if it is a number >= ``low`` with no fractional
-    part; raises ConfigError otherwise."""
+def _integer(value, name: str, low: int, high: int) -> int:
+    """``value`` as an int, if it is a number in [``low``, ``high``] with no
+    fractional part; raises ConfigError otherwise."""
     _require(isinstance(value, numbers.Real) and not isinstance(value, bool)
-             and float(value).is_integer() and value >= low,
-             f"{name} must be an integer >= {low}, got {value!r}")
+             and low <= value <= high and float(value).is_integer(),
+             f"{name} must be an integer in [{low}, {high}], got {value!r}")
     return int(value)
 
 
@@ -103,6 +103,23 @@ def _real(value, name: str) -> float:
              and abs(value) <= sys.float_info.max,
              f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _boolean(value, name: str):
+    _require(isinstance(value, bool), f"{name} must be true or false, "
+                                      f"got {value!r}")
+
+
+def _real_array(raw, name: str) -> np.ndarray:
+    """``raw`` as a float array, if it is a number or a regular nesting of
+    lists of numbers; raises ConfigError otherwise."""
+    try:
+        arr = np.asarray(raw)
+    except ValueError:  # ragged nesting
+        arr = None
+    _require(arr is not None and arr.dtype.kind in "iuf",
+             f"{name} must hold numbers only")
+    return arr.astype(float)
 
 
 def normalize_config(cfg: dict) -> dict:
@@ -137,14 +154,14 @@ def normalize_config(cfg: dict) -> dict:
         for key in ("amplitude", "drive_frequency"):
             _require(key in p, f"driven_two_level needs parameters.{key}")
             _real(p[key], key)
-        p.setdefault("scaled_frequency", False)
-        p.setdefault("envelope", False)
+        for key in ("scaled_frequency", "envelope"):
+            _boolean(p.setdefault(key, False), key)
         _require(system == "a",
                  "driven_two_level supports only system 'a'")
     else:  # custom_matrix_path
         _require("grid" in p and "matrices" in p,
                  "custom_matrix_path needs parameters.grid and .matrices")
-        sgrid = np.asarray(p["grid"], dtype=float)
+        sgrid = _real_array(p["grid"], "parameters.grid")
         _require(sgrid.ndim == 1 and len(sgrid) >= 2,
                  "parameters.grid must be a 1-D list of at least 2 s values")
         _require(np.all(np.diff(sgrid) > 0),
@@ -169,9 +186,10 @@ def normalize_config(cfg: dict) -> dict:
         out["transform"] = tr
 
     # points per window
-    out["grid"] = _integer(out.get("grid", 2048), "grid", 256)
-    out.setdefault("auto_refine", True)
-    out["substeps"] = _integer(out.get("substeps", 1), "substeps", 1)
+    out["grid"] = _integer(out.get("grid", 2048), "grid", 256, GRID_CAP)
+    _boolean(out.setdefault("auto_refine", True), "auto_refine")
+    out["substeps"] = _integer(out.get("substeps", 1), "substeps", 1,
+                               STEP_CAP)
     out.setdefault("propagator", "auto")
     _require(out["propagator"] in ("auto", "closed_form", "numeric"),
              "propagator must be auto, closed_form or numeric")
@@ -222,7 +240,7 @@ def _extract_taus(p: dict) -> List[float]:
 
 
 def _parse_matrices(raw, npoints: int) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
+    arr = _real_array(raw, "matrices")
     _require(arr.ndim == 4 and arr.shape[0] == npoints
              and arr.shape[1] == arr.shape[2] and arr.shape[3] == 2,
              "matrices must have shape (npoints, n, n, 2) with [re, im] pairs")
@@ -369,8 +387,8 @@ class SystemBundle:
         elif model == "driven_two_level":
             self.path = driven_two_level(float(p["omega0"]), float(p["amplitude"]),
                                          float(p["drive_frequency"]),
-                                         scaled_frequency=bool(p["scaled_frequency"]),
-                                         envelope=bool(p["envelope"]))
+                                         scaled_frequency=p["scaled_frequency"],
+                                         envelope=p["envelope"])
             self.base = self.path
             self._u_closed = None
             self.closed_form = False
@@ -406,11 +424,10 @@ class SystemBundle:
 
         return UnitaryPath(2, _u_batch, generator=gen, name="rotating_z")
 
-    def evolution(self, tau: float) -> _DualEvolution:
-        """A custom path's dual at tau (systems b and c). The refined
-        eigenpairs and overlaps of its grid are made once, under one lock,
-        for every tau on that grid."""
-        grid = self.grid_for(tau)
+    def evolution(self, tau: float, grid: np.ndarray) -> _DualEvolution:
+        """A custom path's dual at tau (systems b and c) on tau's ``grid``.
+        The refined eigenpairs and overlaps of a grid are made once, under
+        one lock, for every tau on that grid."""
         nint = len(grid) - 1
         with self._eigenbasis_lock:
             if nint not in self._eigenbasis:
@@ -420,22 +437,19 @@ class SystemBundle:
         sign = -1 if self.config["system"] == "b" else 1
         return _DualEvolution(data, sign, tau)
 
-    def grid_capped(self, tau: float) -> bool:
-        """Whether GRID_CAP left tau's grid above the phase-per-step target."""
-        return self._refined_intervals(tau)[1]
-
-    def _refined_intervals(self, tau: float) -> tuple:
-        """(grid intervals, whether GRID_CAP stopped the refinement)."""
-        npts = self.config["grid"]
-        if not self.config["auto_refine"]:
-            return npts, False
+    def grid_policy(self, tau: float) -> tuple:
+        """(tau's grid, whether GRID_CAP left it above the phase-per-step
+        target), from one probe of ``_phase_rate_estimate``."""
+        npts, capped = self.config["grid"], False
         lo, hi = self.s_range
-        rate = self._phase_rate_estimate(tau) + 10.0
-        while ((hi - lo) * rate / npts > PHASE_PER_STEP_TARGET
-               and npts < GRID_CAP):
-            npts *= 4
-        npts = min(npts, GRID_CAP)
-        return npts, (hi - lo) * rate / npts > PHASE_PER_STEP_TARGET
+        if self.config["auto_refine"]:
+            rate = self._phase_rate_estimate(tau) + 10.0
+            while ((hi - lo) * rate / npts > PHASE_PER_STEP_TARGET
+                   and npts < GRID_CAP):
+                npts *= 4
+            npts = min(npts, GRID_CAP)
+            capped = (hi - lo) * rate / npts > PHASE_PER_STEP_TARGET
+        return np.linspace(lo, hi, npts + 1), capped
 
     def _phase_rate_estimate(self, tau: float) -> float:
         """Phase rate per unit s left in the frame's integrands, from 33
@@ -452,8 +466,7 @@ class SystemBundle:
         return 2.0 * tau * _phase_spread(w)
 
     def grid_for(self, tau: float) -> np.ndarray:
-        lo, hi = self.s_range
-        return np.linspace(lo, hi, self._refined_intervals(tau)[0] + 1)
+        return self.grid_policy(tau)[0]
 
     def unitaries_for(self, tau: float, grid: np.ndarray):
         """Evolution operators of the configured path system on the grid.
@@ -470,9 +483,9 @@ class SystemBundle:
 
 
 def _entry_for_tau(bundle: SystemBundle, tau: float, config: dict) -> dict:
-    grid = bundle.grid_for(tau)
+    grid, capped = bundle.grid_policy(tau)
     if bundle.path is None:
-        evo = bundle.evolution(tau)
+        evo = bundle.evolution(tau, grid)
         frame, C = evo.frame, evo.couplings
     else:
         evo = None
@@ -484,7 +497,7 @@ def _entry_for_tau(bundle: SystemBundle, tau: float, config: dict) -> dict:
         "tau": tau,
         "window_real_time": tau * (grid[-1] - grid[0]),
         "grid_points": int(len(grid)),
-        "grid_capped": bundle.grid_capped(tau),
+        "grid_capped": capped,
         "min_gap": frame.min_gap,
         "phase_rate_per_step": phase_rate_per_step(frame),
         "frame_construction": frame.construction,

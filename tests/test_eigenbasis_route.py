@@ -92,7 +92,7 @@ def test_route_matches_lab_frame_propagators(dim, seed, system, tau):
     # 8.4e-6 relative
     bundle = _bundle(dim, seed, system, tau)
     grid = bundle.grid_for(tau)
-    evo = bundle.evolution(tau)
+    evo = bundle.evolution(tau, grid)
     M = evo.transition_matrix()
     u = propagate(bundle.base, tau, grid, substeps=32).unitaries
     u_sys = dagger(u)
@@ -126,7 +126,7 @@ def test_discrete_and_transported_frames_agree(dim, seed, system, tau):
     # and 5e-6
     bundle = _bundle(dim, seed, system, tau)
     grid = bundle.grid_for(tau)
-    evo = bundle.evolution(tau)
+    evo = bundle.evolution(tau, grid)
     transported = evo.frame
     path, u_sys = _lab_frame(bundle, evo)
     discrete = eigenframe(path, tau, grid, transport="discrete")
@@ -179,7 +179,7 @@ def test_route_frame_is_the_transported_frame_of_the_dual(system):
     tau = 8.0
     bundle = _bundle(3, 11, system, tau)
     grid = bundle.grid_for(tau)
-    evo = bundle.evolution(tau)
+    evo = bundle.evolution(tau, grid)
     path, u_sys = _lab_frame(bundle, evo)
     frame = dataclasses.replace(evo.frame, path=path)
     assert frame.construction == "transported"
@@ -264,7 +264,7 @@ def test_premises_of_the_entry_frame_match_two_frames(case, monkeypatch):
     got = report["entries"][0]["premises"]
     grid = bundle.grid_for(tau)
     path = (bundle.path if bundle.path is not None
-            else _lab_frame(bundle, bundle.evolution(tau))[0])
+            else _lab_frame(bundle, bundle.evolution(tau, grid))[0])
     step = max(2, (len(grid) - 1) // bundle.config["grid"])
     ref = _two_frame_premises(path, tau, grid[::step])
     assert sorted(got) == sorted(ref)
@@ -282,7 +282,7 @@ def test_every_diagnostic_runs_on_custom_duals(system):
     assert entry["frame_construction"] == "transported"
     assert report["provenance"]["integrator"] == "eigenbasis-strang"
     assert entry["premises"]["p2_min_gap"] > 0.5
-    evo = bundle.evolution(6.0)
+    evo = bundle.evolution(6.0, bundle.grid_for(6.0))
     assert entry["projector_drift"] == np.max(evo.projector_drift_series())
 
 
@@ -296,4 +296,4 @@ def test_overlaps_are_checked_for_unitarity(monkeypatch):
     monkeypatch.setattr(sc, "_path_eigenpairs", skewed)
     bundle = _bundle(2, 5, "c", 6.0, grid=256)
     with pytest.raises(ValueError, match="overlaps are not unitary"):
-        bundle.evolution(6.0)
+        bundle.evolution(6.0, bundle.grid_for(6.0))

@@ -225,6 +225,22 @@ def test_su2_exponentials_at_large_alpha():
     assert_2x2_exponentials(H, alphas)
 
 
+def random_su2_quaternions(n, seed):
+    q = np.random.default_rng(seed).standard_normal((4, n))
+    return q / np.linalg.norm(q, axis=0)
+
+
+def test_quaternion_product_matches_matmul_2x2():
+    x, y = random_su2_quaternions(500, 48), random_su2_quaternions(500, 49)
+    angles = np.random.default_rng(50).uniform(-np.pi, np.pi, (2, 500))
+    X = kernels.su2_matrices(angles[0], x)
+    Y = kernels.su2_matrices(angles[1], y)
+    assert np.max(np.abs(np.linalg.det(X) - np.exp(-2j * angles[0]))) <= 2e-15
+    XY = kernels.su2_matrices(angles.sum(axis=0),
+                              kernels.quaternion_product(x, y))
+    assert np.max(np.abs(XY - kernels.matmul_2x2(X, Y))) <= 2e-15
+
+
 def random_complex_stack(n, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     return scale * (rng.standard_normal((n, 2, 2))

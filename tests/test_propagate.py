@@ -272,6 +272,39 @@ def test_python_kernel_matches_sequential_loop(dim, m):
     assert np.array_equal(H, H_before)
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       record_every=st.sampled_from([1, 2, 7, 50]),
+       records=st.integers(min_value=1, max_value=6),
+       max_alpha=st.floats(min_value=1.0, max_value=1e4),
+       scalar_share=st.sampled_from([0.0, 0.3, 1.0]))
+def test_2x2_steps_match_sequential_expm(seed, record_every, records,
+                                         max_alpha, scalar_share):
+    # the quaternion fold of 2x2 steps against one expm per step, with
+    # scalar steps (H = m I, r = 0) mixed in and |alpha| up to max_alpha;
+    # the stack is scaled to |alpha| ||H|| of order one, as in
+    # test_kernels.test_su2_exponentials_at_large_alpha
+    rng = np.random.default_rng(seed)
+    m = record_every * records
+    alphas = rng.choice([-1.0, 1.0], m) \
+        * np.exp(rng.uniform(0.0, np.log(max_alpha), m))
+    H = _random_hermitian_stack(rng, m, 2)
+    scalar = rng.random(m) < scalar_share
+    H[scalar] = 0.5 * np.trace(H[scalar], axis1=1, axis2=2)[:, None, None] \
+        * np.eye(2)
+    H /= np.abs(alphas)[:, None, None]
+    U0 = scipy.linalg.expm(-1j * _random_hermitian_stack(rng, 1, 2)[0])
+    records_got = _kernels_py.propagate_steps(H, alphas, U0, record_every)
+    u, ref = U0, []
+    for k in range(m):
+        u = scipy.linalg.expm(-1j * alphas[k] * H[k]) @ u
+        if (k + 1) % record_every == 0:
+            ref.append(u)
+    assert np.max(np.abs(records_got - np.array(ref))) <= 1e-12
+    gram = np.conj(np.swapaxes(records_got, 1, 2)) @ records_got
+    assert np.max(np.linalg.norm(gram - np.eye(2), axis=(1, 2))) <= 1e-13
+
+
 @settings(max_examples=25, deadline=None, database=None)
 @given(dim=st.integers(min_value=2, max_value=4),
        seed=st.integers(min_value=0, max_value=2**32 - 1),

@@ -78,6 +78,24 @@ def test_normalize_fills_defaults():
     (lambda c: c.update(diagnostics="qac_max"), "diagnostics must be a list"),
     (lambda c: c.update(output={"formats": "json"}),
      "output.formats must be a list"),
+    (lambda c: c.update(auto_refine="no"), "auto_refine must be true or"),
+    (lambda c: c.update(model="driven_two_level", parameters={
+        "amplitude": 0.1, "drive_frequency": 1.0, "tau": 5.0,
+        "envelope": "false"}), "envelope must be true or false"),
+    (lambda c: c.update(model="driven_two_level", parameters={
+        "amplitude": 0.1, "drive_frequency": 1.0, "tau": 5.0,
+        "scaled_frequency": 1}), "scaled_frequency must be true or false"),
+    (lambda c: c.update(model="custom_matrix_path", parameters={
+        "grid": "abc", "matrices": [], "tau": 5.0}),
+     "parameters.grid must hold numbers"),
+    (lambda c: c.update(model="custom_matrix_path", parameters={
+        "grid": [0.0, 1.0], "matrices": "x", "tau": 5.0}),
+     "matrices must hold numbers"),
+    (lambda c: c.update(model="custom_matrix_path", parameters={
+        "grid": [0.0, 1.0], "matrices": [[[[1.0, 0.0]]], [[1.0, 0.0]]],
+        "tau": 5.0}), "matrices must hold numbers"),
+    (lambda c: c.update(grid=10**400), "grid must be an integer"),
+    (lambda c: c.update(substeps=10**400), "substeps must be an integer"),
 ])
 def test_invalid_configs_rejected(mutate, msg):
     cfg = base_config()
@@ -295,6 +313,16 @@ def test_transition_probability_max_separates_base_and_dual():
     assert "transition_probability_max" not in only_qac["entries"][0]
 
 
+def _two_level_custom_parameters(taus):
+    """A gapped 2-level custom path through 9 nodes of [0, 1]."""
+    sgrid = np.linspace(0.0, 1.0, 9)
+    mats = np.zeros((9, 2, 2, 2))
+    mats[:, 0, 0, 0], mats[:, 1, 1, 0] = 1.0, -1.0
+    mats[:, 0, 1, 0] = mats[:, 1, 0, 0] = 0.3 * np.sin(np.pi * sgrid)
+    return {"grid": sgrid.tolist(), "matrices": mats.tolist(),
+            "tau_list": taus}
+
+
 def test_numeric_cache_fills_each_key_once_under_threads(monkeypatch):
     # negated dual of a custom path: each tau chains Q at tau and at 2 tau
     # in the base's eigenbasis. The three taus share one grid, so its
@@ -314,15 +342,9 @@ def test_numeric_cache_fills_each_key_once_under_threads(monkeypatch):
 
     monkeypatch.setattr(kernels, "eigh_batch", counted_eigh)
     monkeypatch.setattr(kernels, "su2_components", counted_components)
-    sgrid = np.linspace(0.0, 1.0, 9)
-    mats = np.zeros((9, 2, 2, 2))
-    mats[:, 0, 0, 0], mats[:, 1, 1, 0] = 1.0, -1.0
-    mats[:, 0, 1, 0] = mats[:, 1, 0, 0] = 0.3 * np.sin(np.pi * sgrid)
-    taus = [10.0, 30.0, 70.0]
     cfg = {
         "model": "custom_matrix_path",
-        "parameters": {"grid": sgrid.tolist(), "matrices": mats.tolist(),
-                       "tau_list": taus},
+        "parameters": _two_level_custom_parameters([10.0, 30.0, 70.0]),
         "system": "c",
         "grid": 256,
         "auto_refine": False,
@@ -390,7 +412,26 @@ def test_grid_policy_pins_spin_half(system, points):
         parameters={"theta": THETA, "omega0": 1.0,
                     "omega_list": [1e-2, 1e-3, 1e-4]}))
     assert [len(bundle.grid_for(t)) for t in taus] == points
-    assert not any(bundle.grid_capped(t) for t in taus)
+    assert not any(bundle.grid_policy(t)[1] for t in taus)
+
+
+def test_one_grid_policy_probe_per_tau(monkeypatch):
+    # the negated dual of a custom path reads its grid, its grid_capped
+    # flag and its eigenbasis data from one probe per tau
+    probes = []
+    estimate = sc.SystemBundle._phase_rate_estimate
+
+    def counted(bundle, tau):
+        probes.append(tau)
+        return estimate(bundle, tau)
+
+    monkeypatch.setattr(sc.SystemBundle, "_phase_rate_estimate", counted)
+    report, _ = sc.run({
+        "model": "custom_matrix_path", "system": "c", "grid": 256,
+        "parameters": _two_level_custom_parameters([10.0, 30.0, 70.0]),
+        "diagnostics": ["qac_max", "intertwining_defect"]})
+    assert sorted(probes) == [10.0, 30.0, 70.0]
+    assert not any(e["grid_capped"] for e in report["entries"])
 
 
 def test_grid_policy_pins_custom_4level():
