@@ -42,6 +42,21 @@ class ProjectorDiscontinuityError(AdiakitError):
         )
 
 
+class NumericalCheckError(AdiakitError, ValueError):
+    """A numerical self-check inside a run failed: eigenvector overlaps or a
+    transforming unitary that are not unitary, a unitary that does not start
+    at the identity, or one its declared generator does not generate.
+    ``interval`` is the s-interval of the worst point, or None where the
+    check has none."""
+
+    def __init__(self, message: str, interval=None):
+        self.interval = interval
+        if interval is not None:
+            message += (f" in s-interval [{interval[0]:.6g}, "
+                        f"{interval[1]:.6g}]")
+        super().__init__(message)
+
+
 class StepLimitError(AdiakitError):
     """Propagation exceeded the hard step cap; no partial result is kept."""
 

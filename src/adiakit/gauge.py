@@ -30,9 +30,10 @@ from typing import Optional
 import numpy as np
 
 from ._backend import kernels
-from .exceptions import EigenvalueCrossingError, ProjectorDiscontinuityError
-from .linalg import (check_hermitian, dagger, dagger_dot, sandwich,
-                     unitarity_defect)
+from .exceptions import (EigenvalueCrossingError, NumericalCheckError,
+                         ProjectorDiscontinuityError)
+from .linalg import (_unitarity_defects, check_hermitian, dagger, dagger_dot,
+                     sandwich, unitarity_defect)
 from .paths import HamiltonianPath, check_grid, fd4_derivative, is_uniform
 from .quadrature import _cumtrapz, _fd4_steps
 from .transforms import TransformedHamiltonianPath
@@ -132,11 +133,13 @@ def _greedy_match(absov: np.ndarray) -> np.ndarray:
 
 
 def _min_pairwise_gap(values: np.ndarray):
-    """Minimum |E_i - E_j| (i != j) over the grid; returns (gap, index)."""
-    diff = np.abs(values[:, :, None] - values[:, None, :])
-    n = values.shape[1]
-    diff[:, np.arange(n), np.arange(n)] = np.inf
-    per_point = diff.min(axis=(1, 2))
+    """Minimum |E_i - E_j| (i != j) over the grid; returns (gap, index).
+    Per point the nearest pair is adjacent in sorted order, and rounding is
+    monotone and sign-symmetric, so the adjacent differences of the sorted
+    values give the gap of every pair's |E_i - E_j| bit for bit (inf for a
+    single level)."""
+    per_point = np.diff(np.sort(values, axis=1), axis=1).min(
+        axis=1, initial=np.inf)
     k = int(np.argmin(per_point))
     return float(per_point[k]), k
 
@@ -239,15 +242,25 @@ def _discrete_frame(path, tau, grid, initial_vectors, eigenpairs=None):
                       min_gap=gap, path=path, construction="discrete")
 
 
-def _transported_frame(path, tau, grid, initial_vectors):
-    base_frame = eigenframe(path.base, tau, grid, initial_vectors)
+def _transported_frame(path, tau, grid, initial_vectors, base_frame=None):
+    """The transported frame of ``path`` on ``base_frame``, the frame of
+    ``path.base`` on ``grid`` (built here when None). Only its values,
+    vectors and gap are read, so where H_base(s) does not depend on tau one
+    base frame serves every tau."""
+    if base_frame is None:
+        base_frame = eigenframe(path.base, tau, grid, initial_vectors)
     U = path.unitary.eval_batch(grid, tau)
-    udefect = unitarity_defect(U)
-    if udefect > 1e-9:
-        raise ValueError(f"transforming path is not unitary on the grid "
-                         f"(defect {udefect:.2e} > 1e-9)")
+    udefects = _unitarity_defects(U)
+    k = int(np.argmax(udefects))
+    if udefects[k] > 1e-9:
+        raise NumericalCheckError(
+            f"transforming path is not unitary on the grid (defect "
+            f"{udefects[k]:.2e} > 1e-9)",
+            (float(grid[max(k - 1, 0)]),
+             float(grid[min(k + 1, len(grid) - 1)])))
     if float(np.linalg.norm(U[0] - np.eye(path.dim))) > 1e-12:
-        raise ValueError("transforming path does not start at the identity")
+        raise NumericalCheckError(
+            "transforming path does not start at the identity")
 
     f = _generator_rates(path, tau, grid, base_frame.values,
                          base_frame.vectors)
@@ -309,7 +322,7 @@ def _check_transport_generator(path, tau, grid):
     worst = float(np.max(np.linalg.norm(G - G_ref, axis=(1, 2))))
     tol = 1e-5 * scale
     if worst > tol:
-        raise ValueError(
+        raise NumericalCheckError(
             f"transported frame generator mismatch {worst:.3e} (tolerance "
             f"{tol:.1e}); the transforming unitary is not "
             "generated by the declared source (use transport='discrete')")

@@ -7,7 +7,7 @@ numpy arrays. Eigensolves and step exponentials live in the kernels
 
 import numpy as np
 
-from ._kernels_py import hermitize, matmul_2x2  # hermitize: re-exported
+from ._kernels_py import hermitize  # re-exported
 from .exceptions import NonHermitianError
 
 _BLOCK = 65536
@@ -45,36 +45,72 @@ def check_hermitian(H: np.ndarray, rtol: float):
 
 
 def _by_blocks(product, *stacks: np.ndarray) -> np.ndarray:
-    """``product`` of (K, n, n) stacks, evaluated on blocks of ``_BLOCK``
-    matrices, so that the temporaries stay block-sized next to the
-    (K, n, n) result."""
+    """``product(out, *blocks)`` of (K, n, n) stacks, written block by block
+    into a (K, n, n) result, ``_BLOCK`` matrices at a time, so that the
+    temporaries stay block-sized next to the result."""
     out = np.empty(stacks[-1].shape, dtype=complex)
     for lo in range(0, out.shape[0], _BLOCK):
         blk = slice(lo, lo + _BLOCK)
-        out[blk] = product(*(s[blk] for s in stacks))
+        product(out[blk], *(s[blk] for s in stacks))
     return out
+
+
+def _product_2x2(out, x, y, adjoint=False):
+    """out <- x_k y_k, or x_k^dagger y_k with ``adjoint``, for (K, 2, 2)
+    stacks: each output component x_i0 y_0l + x_i1 y_1l is formed on
+    component views, the dagger read as conjugated components. These are
+    ``matmul_2x2``'s products and sums in its order, so the results are
+    bit-identical, without its broadcast temporaries. The chain kernels
+    keep ``matmul_2x2``: on their batches of a few matrices the eight
+    ufunc calls per product cost more than the temporaries."""
+    if adjoint:
+        x = [[np.conj(x[:, j, i]) for j in (0, 1)] for i in (0, 1)]
+    else:
+        x = [[x[:, i, j] for j in (0, 1)] for i in (0, 1)]
+    t = np.empty(out.shape[:1], dtype=complex)
+    for i in (0, 1):
+        for l in (0, 1):
+            o = out[:, i, l]
+            np.multiply(x[i][0], y[:, 0, l], out=o)
+            np.multiply(x[i][1], y[:, 1, l], out=t)
+            o += t
+    return out
+
+
+def _sandwich_2x2(out, a, m, b):
+    """out <- a_k^dagger (m_k b_k) for (K, 2, 2) stacks."""
+    _product_2x2(out, a, _product_2x2(np.empty_like(out), m, b),
+                 adjoint=True)
 
 
 def dagger_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A_k^dagger B_k for every k of two (K, n, n) stacks; by components
     when n == 2."""
     if B.shape[-1] == 2:
-        return _by_blocks(lambda a, b: matmul_2x2(dagger(a), b), A, B)
+        return _by_blocks(
+            lambda out, a, b: _product_2x2(out, a, b, adjoint=True), A, B)
     return np.einsum("kji,kjl->kil", A.conj(), B)
 
 
 def sandwich(A: np.ndarray, M: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A_k^dagger (M_k B_k) for (K, n, n) stacks; by components when n == 2."""
-    mul = matmul_2x2 if M.shape[-1] == 2 else np.matmul
-    return _by_blocks(lambda a, m, b: mul(dagger(a), mul(m, b)), A, M, B)
+    if M.shape[-1] == 2:
+        return _by_blocks(_sandwich_2x2, A, M, B)
+    return _by_blocks(
+        lambda out, a, m, b: np.matmul(dagger(a), m @ b, out=out), A, M, B)
 
 
 def unitarity_defect(U: np.ndarray) -> float:
     """max_k || U_k^dagger U_k - I ||_F; ``U`` is one matrix or a stack
     (..., n, n). For a frame of eigenvector columns this is the
     orthonormality (completeness) defect."""
+    return float(np.max(_unitarity_defects(U)))
+
+
+def _unitarity_defects(U: np.ndarray) -> np.ndarray:
+    """|| U_k^dagger U_k - I ||_F for every matrix of ``U``, flattened to
+    (K,)."""
     U = np.asarray(U, dtype=complex)
     n = U.shape[-1]
     U = U.reshape((-1, n, n))
-    return float(np.max(np.linalg.norm(dagger_dot(U, U) - np.eye(n),
-                                       axis=(1, 2))))
+    return np.linalg.norm(dagger_dot(U, U) - np.eye(n), axis=(1, 2))

@@ -52,10 +52,12 @@ from .diagnostics import (Thresholds, _intertwining_of, _kernel_summary,
                           classify, phase_rate_per_step,
                           projector_drift_series, qac_max, scaling_slope,
                           transition_matrix)
-from .exceptions import ConfigError, ScalingUndefinedError
+from .exceptions import (ConfigError, NumericalCheckError,
+                         ScalingUndefinedError)
 from .gauge import (EigenFrame, _discrete_frame, _generator_rates,
                     _path_eigenpairs, _uses_transport, couplings, eigenframe)
-from .linalg import dagger, dagger_dot, hermiticity_defect, unitarity_defect
+from .linalg import (_unitarity_defects, dagger, dagger_dot,
+                     hermiticity_defect)
 from .models import driven_two_level
 from .paths import (HamiltonianPath, UnitaryPath, constant_hamiltonian,
                     identity_unitary)
@@ -244,6 +246,8 @@ def _parse_matrices(raw, npoints: int) -> np.ndarray:
     _require(arr.ndim == 4 and arr.shape[0] == npoints
              and arr.shape[1] == arr.shape[2] and arr.shape[3] == 2,
              "matrices must have shape (npoints, n, n, 2) with [re, im] pairs")
+    _require(arr.shape[1] >= 2, "custom matrices must be at least 2x2: the "
+                                "diagnostics compare two or more levels")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -292,10 +296,13 @@ class _EigenbasisGrid:
         self.values, self.grid, self.refine = W, fine, refine
         self.overlaps = dagger_dot(V[1:], V[:-1])
         del V
-        defect = unitarity_defect(self.overlaps)
-        if defect > OVERLAP_UNITARITY_TOL:
-            raise ValueError(f"eigenvector overlaps are not unitary (defect "
-                             f"{defect:.2e} > {OVERLAP_UNITARITY_TOL:.0e})")
+        defects = _unitarity_defects(self.overlaps)
+        k = int(np.argmax(defects))
+        if defects[k] > OVERLAP_UNITARITY_TOL:
+            raise NumericalCheckError(
+                f"eigenvector overlaps are not unitary (defect "
+                f"{defects[k]:.2e} > {OVERLAP_UNITARITY_TOL:.0e})",
+                (float(fine[k]), float(fine[k + 1])))
         self.couplings = couplings(self.frame)
         self.phase = self.frame.phase_integrals()   # tau = 1
 

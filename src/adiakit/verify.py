@@ -5,7 +5,15 @@ Each check returns a dict with the measured deviation and its tolerance.
 ``run_all`` executes every check; the CLI renders the results as a table
 (`adiakit verify-paper`). These are the same identities the acceptance test
 suite pins down, packaged so a deployed installation can re-verify itself.
+
+The spin-half H(s) does not depend on tau. A check that sweeps tau or omega
+on one grid therefore builds the base frame once and re-binds it to each
+tau, and builds the dual frames on it (``_spin_sweep``); the driven
+two-level paths depend on tau and are built per tau. Nothing is kept
+between checks or between calls of ``run_all``.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -16,7 +24,8 @@ from .diagnostics import (Classification, Thresholds, classify, f_norm_max,
                           scaling_slope)
 from .diagnostics import _kernel_summary, _pair_entry
 from .exceptions import ScalingUndefinedError
-from .gauge import couplings, eigenframe, kato_operator, kernel_coefficients
+from .gauge import (_transported_frame, couplings, eigenframe, kato_operator,
+                    kernel_coefficients)
 from .linalg import unitarity_defect
 from .models import driven_two_level, random_smooth_hamiltonian
 from .propagate import propagate_adaptive
@@ -36,16 +45,30 @@ def _result(name, deviation, tolerance, detail="", ok=True):
     }
 
 
-def _spin_frames(theta, omega0, tau, npts, systems=("a",)):
+def _spin_sweep(theta, omega0, taus, npts, systems=("a",), pinned=True):
+    """For each tau in turn, the spin-half frames of ``systems`` ("a" the
+    base, "b" the dual, "c" the negated dual) on the window's ``npts``-point
+    grid, keyed by system, as ``eigenframe`` builds them, with the phases
+    of ``spinhalf.initial_vectors`` when ``pinned``. H(s) does not depend
+    on tau, so the base frame is built once and re-bound to each tau (its
+    cached phase integrals reset), and the duals are built on it."""
     h = spinhalf.hamiltonian(theta, omega0)
     ua = spinhalf.exact_propagator(theta, omega0)
-    grid = np.linspace(0.0, WINDOW, npts)
-    iv = spinhalf.initial_vectors(theta)
-    out = {}
-    paths = {"a": h, "b": dual_of(h, ua), "c": negate(dual_of(h, ua))}
-    for sys_ in systems:
-        out[sys_] = eigenframe(paths[sys_], tau, grid, initial_vectors=iv)
-    return out, grid
+    duals = {"b": dual_of(h, ua), "c": negate(dual_of(h, ua))}
+    iv = spinhalf.initial_vectors(theta) if pinned else None
+    base = eigenframe(h, taus[0], np.linspace(0.0, WINDOW, npts),
+                      initial_vectors=iv)
+    for tau in taus:
+        base = replace(base, tau=float(tau), _phase_integrals=None)
+        yield {sys_: base if sys_ == "a" else _transported_frame(
+            duals[sys_], tau, base.grid, iv, base_frame=base)
+            for sys_ in systems}
+
+
+def _spin_frames(theta, omega0, tau, npts, systems=("a",)):
+    """``_spin_sweep`` at one tau; returns (frames, grid)."""
+    frames = next(_spin_sweep(theta, omega0, [tau], npts, systems))
+    return frames, frames[systems[0]].grid
 
 
 def check_closed_form_propagator(tol=1e-6):
@@ -119,9 +142,9 @@ def check_negated_dual_resonance(tol=1e-8):
     theta, omega0 = np.pi / 4, 1.0
     dev = 0.0
     mags, omegas = [], [1e-2, 1e-3, 1e-4]
-    for omega in omegas:
-        frames, grid = _spin_frames(theta, omega0, 1.0 / omega, 2049,
-                                    systems=("c",))
+    sweep = _spin_sweep(theta, omega0, [1.0 / w for w in omegas], 2049,
+                        systems=("c",))
+    for omega, frames in zip(omegas, sweep):
         ser = resonance_series(frames["c"], 1, 0)
         ref = spinhalf.negated_dual_resonance_integral(theta, omega0, omega,
                                                        WINDOW)
@@ -173,9 +196,8 @@ def check_intertwining_scaling(slope_tol=0.15, plateau=0.1):
     ub = spinhalf.dual_propagator(theta, omega0)
     uc = spinhalf.negated_dual_propagator(theta, omega0)
     da, db, dc = [], [], []
-    for tau in taus:
-        frames, _ = _spin_frames(theta, omega0, tau, 16385,
-                                 systems=("a", "b", "c"))
+    for frames in _spin_sweep(theta, omega0, taus, 16385,
+                              systems=("a", "b", "c")):
         da.append(intertwining_defect(ua, frames["a"]))
         db.append(intertwining_defect(ub, frames["b"]))
         dc.append(intertwining_defect(uc, frames["c"]))
@@ -193,9 +215,7 @@ def check_kernel_integral_scaling(slope_tol=0.1):
     theta, omega0 = np.pi / 4, 1.0
     taus = [2 * np.pi * 100, 2 * np.pi * 1000, 2 * np.pi * 10000]
     fa, fb = [], []
-    for tau in taus:
-        frames, _ = _spin_frames(theta, omega0, tau, 2049,
-                                 systems=("a", "b"))
+    for frames in _spin_sweep(theta, omega0, taus, 2049, systems=("a", "b")):
         fa.append(f_norm_max(frames["a"]))
         fb.append(f_norm_max(frames["b"]))
     sa = scaling_slope(taus, fa).slope
@@ -214,12 +234,13 @@ def check_projector_drift(tol=1e-6, slope_tol=0.1):
     """Dual drift is O(omega); base drift at s=pi equals sqrt(2) sin(theta)."""
     theta = np.pi / 3
     drifts, omegas = [], [1e-2, 1e-3, 1e-4]
-    for omega in omegas:
-        frames, _ = _spin_frames(theta, 1.0, 1.0 / omega, 4097, systems=("b",))
+    for frames in _spin_sweep(theta, 1.0, [1.0 / w for w in omegas], 4097,
+                              systems=("a", "b")):
         drifts.append(projector_drift(frames["b"]))
     slope = scaling_slope(omegas, drifts).slope
-    frames, grid = _spin_frames(theta, 1.0, 100.0, 4096 + 1)
+    # the base's drift does not depend on tau: the sweep's frame serves
     ser = projector_drift_series(frames["a"])
+    grid = frames["a"].grid
     k = int(np.argmin(np.abs(grid - np.pi)))
     dev = abs(ser[k] - np.sqrt(2.0) * np.sin(theta))
     return _result("projector_drift", dev, tol,
@@ -267,11 +288,9 @@ def check_classifier_scenarios():
     taus = [20.0, 40.0, 80.0]
     outcomes = {}
 
-    def _classify_path(path, taus, npts=16385):
+    def _classify(taus, frames):
         qs, rs, fs = [], [], []
-        for tau in taus:
-            grid = np.linspace(0.0, WINDOW, npts)
-            fr = eigenframe(path, tau, grid)
+        for fr in frames:
             C = couplings(fr)
             qs.append(qac_max(fr, C))
             _, peaks, _, f_max = _kernel_summary(fr, C)
@@ -283,20 +302,23 @@ def check_classifier_scenarios():
             slope = None
         return classify(qs[0], rs[0], slope, th)
 
-    theta, omega0 = np.pi / 4, 1.0
-    h = spinhalf.hamiltonian(theta, omega0)
-    ua = spinhalf.exact_propagator(theta, omega0)
+    def _classify_spin(theta, npts, system):
+        frames = _spin_sweep(theta, 1.0, spin_taus, npts, (system,),
+                             pinned=False)
+        return _classify(spin_taus, (f[system] for f in frames))
+
+    def _classify_driven(path):
+        grid = np.linspace(0.0, WINDOW, 16385)
+        return _classify(taus, (eigenframe(path, tau, grid) for tau in taus))
+
     spin_taus = [100.0, 200.0, 400.0]
-    outcomes["base"] = _classify_path(h, spin_taus, npts=4097)
-    outcomes["dual"] = _classify_path(dual_of(h, ua), spin_taus, npts=2049)
-    outcomes["resonant"] = _classify_path(
-        driven_two_level(1.0, 0.3, 1.0, scaled_frequency=False), taus)
-    outcomes["off_resonant"] = _classify_path(
-        driven_two_level(1.0, 1.0, 8.0, scaled_frequency=True), taus)
-    h0 = spinhalf.hamiltonian(0.0, omega0)
-    outcomes["dual_theta0"] = _classify_path(
-        dual_of(h0, spinhalf.exact_propagator(0.0, omega0)), spin_taus,
-        npts=2049)
+    outcomes["base"] = _classify_spin(np.pi / 4, 4097, "a")
+    outcomes["dual"] = _classify_spin(np.pi / 4, 2049, "b")
+    outcomes["resonant"] = _classify_driven(
+        driven_two_level(1.0, 0.3, 1.0, scaled_frequency=False))
+    outcomes["off_resonant"] = _classify_driven(
+        driven_two_level(1.0, 1.0, 8.0, scaled_frequency=True))
+    outcomes["dual_theta0"] = _classify_spin(0.0, 2049, "b")
 
     want = {
         "base": Classification.ADIABATIC_CONSISTENT,

@@ -17,6 +17,7 @@ import adiakit.scenario as sc
 from adiakit.diagnostics import (_intertwining_of, _kernel_summary,
                                  _w_deviation_of, projector_drift_series,
                                  transition_matrix)
+from adiakit.exceptions import NumericalCheckError
 from adiakit.gauge import couplings, eigenframe
 from adiakit.linalg import dagger, dagger_dot
 from adiakit.models import random_smooth_hamiltonian
@@ -287,13 +288,24 @@ def test_every_diagnostic_runs_on_custom_duals(system):
 
 
 def test_overlaps_are_checked_for_unitarity(monkeypatch):
+    # the eigenvectors of one refined point between two frame points
+    # skewed: the overlaps on either side of it are not unitary, and the
+    # typed error (a ValueError too) names the s-interval of the worse one
     eigenpairs = sc._path_eigenpairs
+    fine = []
 
     def skewed(path, tau, grid):
         w, v = eigenpairs(path, tau, grid)
-        return w, v * 1.001
+        if len(grid) > 257:   # the refined grid, not the policy probe
+            fine.append(grid)
+            v[81] *= 1.001
+        return w, v
 
     monkeypatch.setattr(sc, "_path_eigenpairs", skewed)
     bundle = _bundle(2, 5, "c", 6.0, grid=256)
-    with pytest.raises(ValueError, match="overlaps are not unitary"):
+    with pytest.raises(NumericalCheckError,
+                       match="overlaps are not unitary") as err:
         bundle.evolution(6.0, bundle.grid_for(6.0))
+    assert isinstance(err.value, ValueError)
+    assert err.value.interval in ((fine[0][80], fine[0][81]),
+                                  (fine[0][81], fine[0][82]))

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adiakit as ak
-from adiakit import spinhalf
-from adiakit.exceptions import (EigenvalueCrossingError,
+from adiakit import diagnostics, spinhalf
+from adiakit.exceptions import (AdiakitError, EigenvalueCrossingError,
+                                NumericalCheckError,
                                 ProjectorDiscontinuityError)
-from adiakit.gauge import _cumtrapz, kernel_coefficients
+from adiakit.gauge import (_cumtrapz, _min_pairwise_gap, _transported_frame,
+                           kernel_coefficients)
 from adiakit.models import random_smooth_hamiltonian
-from adiakit.paths import HamiltonianPath, constant_hamiltonian
+from adiakit.paths import HamiltonianPath, UnitaryPath, constant_hamiltonian
+from adiakit.verify import _spin_sweep
 
 THETA, OMEGA0 = np.pi / 4, 1.0
 WINDOW = 2 * np.pi
@@ -257,8 +260,129 @@ def test_transported_frame_rejects_wrong_unitary():
     h = spinhalf.hamiltonian(THETA, OMEGA0)
     wrong_u = spinhalf.exact_propagator(THETA + 0.3, OMEGA0)
     hx = ak.dual_of(h, wrong_u)   # violates the dual_of contract
-    with pytest.raises(ValueError, match="generator mismatch"):
+    with pytest.raises(NumericalCheckError, match="generator mismatch"):
         ak.eigenframe(hx, 50.0, GRID, transport="transported")
+
+
+@pytest.mark.parametrize("bad_point,msg", [
+    (163, "not unitary"), (None, "start at the identity")])
+def test_transported_frame_checks_raise_typed_errors(bad_point, msg):
+    # a unitary scaled by 1.5 at one grid point, or sigma_x (unitary, but
+    # not the identity at s = 0): a typed error that is still a ValueError,
+    # with the s-interval around the worst point where there is one
+    h = spinhalf.hamiltonian(THETA, OMEGA0)
+
+    def u(sv, tau):
+        if bad_point is None:
+            return np.broadcast_to(ak.SIGMA_X, (len(sv), 2, 2)).copy()
+        scale = np.where(sv == GRID[bad_point], 1.5, 1.0)
+        return scale[:, None, None] * np.eye(2, dtype=complex)
+
+    hx = ak.transform(h, UnitaryPath(2, u, generator=h), -1)
+    with pytest.raises(NumericalCheckError, match=msg) as err:
+        ak.eigenframe(hx, 50.0, GRID)
+    assert isinstance(err.value, AdiakitError)
+    assert isinstance(err.value, ValueError)
+    if bad_point is None:
+        assert err.value.interval is None
+    else:
+        assert err.value.interval == (GRID[bad_point - 1],
+                                      GRID[bad_point + 1])
+
+
+@pytest.mark.parametrize("system", ["b", "c"])
+def test_transported_frame_on_a_supplied_base_is_eigenframes_own(system):
+    tau = 100.0
+    h = spinhalf.hamiltonian(THETA, OMEGA0)
+    dual = ak.dual_of(h, spinhalf.exact_propagator(THETA, OMEGA0))
+    path = dual if system == "b" else ak.negate(dual)
+    iv = spinhalf.initial_vectors(THETA)
+    base = ak.eigenframe(h, tau, GRID, initial_vectors=iv)
+    shared = _transported_frame(path, tau, base.grid, iv, base_frame=base)
+    own = ak.eigenframe(path, tau, GRID, initial_vectors=iv)
+    for name in ("grid", "values", "vectors", "generator_rates"):
+        assert np.array_equal(getattr(shared, name), getattr(own, name))
+    assert (shared.tau, shared.min_gap, shared.construction) == \
+        (own.tau, own.min_gap, own.construction)
+
+
+def test_rebound_base_frame_equals_a_fresh_build():
+    # the sweep builds the base once and re-binds tau; each tau's frames,
+    # phase integrals and couplings equal a fresh eigenframe at that tau,
+    # although the phase integrals were cached at the tau before
+    h = spinhalf.hamiltonian(THETA, OMEGA0)
+    dual = ak.dual_of(h, spinhalf.exact_propagator(THETA, OMEGA0))
+    paths = {"a": h, "b": dual, "c": ak.negate(dual)}
+    iv = spinhalf.initial_vectors(THETA)
+    taus = [100.0, 1000.0, 10000.0]
+    for tau, frames in zip(taus, _spin_sweep(THETA, OMEGA0, taus, len(GRID),
+                                             systems=("a", "b", "c"))):
+        for sys_, fr in frames.items():
+            fresh = ak.eigenframe(paths[sys_], tau, GRID, initial_vectors=iv)
+            assert fr.tau == fresh.tau == tau
+            assert np.array_equal(fr.vectors, fresh.vectors)
+            assert np.array_equal(fr.phase_integrals(),
+                                  fresh.phase_integrals())
+            assert np.array_equal(ak.couplings(fr), ak.couplings(fresh))
+
+
+def test_diagnostics_leave_shared_frame_arrays_untouched():
+    # the base frame's arrays are shared by every tau of a sweep and by the
+    # duals built on it: made read-only, any diagnostic writing into them
+    # would raise
+    frames = next(_spin_sweep(THETA, OMEGA0, [100.0], len(GRID),
+                              systems=("a", "b", "c")))
+    for fr in frames.values():
+        for name in ("grid", "values", "vectors", "generator_rates"):
+            arr = getattr(fr, name)
+            if arr is not None:
+                arr.flags.writeable = False
+    props = {"a": spinhalf.exact_propagator(THETA, OMEGA0),
+             "b": spinhalf.dual_propagator(THETA, OMEGA0),
+             "c": spinhalf.negated_dual_propagator(THETA, OMEGA0)}
+    for sys_, fr in frames.items():
+        C = ak.couplings(fr)
+        ak.couplings(fr, method="fd")
+        kernel_coefficients(fr)
+        kernel_coefficients(fr, C)
+        diagnostics._kernel_summary(fr, C)
+        diagnostics._premises(fr, 2)
+        ak.qac_max(fr)
+        ak.phase_rate_per_step(fr)
+        ak.resonance_series(fr, 1, 0)
+        ak.f_norm(fr)
+        diagnostics.f_norm_max(fr)
+        ak.projector_drift(fr)
+        ak.kato_operator(fr)
+        ak.intertwining_defect(props[sys_], fr)
+        ak.w_deviation(props[sys_], fr)
+        fr.gauge_residual()
+        fr.completeness_defect()
+
+
+def _min_pairwise_gap_by_pairs(values):
+    """The O(n^2) reference: every |E_i - E_j|, i != j."""
+    diff = np.abs(values[:, :, None] - values[:, None, :])
+    n = values.shape[1]
+    diff[:, np.arange(n), np.arange(n)] = np.inf
+    per_point = diff.min(axis=(1, 2))
+    k = int(np.argmin(per_point))
+    return float(per_point[k]), k
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(n=st.integers(min_value=2, max_value=6),
+       npts=st.integers(min_value=1, max_value=12),
+       data=st.data())
+def test_gap_search_matches_every_pair(n, npts, data):
+    # values from a few levels (ties within a point and across points) or
+    # from any finite floats
+    pool = st.one_of(st.sampled_from([-1.5, -0.25, 0.0, 0.1, 0.25, 3.0]),
+                     st.floats(min_value=-1e6, max_value=1e6))
+    values = np.array(data.draw(st.lists(
+        st.lists(pool, min_size=n, max_size=n),
+        min_size=npts, max_size=npts)))
+    assert _min_pairwise_gap(values) == _min_pairwise_gap_by_pairs(values)
 
 
 def test_nonuniform_grid_frame_and_integrals():

@@ -116,6 +116,22 @@ def test_dagger_dot_2x2_components_match_einsum():
     assert np.max(np.abs(linalg.dagger_dot(A, B) - ref)) <= 1e-15
 
 
+def test_2x2_products_equal_the_broadcast_form_bit_for_bit():
+    # the component products of sandwich and dagger_dot do matmul_2x2's
+    # arithmetic in its order, across a block seam and on a broadcast stack
+    rng = np.random.default_rng(3)
+    count = linalg._BLOCK + 37
+    A, M, B = (rng.standard_normal((count, 2, 2))
+               + 1j * rng.standard_normal((count, 2, 2)) for _ in range(3))
+    for right in (B, np.broadcast_to(B[0], B.shape)):
+        assert np.array_equal(
+            linalg.sandwich(A, M, right),
+            kernels.matmul_2x2(linalg.dagger(A),
+                               kernels.matmul_2x2(M, right)))
+        assert np.array_equal(linalg.dagger_dot(A, right),
+                              kernels.matmul_2x2(linalg.dagger(A), right))
+
+
 @pytest.mark.parametrize("dim", [3, 4])
 def test_dagger_dot_larger_dims_keep_the_einsum(dim):
     A = random_unitary_stack(64, dim, seed=dim)

@@ -94,6 +94,9 @@ def test_normalize_fills_defaults():
     (lambda c: c.update(model="custom_matrix_path", parameters={
         "grid": [0.0, 1.0], "matrices": [[[[1.0, 0.0]]], [[1.0, 0.0]]],
         "tau": 5.0}), "matrices must hold numbers"),
+    (lambda c: c.update(model="custom_matrix_path", parameters={
+        "grid": [0.0, 1.0], "matrices": [[[[1.0, 0.0]]], [[[2.0, 0.0]]]],
+        "tau": 5.0}), "at least 2x2"),
     (lambda c: c.update(grid=10**400), "grid must be an integer"),
     (lambda c: c.update(substeps=10**400), "substeps must be an integer"),
 ])
