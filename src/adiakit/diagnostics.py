@@ -28,7 +28,7 @@ import numpy as np
 from .exceptions import ScalingUndefinedError
 from .gauge import (EigenFrame, _dress_kernel, _min_pairwise_gap, couplings,
                     eigenframe)
-from .linalg import sandwich
+from .linalg import _block_slices, sandwich
 from .paths import HamiltonianPath, check_grid, grid_index, midpoint_refined
 from .propagate import PropagationResult
 from .quadrature import _cumtrapz_with_maxima
@@ -69,7 +69,8 @@ def qac_max(frame: EigenFrame, C: Optional[np.ndarray] = None) -> float:
     n = frame.dim
     off = ~np.eye(n, dtype=bool)
     ratio = np.abs(C[:, off]) / np.abs(den[:, off])
-    return float(np.max(ratio)) / frame.tau
+    # 0 for a single level, which has no pair
+    return float(np.max(ratio, initial=0.0)) / frame.tau
 
 
 def _phase_spread(values: np.ndarray,
@@ -240,11 +241,16 @@ def _intertwining_of(M: np.ndarray) -> np.ndarray:
 
 
 def _w_deviation_of(M: np.ndarray, frame: EigenFrame) -> float:
-    """max_s || diag(e^{i phi(s)}) M(s) - I ||_F."""
-    w = np.exp(1j * frame.phase_integrals())[:, :, None] * M
+    """max_s || diag(e^{i phi(s)}) M(s) - I ||_F, formed block by block
+    (``linalg._block_slices``), so its temporaries stay block-sized."""
+    e = np.exp(1j * frame.phase_integrals())[:, :, None]
     n = M.shape[-1]
-    w[:, np.arange(n), np.arange(n)] -= 1.0
-    return float(np.max(np.linalg.norm(w, axis=(1, 2))))
+    worst = []
+    for blk in _block_slices(len(M)):
+        w = e[blk] * M[blk]
+        w[:, np.arange(n), np.arange(n)] -= 1.0
+        worst.append(np.max(np.linalg.norm(w, axis=(1, 2))))
+    return float(np.max(worst))
 
 
 def _transition_probability_max(M: np.ndarray) -> float:

@@ -32,8 +32,9 @@ import numpy as np
 from ._backend import kernels
 from .exceptions import (EigenvalueCrossingError, NumericalCheckError,
                          ProjectorDiscontinuityError)
-from .linalg import (_unitarity_defects, check_hermitian, dagger, dagger_dot,
-                     sandwich, unitarity_defect)
+from .linalg import (_block_slices, _hermiticity_reads, _require_hermitian,
+                     _unitarity_defects, dagger, dagger_dot, sandwich,
+                     unitarity_defect)
 from .paths import HamiltonianPath, check_grid, fd4_derivative, is_uniform
 from .quadrature import _cumtrapz, _fd4_steps
 from .transforms import TransformedHamiltonianPath
@@ -198,10 +199,21 @@ def _track_levels(W, V, grid):
 
 def _path_eigenpairs(path, tau, grid):
     """Eigenpairs (W, V) of the Hermiticity-checked path on the grid, in
-    the eigensolver's order and gauge."""
-    H = path.eval_batch(grid, tau)
-    check_hermitian(H, HERMITICITY_FRAME_RTOL)
-    return kernels.eigh_batch(H)
+    the eigensolver's order and gauge. The path is evaluated and solved
+    block by block (``linalg._block_slices``), so one block of H is alive
+    at a time; the check compares the largest defect of every block against
+    rtol times their largest norm, the decision on the whole stack, once
+    every block is solved."""
+    n = path.dim
+    W = np.empty((len(grid), n))
+    V = np.empty((len(grid), n, n), dtype=complex)
+    reads = []
+    for blk in _block_slices(len(grid)):
+        H = path.eval_batch(grid[blk], tau)
+        reads.append(_hermiticity_reads(H))
+        W[blk], V[blk] = kernels.eigh_batch(H)
+    _require_hermitian(reads, HERMITICITY_FRAME_RTOL)
+    return W, V
 
 
 def _discrete_frame(path, tau, grid, initial_vectors, eigenpairs=None):
@@ -242,14 +254,18 @@ def _discrete_frame(path, tau, grid, initial_vectors, eigenpairs=None):
                       min_gap=gap, path=path, construction="discrete")
 
 
-def _transported_frame(path, tau, grid, initial_vectors, base_frame=None):
+def _transported_frame(path, tau, grid, initial_vectors, base_frame=None,
+                       unitaries=None):
     """The transported frame of ``path`` on ``base_frame``, the frame of
     ``path.base`` on ``grid`` (built here when None). Only its values,
     vectors and gap are read, so where H_base(s) does not depend on tau one
-    base frame serves every tau."""
+    base frame serves every tau. ``unitaries``, when given, are
+    ``path.unitary`` on ``grid`` at tau, which paths that share the unitary
+    evaluate once; they are read, not written."""
     if base_frame is None:
         base_frame = eigenframe(path.base, tau, grid, initial_vectors)
-    U = path.unitary.eval_batch(grid, tau)
+    U = (path.unitary.eval_batch(grid, tau) if unitaries is None
+         else unitaries)
     udefects = _unitarity_defects(U)
     k = int(np.argmax(udefects))
     if udefects[k] > 1e-9:
@@ -362,10 +378,11 @@ def couplings(frame: EigenFrame, method: str = "auto") -> np.ndarray:
         den = frame.values[:, None, :] - frame.values[:, :, None]
         n = frame.dim
         eye = np.eye(n, dtype=bool)
-        if np.min(np.abs(den[:, ~eye])) < GAP_FLOOR:
+        # a single level has no pair: its coupling is 0
+        gap = float(np.min(np.abs(den[:, ~eye]), initial=np.inf))
+        if gap < GAP_FLOOR:
             raise EigenvalueCrossingError(
-                float(frame.grid[0]), float(frame.grid[-1]),
-                float(np.min(np.abs(den[:, ~eye]))), GAP_FLOOR)
+                float(frame.grid[0]), float(frame.grid[-1]), gap, GAP_FLOOR)
         den[:, eye] = 1.0
         C /= den
         C[:, eye] = 0.0

@@ -10,7 +10,8 @@ import numpy as np
 from ._kernels_py import hermitize  # re-exported
 from .exceptions import NonHermitianError
 
-_BLOCK = 65536
+# matrices per block of the blocked stack operations (``_block_slices``)
+_BLOCK = 4096
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -38,10 +39,30 @@ def hermiticity_defect(M: np.ndarray) -> float:
 def check_hermitian(H: np.ndarray, rtol: float):
     """Raise NonHermitianError unless ``hermiticity_defect(H)`` is at most
     ``rtol * max_k ||H_k||_F``; ``H`` is one matrix or a stack (..., n, n)."""
-    scale = max(float(np.max(np.linalg.norm(H, axis=(-2, -1)))), 1e-300)
-    defect = hermiticity_defect(H)
+    _require_hermitian([_hermiticity_reads(H)], rtol)
+
+
+def _hermiticity_reads(H: np.ndarray):
+    """(``hermiticity_defect(H)``, max_k ||H_k||_F): the two numbers
+    ``check_hermitian`` compares."""
+    return (hermiticity_defect(H),
+            float(np.max(np.linalg.norm(H, axis=(-2, -1)))))
+
+
+def _require_hermitian(reads, rtol: float):
+    """``check_hermitian`` of a stack from the ``_hermiticity_reads`` of its
+    blocks: the largest defect against ``rtol`` times the largest norm (a
+    NaN propagating as in one read of the whole stack)."""
+    defect, scale = np.max(reads, axis=0)
+    scale = max(float(scale), 1e-300)
     if defect > rtol * scale:
-        raise NonHermitianError(defect, rtol * scale)
+        raise NonHermitianError(float(defect), rtol * scale)
+
+
+def _block_slices(count: int):
+    """Slices of ``_BLOCK`` consecutive indices that cover range(count)."""
+    return [slice(lo, min(lo + _BLOCK, count))
+            for lo in range(0, count, _BLOCK)]
 
 
 def _by_blocks(product, *stacks: np.ndarray) -> np.ndarray:
@@ -49,8 +70,7 @@ def _by_blocks(product, *stacks: np.ndarray) -> np.ndarray:
     into a (K, n, n) result, ``_BLOCK`` matrices at a time, so that the
     temporaries stay block-sized next to the result."""
     out = np.empty(stacks[-1].shape, dtype=complex)
-    for lo in range(0, out.shape[0], _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
+    for blk in _block_slices(out.shape[0]):
         product(out[blk], *(s[blk] for s in stacks))
     return out
 

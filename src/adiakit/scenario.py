@@ -27,6 +27,14 @@ at c = tau, and at 2 tau for the negated dual, and reads every entry value
 from Q and the base frame: the dual's transported frame, its projector
 drift and its transition matrix (``_DualEvolution``). The grids are those of
 a discrete frame (2 tau * gap), which the chain's steps need.
+
+Memory on that route: the taus run grouped by grid, and a grid's data (the
+refined overlaps, and the frame's vectors and couplings) is freed after
+its last tau, before the next grid is built. The refined eigenvectors live
+only while the grid is built, block by block. Per entry, Q_tau lives only
+while its drift is read, the dual frame's vectors only when the premises
+ask for them, the dual's couplings and kernel until the kernel entries are
+read, and then M.
 """
 
 import csv
@@ -36,7 +44,6 @@ import math
 import numbers
 import os
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List
 
@@ -56,7 +63,7 @@ from .exceptions import (ConfigError, NumericalCheckError,
                          ScalingUndefinedError)
 from .gauge import (EigenFrame, _discrete_frame, _generator_rates,
                     _path_eigenpairs, _uses_transport, couplings, eigenframe)
-from .linalg import (_unitarity_defects, dagger, dagger_dot,
+from .linalg import (_block_slices, _unitarity_defects, dagger, dagger_dot,
                      hermiticity_defect)
 from .models import driven_two_level
 from .paths import (HamiltonianPath, UnitaryPath, constant_hamiltonian,
@@ -281,7 +288,9 @@ class _EigenbasisGrid:
     grid refined ``refine`` times, the overlaps V_{j+1}^dagger V_j of
     neighbouring refined points, and the base's discrete frame, its hf
     couplings and int_0^s E on the frame grid, whose points are every
-    ``refine``-th refined point."""
+    ``refine``-th refined point. The refined eigenvectors live only while
+    the grid is built; they are evaluated, solved, overlapped and checked
+    block by block (``linalg._block_slices``)."""
 
     def __init__(self, base: HamiltonianPath, grid: np.ndarray, refine: int):
         steps = np.arange(refine) / refine
@@ -294,14 +303,22 @@ class _EigenbasisGrid:
         # makes Q come out in the frame's on the frame grid
         W[::refine], V[::refine] = self.frame.values, self.frame.vectors
         self.values, self.grid, self.refine = W, fine, refine
-        self.overlaps = dagger_dot(V[1:], V[:-1])
+        self.overlaps = np.empty((len(fine) - 1,) + V.shape[1:],
+                                 dtype=complex)
+        worst = []   # (largest unitarity defect, its index) per block
+        for blk in _block_slices(len(fine) - 1):
+            ov = self.overlaps[blk]
+            ov[...] = dagger_dot(V[blk.start + 1:blk.stop + 1], V[blk])
+            defects = _unitarity_defects(ov)
+            k = int(np.argmax(defects))
+            worst.append((defects[k], blk.start + k))
         del V
-        defects = _unitarity_defects(self.overlaps)
-        k = int(np.argmax(defects))
-        if defects[k] > OVERLAP_UNITARITY_TOL:
+        # the first largest defect (or NaN) of all blocks, as one argmax
+        defect, k = worst[int(np.argmax([d for d, _ in worst]))]
+        if defect > OVERLAP_UNITARITY_TOL:
             raise NumericalCheckError(
                 f"eigenvector overlaps are not unitary (defect "
-                f"{defects[k]:.2e} > {OVERLAP_UNITARITY_TOL:.0e})",
+                f"{defect:.2e} > {OVERLAP_UNITARITY_TOL:.0e})",
                 (float(fine[k]), float(fine[k + 1])))
         self.couplings = couplings(self.frame)
         self.phase = self.frame.phase_integrals()   # tau = 1
@@ -318,41 +335,51 @@ class _DualEvolution:
     system c) at one tau, from the base frame and Q_tau, without lab-frame
     propagators: the transported frame's vectors are U^dagger V e^{-i phi}
     = V(0) Q_tau^dagger e^{-i phi}, with phi = tau int_0^s E, its values
-    sign E and its couplings the base's times e^{i(phi_m - phi_n)}."""
+    sign E and its couplings the base's times e^{i(phi_m - phi_n)}.
 
-    def __init__(self, data: _EigenbasisGrid, sign: int, tau: float):
+    Q_tau lives only in the constructor, which reads the projector drift
+    from it (``drift``) and forms the frame's vectors only when
+    ``vectors`` asks for them; otherwise the frame's vectors are None."""
+
+    def __init__(self, data: _EigenbasisGrid, sign: int, tau: float,
+                 vectors: bool = False):
         self.data, self.sign, self.tau = data, sign, float(tau)
         fr = data.frame
-        self.q = data.transition(tau)
+        q = data.transition(tau)
+        # max_n ||P_n(s) - P_n(0)||_F = max_n sqrt(2 sum_{m != n}
+        # |Q_tau,mn|^2): the frame's vectors at s and 0 overlap by
+        # e^{i phi_n} Q_tau,nn, and the columns of Q_tau are unit vectors
+        leak = _off_diagonal_populations(q).sum(axis=1)
+        self.drift = np.sqrt(2.0 * leak.max(axis=1))
         self.e = np.exp(1j * tau * data.phase)
-        vectors = fr.vectors[0] @ dagger(self.q)
-        vectors *= self.e.conj()[:, None, :]
+        v = None
+        if vectors:
+            v = fr.vectors[0] @ dagger(q)
+            v *= self.e.conj()[:, None, :]
         self.frame = EigenFrame(grid=fr.grid, tau=self.tau,
-                                values=sign * fr.values, vectors=vectors,
+                                values=sign * fr.values, vectors=v,
                                 min_gap=fr.min_gap,
                                 construction="transported",
                                 generator_rates=fr.values)
-        self.couplings = data.couplings * self.e[:, :, None]
-        self.couplings *= self.e.conj()[:, None, :]
 
-    def projector_drift_series(self) -> np.ndarray:
-        """max_n ||P_n(s) - P_n(0)||_F = max_n sqrt(2 sum_{m != n}
-        |Q_tau,mn|^2): the frame's vectors at s and 0 overlap by
-        e^{i phi_n} Q_tau,nn, and the columns of Q_tau are unit vectors."""
-        leak = _off_diagonal_populations(self.q).sum(axis=1)
-        return np.sqrt(2.0 * leak.max(axis=1))
+    def couplings(self) -> np.ndarray:
+        """The frame's hf couplings, formed anew on each call."""
+        C = self.data.couplings * self.e[:, :, None]
+        C *= self.e.conj()[:, None, :]
+        return C
 
     def transition_matrix(self) -> np.ndarray:
         """M = e^{i phi} V(s)^dagger U_sys(s) V(0), which is
         ``diagnostics.transition_matrix`` on this frame. V(s)^dagger U_sys
         V(0) is V(s)^dagger V(0) for the dual (U_sys = U_tau^dagger) and
-        Q_2tau for the negated dual (U_sys = U_tau^dagger U_2tau)."""
+        Q_2tau for the negated dual (U_sys = U_tau^dagger U_2tau); it is
+        scaled in place."""
         if self.sign < 0:
             v = self.data.frame.vectors
             q = dagger_dot(v, np.broadcast_to(v[0], v.shape))
         else:
             q = self.data.transition(2.0 * self.tau)
-        return self.e[:, :, None] * q
+        return np.multiply(self.e[:, :, None], q, out=q)
 
 
 class SystemBundle:
@@ -364,9 +391,6 @@ class SystemBundle:
         p = config["parameters"]
         self.s_range = (0.0, S_WINDOW)   # the s interval every grid spans
         self.initial_vectors = None
-        # grid intervals -> the numeric route's _EigenbasisGrid
-        self._eigenbasis: Dict[int, _EigenbasisGrid] = {}
-        self._eigenbasis_lock = threading.Lock()
 
         if model == "spin_half":
             theta, omega0 = float(p["theta"]), float(p["omega0"])
@@ -431,18 +455,20 @@ class SystemBundle:
 
         return UnitaryPath(2, _u_batch, generator=gen, name="rotating_z")
 
-    def evolution(self, tau: float, grid: np.ndarray) -> _DualEvolution:
-        """A custom path's dual at tau (systems b and c) on tau's ``grid``.
-        The refined eigenpairs and overlaps of a grid are made once, under
-        one lock, for every tau on that grid."""
-        nint = len(grid) - 1
-        with self._eigenbasis_lock:
-            if nint not in self._eigenbasis:
-                self._eigenbasis[nint] = _EigenbasisGrid(
-                    self.base, grid, 2 * self.config["substeps"])
-            data = self._eigenbasis[nint]
+    def eigenbasis(self, grid: np.ndarray) -> _EigenbasisGrid:
+        """The numeric route's data on ``grid``, which serves every tau of
+        a custom dual on that grid."""
+        return _EigenbasisGrid(self.base, grid, 2 * self.config["substeps"])
+
+    def evolution(self, tau: float, grid: np.ndarray, data=None,
+                  vectors: bool = False) -> _DualEvolution:
+        """A custom path's dual at tau (systems b and c) on tau's ``grid``,
+        from ``data``, the grid's ``eigenbasis`` (built here when None);
+        ``vectors`` asks for its frame's vectors."""
+        if data is None:
+            data = self.eigenbasis(grid)
         sign = -1 if self.config["system"] == "b" else 1
-        return _DualEvolution(data, sign, tau)
+        return _DualEvolution(data, sign, tau, vectors)
 
     def grid_policy(self, tau: float) -> tuple:
         """(tau's grid, whether GRID_CAP left it above the phase-per-step
@@ -489,17 +515,20 @@ class SystemBundle:
         return res.unitaries
 
 
-def _entry_for_tau(bundle: SystemBundle, tau: float, config: dict) -> dict:
-    grid, capped = bundle.grid_policy(tau)
-    if bundle.path is None:
-        evo = bundle.evolution(tau, grid)
-        frame, C = evo.frame, evo.couplings
+def _entry_for_tau(bundle: SystemBundle, tau: float, grid: np.ndarray,
+                   capped: bool, data) -> tuple:
+    """(entry, series) of one tau on its ``grid`` (``grid_policy``);
+    ``data`` is the grid's ``_EigenbasisGrid`` for a custom dual, None
+    otherwise."""
+    diags = bundle.config["diagnostics"]
+    if data is not None:
+        evo = bundle.evolution(tau, grid, data, vectors="premises" in diags)
+        frame, C = evo.frame, evo.couplings()
     else:
         evo = None
         frame = eigenframe(bundle.path, tau, grid,
                            initial_vectors=bundle.initial_vectors)
         C = couplings(frame)
-    diags = config["diagnostics"]
     entry: dict = {
         "tau": tau,
         "window_real_time": tau * (grid[-1] - grid[0]),
@@ -513,7 +542,36 @@ def _entry_for_tau(bundle: SystemBundle, tau: float, config: dict) -> dict:
     if "qac_max" in diags:
         entry["qac_max"] = qac_max(frame, C)
     if "resonance_integrals" in diags or "f_norm" in diags:
-        K, peaks, fser, fmax = _kernel_summary(frame, C)
+        _kernel_entries(frame, C, diags, entry, series)
+    del C   # freed before the evolution operators are formed
+    if "projector_drift" in diags:
+        dser = projector_drift_series(frame) if evo is None else evo.drift
+        entry["projector_drift"] = float(np.max(dser))
+        series["projector_drift"] = dser
+    if "intertwining_defect" in diags or "w_deviation" in diags:
+        M = (transition_matrix(bundle.unitaries_for(tau, grid), frame)
+             if evo is None else evo.transition_matrix())
+        entry["transition_probability_max"] = _transition_probability_max(M)
+        if "intertwining_defect" in diags:
+            iser = _intertwining_of(M)
+            entry["intertwining_defect"] = float(np.max(iser))
+            series["intertwining"] = iser
+        if "w_deviation" in diags:
+            entry["w_deviation"] = _w_deviation_of(M, frame)
+    if "premises" in diags:
+        # at the configured density (a stride of 2 or a power of 4) and at
+        # its midpoints
+        entry["premises"] = _premises(
+            frame, max(2, (len(grid) - 1) // bundle.config["grid"]))
+    return entry, series
+
+
+def _kernel_entries(frame: EigenFrame, C: np.ndarray, diags, entry: dict,
+                    series: dict):
+    """The resonance integrals and the kernel norm of ``diags`` into
+    ``entry`` and ``series``, from one pass over the frame's kernel, which
+    is freed on return."""
+    K, peaks, fser, fmax = _kernel_summary(frame, C)
     if "resonance_integrals" in diags:
         # one pair of each mirror: the integral of (n, m) is -conj of (m, n)
         res = {}
@@ -532,27 +590,6 @@ def _entry_for_tau(bundle: SystemBundle, tau: float, config: dict) -> dict:
     if "f_norm" in diags:
         entry["f_norm_end"], entry["f_norm_max"] = float(fser[-1]), fmax
         series["f_norm"] = fser
-    if "projector_drift" in diags:
-        dser = (projector_drift_series(frame) if evo is None
-                else evo.projector_drift_series())
-        entry["projector_drift"] = float(np.max(dser))
-        series["projector_drift"] = dser
-    if "intertwining_defect" in diags or "w_deviation" in diags:
-        M = (transition_matrix(bundle.unitaries_for(tau, grid), frame)
-             if evo is None else evo.transition_matrix())
-        entry["transition_probability_max"] = _transition_probability_max(M)
-        if "intertwining_defect" in diags:
-            iser = _intertwining_of(M)
-            entry["intertwining_defect"] = float(np.max(iser))
-            series["intertwining"] = iser
-        if "w_deviation" in diags:
-            entry["w_deviation"] = _w_deviation_of(M, frame)
-    if "premises" in diags:
-        # at the configured density (a stride of 2 or a power of 4) and at
-        # its midpoints
-        entry["premises"] = _premises(
-            frame, max(2, (len(grid) - 1) // config["grid"]))
-    return entry, series
 
 
 _SCALING_KEYS = ("qac_max", "f_norm_max", "projector_drift",
@@ -593,15 +630,35 @@ def _append_scaling(report: dict, thresholds: Thresholds):
         report["classification"] = None
 
 
-def _run_normalized(config: dict, threads: int):
-    bundle = SystemBundle(config)
-    taus = config["parameters"]["tau_list"]
+def _entries_on_grid(bundle: SystemBundle, items, threads: int) -> list:
+    """(entry, series) of each (tau, grid, capped) of ``items``, which share
+    one grid; a custom dual's ``_EigenbasisGrid`` is built once for them
+    and freed on return."""
+    data = (None if bundle.path is not None
+            else bundle.eigenbasis(items[0][1]))
+
+    def entry(item):
+        return _entry_for_tau(bundle, *item, data)
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda t: _entry_for_tau(bundle, t, config), taus))
-    else:
-        results = [_entry_for_tau(bundle, t, config) for t in taus]
+            return list(pool.map(entry, items))
+    return [entry(item) for item in items]
+
+
+def _run_normalized(config: dict, threads: int):
+    bundle = SystemBundle(config)
+    items = [(tau, *bundle.grid_policy(tau))
+             for tau in config["parameters"]["tau_list"]]
+    # the taus run grouped by grid, so one grid's data is alive at a time
+    by_grid: Dict[int, List[int]] = {}
+    for k, (_, grid, _) in enumerate(items):
+        by_grid.setdefault(len(grid), []).append(k)
+    results = [None] * len(items)
+    for ks in by_grid.values():
+        group = _entries_on_grid(bundle, [items[k] for k in ks], threads)
+        for k, result in zip(ks, group):
+            results[k] = result
     report = {
         "schema": REPORT_SCHEMA,
         "config": config,

@@ -6,6 +6,7 @@ reads from its own frame, checked against the two-frame computation they
 replaced."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -13,15 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adiakit.gauge as gauge
+import adiakit.linalg as linalg
 import adiakit.scenario as sc
 from adiakit.diagnostics import (_intertwining_of, _kernel_summary,
                                  _w_deviation_of, projector_drift_series,
                                  transition_matrix)
-from adiakit.exceptions import NumericalCheckError
+from adiakit.exceptions import NonHermitianError, NumericalCheckError
 from adiakit.gauge import couplings, eigenframe
 from adiakit.linalg import dagger, dagger_dot
 from adiakit.models import random_smooth_hamiltonian
-from adiakit.paths import UnitaryPath, midpoint_refined
+from adiakit.paths import HamiltonianPath, UnitaryPath, midpoint_refined
 from adiakit.propagate import propagate
 from adiakit.transforms import dual_of, negate
 
@@ -55,7 +57,7 @@ def _lab_frame(bundle, evo):
     known there only, and U_sys = V(0) Q_tau^dag (V(s)^dag U_sys V(0))
     V(0)^dag, where V(s)^dag U_sys V(0) is V(s)^dag V(0) for the dual and
     Q_2tau for the negated dual."""
-    fr, q = evo.data.frame, evo.q
+    fr, q = evo.data.frame, evo.data.transition(evo.tau)
     v0 = fr.vectors[0]
 
     def base_propagator(s_values, tau):
@@ -93,7 +95,7 @@ def test_route_matches_lab_frame_propagators(dim, seed, system, tau):
     # 8.4e-6 relative
     bundle = _bundle(dim, seed, system, tau)
     grid = bundle.grid_for(tau)
-    evo = bundle.evolution(tau, grid)
+    evo = bundle.evolution(tau, grid, vectors=True)
     M = evo.transition_matrix()
     u = propagate(bundle.base, tau, grid, substeps=32).unitaries
     u_sys = dagger(u)
@@ -108,7 +110,7 @@ def test_route_matches_lab_frame_propagators(dim, seed, system, tau):
                 np.max(_intertwining_of(m_ref))) <= 5e-5
     assert _rel(_w_deviation_of(M, evo.frame),
                 _w_deviation_of(m_ref, evo.frame)) <= 5e-5
-    assert _rel(np.max(evo.projector_drift_series()),
+    assert _rel(np.max(evo.drift),
                 np.max(projector_drift_series(ref_frame))) <= 5e-5
 
 
@@ -127,7 +129,7 @@ def test_discrete_and_transported_frames_agree(dim, seed, system, tau):
     # and 5e-6
     bundle = _bundle(dim, seed, system, tau)
     grid = bundle.grid_for(tau)
-    evo = bundle.evolution(tau, grid)
+    evo = bundle.evolution(tau, grid, vectors=True)
     transported = evo.frame
     path, u_sys = _lab_frame(bundle, evo)
     discrete = eigenframe(path, tau, grid, transport="discrete")
@@ -139,7 +141,7 @@ def test_discrete_and_transported_frames_agree(dim, seed, system, tau):
     assert _rel(_w_deviation_of(m_d, discrete),
                 _w_deviation_of(m_t, transported)) <= 2.4e-5
     k_d, _, _, fmax_d = _kernel_summary(discrete, couplings(discrete))
-    k_t, _, _, fmax_t = _kernel_summary(transported, evo.couplings)
+    k_t, _, _, fmax_t = _kernel_summary(transported, evo.couplings())
     assert _rel(fmax_d, fmax_t) <= 6e-7
     perm = np.argsort(transported.values[0])
     end_t = _end_moduli(k_t, dim)[perm][:, perm]
@@ -180,7 +182,7 @@ def test_route_frame_is_the_transported_frame_of_the_dual(system):
     tau = 8.0
     bundle = _bundle(3, 11, system, tau)
     grid = bundle.grid_for(tau)
-    evo = bundle.evolution(tau, grid)
+    evo = bundle.evolution(tau, grid, vectors=True)
     path, u_sys = _lab_frame(bundle, evo)
     frame = dataclasses.replace(evo.frame, path=path)
     assert frame.construction == "transported"
@@ -189,8 +191,8 @@ def test_route_frame_is_the_transported_frame_of_the_dual(system):
     assert np.max(np.abs(resid)) <= 1e-12
     assert frame.completeness_defect() <= 1e-12
     # hf couplings of the dual path, whose unitary is U_tau on the grid
-    assert np.max(np.abs(couplings(frame) - evo.couplings)) <= 1e-12
-    assert np.max(np.abs(evo.projector_drift_series()
+    assert np.max(np.abs(couplings(frame) - evo.couplings())) <= 1e-12
+    assert np.max(np.abs(evo.drift
                          - projector_drift_series(frame))) <= 1e-12
     assert np.max(np.abs(evo.transition_matrix()
                          - transition_matrix(u_sys, frame))) <= 1e-12
@@ -284,7 +286,7 @@ def test_every_diagnostic_runs_on_custom_duals(system):
     assert report["provenance"]["integrator"] == "eigenbasis-strang"
     assert entry["premises"]["p2_min_gap"] > 0.5
     evo = bundle.evolution(6.0, bundle.grid_for(6.0))
-    assert entry["projector_drift"] == np.max(evo.projector_drift_series())
+    assert entry["projector_drift"] == np.max(evo.drift)
 
 
 def test_overlaps_are_checked_for_unitarity(monkeypatch):
@@ -309,3 +311,71 @@ def test_overlaps_are_checked_for_unitarity(monkeypatch):
     assert isinstance(err.value, ValueError)
     assert err.value.interval in ((fine[0][80], fine[0][81]),
                                   (fine[0][81], fine[0][82]))
+
+
+def _growing_path(defect):
+    """A gapped 3-level path on [0, 1] whose norm grows 100-fold, plus an
+    anti-Hermitian part with ||H - H^dagger||_F = ``defect`` for s < 0.05,
+    where the norm is smallest."""
+    h0 = np.diag([1.0, 0.0, -1.0])
+    x = 0.2 * np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    skew = np.zeros((3, 3))
+    skew[0, 1], skew[1, 0] = 0.5 / np.sqrt(2.0), -0.5 / np.sqrt(2.0)
+
+    def h(s, tau):
+        out = (1.0 + 99.0 * s)[:, None, None] * (
+            h0 + np.sin(2.0 * s)[:, None, None] * x)
+        return out + (defect * (s < 0.05))[:, None, None] * skew
+
+    return HamiltonianPath(3, h)
+
+
+def _one_block_and_blocked(monkeypatch, build):
+    """``build()`` with every stack in one block, then in blocks of 7."""
+    monkeypatch.setattr(linalg, "_BLOCK", 10**9)
+    whole = build()
+    monkeypatch.setattr(linalg, "_BLOCK", 7)
+    return whole, build()
+
+
+# the defect 3e-9 passes the check against the largest norm of all points
+# (threshold 1.5e-8), not against those of the blocks near s = 0 (< 1e-9)
+@pytest.mark.parametrize("defect", [0.0, 3e-9])
+def test_blocked_grid_build_equals_one_block(defect, monkeypatch):
+    # the refined grid evaluated, solved, overlapped and checked 7 points at
+    # a time, block seams at every phase of the refinement
+    grid = np.linspace(0.0, 1.0, 257)
+    whole, blocked = _one_block_and_blocked(
+        monkeypatch,
+        lambda: sc._EigenbasisGrid(_growing_path(defect), grid, 2))
+    for name in ("grid", "values", "overlaps", "couplings", "phase"):
+        assert np.array_equal(getattr(blocked, name), getattr(whole, name))
+    for name in ("grid", "values", "vectors"):
+        assert np.array_equal(getattr(blocked.frame, name),
+                              getattr(whole.frame, name))
+    assert blocked.frame.min_gap == whole.frame.min_gap
+
+
+def test_blocked_grid_build_raises_the_one_block_error(monkeypatch):
+    def build():
+        with pytest.raises(NonHermitianError) as err:
+            sc._EigenbasisGrid(_growing_path(1e-7), np.linspace(0, 1, 257), 2)
+        return err.value.defect, err.value.tolerance
+
+    whole, blocked = _one_block_and_blocked(monkeypatch, build)
+    assert blocked == whole
+    assert whole[0] == pytest.approx(1e-7, rel=1e-6)
+
+
+def test_blocked_entries_equal_one_block(monkeypatch):
+    # every entry value, w_deviation's blocked maximum included
+    bundle = _bundle(3, 11, "c", 8.0, grid=256,
+                     diagnostics=list(sc.ALL_DIAGNOSTICS))
+    whole, blocked = _one_block_and_blocked(
+        monkeypatch, lambda: sc.run(bundle.config))
+    assert json.dumps(blocked[0], sort_keys=True) == \
+        json.dumps(whole[0], sort_keys=True)
+    for a, b in zip(whole[1], blocked[1]):
+        assert a.keys() == b.keys()
+        assert all(np.array_equal(a[k], b[k]) for k in a)
+

@@ -326,6 +326,36 @@ def test_rebound_base_frame_equals_a_fresh_build():
             assert np.array_equal(ak.couplings(fr), ak.couplings(fresh))
 
 
+def test_sweep_evaluates_one_unitary_per_tau(monkeypatch):
+    # the dual and the negated dual share U_tau: the sweep evaluates it on
+    # the grid once per tau for both frames (the generator spot-check
+    # probes three points)
+    calls = []
+    original = spinhalf.propagator_matrix
+
+    def counted(theta, omega0, omega, s):
+        if len(s) == len(GRID):
+            calls.append(omega)
+        return original(theta, omega0, omega, s)
+
+    monkeypatch.setattr(spinhalf, "propagator_matrix", counted)
+    taus = [100.0, 1000.0]
+    for _ in _spin_sweep(THETA, OMEGA0, taus, len(GRID),
+                         systems=("a", "b", "c")):
+        pass
+    assert calls == [1.0 / tau for tau in taus]
+
+
+def test_one_level_frame_has_no_coupling():
+    # a single level has no pair: its couplings are zero and its adiabatic
+    # ratio is 0, where a reduction over the empty pairs raised
+    fr = ak.eigenframe(constant_hamiltonian([[1.0]]), 1.0, GRID)
+    assert fr.min_gap == np.inf
+    C = ak.couplings(fr)
+    assert C.shape == (len(GRID), 1, 1) and not np.any(C)
+    assert ak.qac_max(fr) == ak.qac_max(fr, C) == 0.0
+
+
 def test_diagnostics_leave_shared_frame_arrays_untouched():
     # the base frame's arrays are shared by every tau of a sweep and by the
     # duals built on it: made read-only, any diagnostic writing into them

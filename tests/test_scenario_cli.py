@@ -368,6 +368,75 @@ def test_numeric_cache_fills_each_key_once_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def test_two_grids_run_alike_on_one_and_two_threads(monkeypatch):
+    # negated dual of a custom path whose taus lie on two grids (256 and
+    # 1024 intervals): the taus run grouped by grid, each grid's refined
+    # points are factorized once, and the worker count changes no byte
+    rows = []
+    eigh_batch = kernels.eigh_batch
+
+    def counted_eigh(h):
+        rows.append(len(h))
+        return eigh_batch(h)
+
+    monkeypatch.setattr(kernels, "eigh_batch", counted_eigh)
+    cfg = {
+        "model": "custom_matrix_path",
+        "parameters": _two_level_custom_parameters([10.0, 30.0, 40.0]),
+        "system": "c",
+        "grid": 256,
+        "diagnostics": list(sc.ALL_DIAGNOSTICS),
+    }
+    single, single_series = sc.run(cfg, threads=1)
+    assert [e["grid_points"] for e in single["entries"]] == [257, 1025, 1025]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # switch threads often, to expose races
+    try:
+        rows.clear()
+        report, series = sc.run(cfg, threads=2)
+    finally:
+        sys.setswitchinterval(interval)
+    # each grid's probe (33 points), then its refined points
+    assert rows == [33, 33, 33, 513, 2049]
+    assert json.dumps(report, sort_keys=True) == \
+        json.dumps(single, sort_keys=True)
+    for a, b in zip(series, single_series):
+        assert a.keys() == b.keys()
+        assert all(np.array_equal(a[k], b[k]) for k in a)
+
+
+def test_numeric_route_peak_memory_is_bounded():
+    # a 3-level negated dual whose taus lie on two grids (4,096 and 16,384
+    # intervals): one grid's data is alive at a time, Q_tau is dropped
+    # after its drift is read, and the grid is built in blocks. Measured
+    # peak: 4.8 stacks of the larger grid's refined points (6.9 when every
+    # grid was kept to the end of the run)
+    import tracemalloc
+
+    from adiakit.models import random_smooth_hamiltonian
+    path = random_smooth_hamiltonian(3, np.random.default_rng(3),
+                                     base_gap=1.0, wobble=0.3)
+    s = np.linspace(0.0, 1.0, 33)
+    mats = path.eval_batch(s)
+    cfg = sc.normalize_config({
+        "model": "custom_matrix_path", "system": "c", "grid": 256,
+        "parameters": {"grid": s.tolist(), "tau_list": [80.0, 1000.0],
+                       "matrices": np.stack([mats.real, mats.imag],
+                                            -1).tolist()}})
+    bundle = sc.SystemBundle(cfg)
+    intervals = [len(bundle.grid_for(t)) - 1 for t in (80.0, 1000.0)]
+    assert intervals == [4096, 16384]
+    stack = (2 * intervals[-1] + 1) * 3 * 3 * 16   # bytes, complex128
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sc.run(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * stack
+
+
 def test_grid_refinement_probes_the_custom_grid_range():
     # a 2x2 path whose gap grows from 1 to 40 gets the same grid on [0, 2 pi]
     # and on [10, 10 + 2 pi]; a probe of [0, 2 pi] would see only the
