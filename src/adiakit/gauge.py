@@ -51,7 +51,9 @@ class EigenFrame:
     grid: np.ndarray            # (N,) ascending s values
     tau: float
     values: np.ndarray          # (N, n) eigenvalues, level-tracked
-    vectors: np.ndarray         # (N, n, n); [:, :, j] is level j
+    # (N, n, n); [:, :, j] is level j. None on a numeric-route dual whose
+    # entry reads no vectors (``scenario._DualEvolution``)
+    vectors: Optional[np.ndarray]
     min_gap: float
     path: Optional[HamiltonianPath] = None
     construction: str = "discrete"
