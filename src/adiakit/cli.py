@@ -28,7 +28,8 @@ def _add_common(sub):
     sub.add_argument("--grid", type=int, default=None,
                      help="grid points per window (overrides config)")
     sub.add_argument("--threads", type=int, default=1,
-                     help="parallel workers across tau entries")
+                     help="parallel workers across the tau entries that "
+                          "share one grid")
 
 
 def build_parser():

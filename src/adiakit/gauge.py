@@ -51,8 +51,8 @@ class EigenFrame:
     grid: np.ndarray            # (N,) ascending s values
     tau: float
     values: np.ndarray          # (N, n) eigenvalues, level-tracked
-    # (N, n, n); [:, :, j] is level j. None on a numeric-route dual whose
-    # entry reads no vectors (``scenario._DualEvolution``)
+    # (N, n, n); [:, :, j] is level j. None on the transported frame of a
+    # custom dual whose entry reads no vectors (``scenario._Evolution``)
     vectors: Optional[np.ndarray]
     min_gap: float
     path: Optional[HamiltonianPath] = None

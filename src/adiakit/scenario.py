@@ -17,24 +17,26 @@ configured density at every tau. A discrete frame refines on twice the
 dynamical phase, tau * gap. Refinement stops at GRID_CAP intervals, and the
 entry's ``grid_capped`` says when that left the target unmet.
 
-Numeric route: the duals of a custom path (systems b and c) have no closed
-form, and a custom path ignores tau. Each grid eigensolves the base once on
-the grid refined 2 * ``substeps`` times, for every tau on that grid; the
-frame grid's points are among the refined ones, so the base's discrete
-frame needs no eigensolve of its own. Each tau then chains
-Q_c = V^dagger U_c V(0) in the base's eigenbasis (``propagate_eigenbasis``)
-at c = tau, and at 2 tau for the negated dual, and reads every entry value
-from Q and the base frame: the dual's transported frame, its projector
-drift and its transition matrix (``_DualEvolution``). The grids are those of
-a discrete frame (2 tau * gap), which the chain's steps need.
+Numeric route: a custom path has no closed form and ignores tau, so its
+base (system a), dual (b) and negated dual (c) all read one set of data per
+grid. Each grid eigensolves the base once on the grid refined 2 *
+``substeps`` times, for every tau on that grid; the frame grid's points are
+among the refined ones, so the base's discrete frame needs no eigensolve of
+its own. Each tau reads every entry value from the base frame and from
+Q_c = V^dagger U_c V(0), chained in the base's eigenbasis
+(``propagate_eigenbasis``) at c = tau, and at 2 tau for the negated dual,
+only where an entry value needs it (``_Evolution``): the base's M is
+Q_tau; a dual's transported frame, projector drift and transition matrix
+follow from Q_tau and Q_2tau. The grids are those of a discrete frame
+(2 tau * gap), which the chain's steps need.
 
 Memory on that route: the taus run grouped by grid, and a grid's data (the
 refined overlaps, and the frame's vectors and couplings) is freed after
 its last tau, before the next grid is built. The refined eigenvectors live
-only while the grid is built, block by block. Per entry, Q_tau lives only
-while its drift is read, the dual frame's vectors only when the premises
-ask for them, the dual's couplings and kernel until the kernel entries are
-read, and then M.
+only while the grid is built, block by block. Per entry, a dual's Q_tau
+lives only while its drift is read, its frame's vectors only when the
+premises ask for them, its couplings and kernel until the kernel entries
+are read, and then M.
 """
 
 import csv
@@ -321,6 +323,7 @@ class _EigenbasisGrid:
                 f"{defect:.2e} > {OVERLAP_UNITARITY_TOL:.0e})",
                 (float(fine[k]), float(fine[k + 1])))
         self.couplings = couplings(self.frame)
+        self.couplings.flags.writeable = False   # the base's, at every tau
         self.phase = self.frame.phase_integrals()   # tau = 1
 
     def transition(self, coef: float) -> np.ndarray:
@@ -330,56 +333,83 @@ class _EigenbasisGrid:
                                     coef, self.refine)
 
 
-class _DualEvolution:
-    """A custom path's dual (sign -1, system b) or negated dual (sign +1,
-    system c) at one tau, from the base frame and Q_tau, without lab-frame
-    propagators: the transported frame's vectors are U^dagger V e^{-i phi}
-    = V(0) Q_tau^dagger e^{-i phi}, with phi = tau int_0^s E, its values
-    sign E and its couplings the base's times e^{i(phi_m - phi_n)}.
+class _Evolution:
+    """A custom system at one tau, read from its grid's ``_EigenbasisGrid``
+    without lab-frame propagators. The base (system a) takes the grid's
+    discrete frame re-bound to tau, its couplings, and M = Q_tau. The dual
+    (system b) and the negated dual (system c) take the transported frame:
+    its vectors are U^dagger V e^{-i phi} = V(0) Q_tau^dagger e^{-i phi},
+    with phi = tau int_0^s E, its values sign E (sign -1 for b, +1 for c)
+    and its couplings the base's times e^{i(phi_m - phi_n)}.
 
-    Q_tau lives only in the constructor, which reads the projector drift
-    from it (``drift``) and forms the frame's vectors only when
-    ``vectors`` asks for them; otherwise the frame's vectors are None."""
+    Q is chained only where it is read: a dual's Q_tau for its projector
+    drift (``drift``) and for its frame's vectors, which the constructor
+    forms only when ``vectors`` asks for them (otherwise they are None);
+    Q_tau of the base and Q_2tau of the negated dual for M."""
 
-    def __init__(self, data: _EigenbasisGrid, sign: int, tau: float,
+    def __init__(self, data: _EigenbasisGrid, system: str, tau: float,
                  vectors: bool = False):
-        self.data, self.sign, self.tau = data, sign, float(tau)
+        self.data, self.system, self.tau = data, system, float(tau)
         fr = data.frame
-        q = data.transition(tau)
-        # max_n ||P_n(s) - P_n(0)||_F = max_n sqrt(2 sum_{m != n}
-        # |Q_tau,mn|^2): the frame's vectors at s and 0 overlap by
-        # e^{i phi_n} Q_tau,nn, and the columns of Q_tau are unit vectors
-        leak = _off_diagonal_populations(q).sum(axis=1)
-        self.drift = np.sqrt(2.0 * leak.max(axis=1))
+        self._drift = None
+        if system == "a":
+            self.frame = dataclasses.replace(fr, tau=self.tau,
+                                             _phase_integrals=None)
+            return
         self.e = np.exp(1j * tau * data.phase)
         v = None
         if vectors:
+            q = data.transition(tau)
+            self._drift = _transported_drift(q)
             v = fr.vectors[0] @ dagger(q)
             v *= self.e.conj()[:, None, :]
+        sign = -1 if system == "b" else 1
         self.frame = EigenFrame(grid=fr.grid, tau=self.tau,
                                 values=sign * fr.values, vectors=v,
                                 min_gap=fr.min_gap,
                                 construction="transported",
                                 generator_rates=fr.values)
 
+    @property
+    def drift(self) -> np.ndarray:
+        """max_n ||P_n(s) - P_n(0)||_F per grid point, formed once."""
+        if self._drift is None:
+            self._drift = (projector_drift_series(self.frame)
+                           if self.system == "a" else
+                           _transported_drift(self.data.transition(self.tau)))
+        return self._drift
+
     def couplings(self) -> np.ndarray:
-        """The frame's hf couplings, formed anew on each call."""
+        """The frame's hf couplings: the grid's own (read-only) for the
+        base, formed anew on each call for a dual."""
+        if self.system == "a":
+            return self.data.couplings
         C = self.data.couplings * self.e[:, :, None]
         C *= self.e.conj()[:, None, :]
         return C
 
     def transition_matrix(self) -> np.ndarray:
-        """M = e^{i phi} V(s)^dagger U_sys(s) V(0), which is
-        ``diagnostics.transition_matrix`` on this frame. V(s)^dagger U_sys
-        V(0) is V(s)^dagger V(0) for the dual (U_sys = U_tau^dagger) and
-        Q_2tau for the negated dual (U_sys = U_tau^dagger U_2tau); it is
-        scaled in place."""
-        if self.sign < 0:
+        """M, which is ``diagnostics.transition_matrix`` on this frame:
+        Q_tau for the base, and e^{i phi} V(s)^dagger U_sys(s) V(0) for a
+        dual, scaled in place. V(s)^dagger U_sys V(0) is V(s)^dagger V(0)
+        for the dual (U_sys = U_tau^dagger) and Q_2tau for the negated dual
+        (U_sys = U_tau^dagger U_2tau)."""
+        if self.system == "a":
+            return self.data.transition(self.tau)
+        if self.system == "b":
             v = self.data.frame.vectors
             q = dagger_dot(v, np.broadcast_to(v[0], v.shape))
         else:
             q = self.data.transition(2.0 * self.tau)
         return np.multiply(self.e[:, :, None], q, out=q)
+
+
+def _transported_drift(q: np.ndarray) -> np.ndarray:
+    """A dual frame's projector drift from Q_tau: max_n sqrt(2 sum_{m != n}
+    |Q_tau,mn|^2), since the frame's vectors at s and 0 overlap by
+    e^{i phi_n} Q_tau,nn and the columns of Q_tau are unit vectors."""
+    leak = _off_diagonal_populations(q).sum(axis=1)
+    return np.sqrt(2.0 * leak.max(axis=1))
 
 
 class SystemBundle:
@@ -431,9 +461,8 @@ class SystemBundle:
             self.base = base
             self._u_closed = None
             self.closed_form = False
-            system = config["system"]
-            # the duals are built per tau by ``evolution``
-            self.path = base if system == "a" else None
+            # every system is read per tau through ``evolution``
+            self.path = None
 
     @staticmethod
     def _build_ux(tr: dict, base, u_base) -> UnitaryPath:
@@ -457,18 +486,17 @@ class SystemBundle:
 
     def eigenbasis(self, grid: np.ndarray) -> _EigenbasisGrid:
         """The numeric route's data on ``grid``, which serves every tau of
-        a custom dual on that grid."""
+        a custom system on that grid."""
         return _EigenbasisGrid(self.base, grid, 2 * self.config["substeps"])
 
     def evolution(self, tau: float, grid: np.ndarray, data=None,
-                  vectors: bool = False) -> _DualEvolution:
-        """A custom path's dual at tau (systems b and c) on tau's ``grid``,
-        from ``data``, the grid's ``eigenbasis`` (built here when None);
-        ``vectors`` asks for its frame's vectors."""
+                  vectors: bool = False) -> _Evolution:
+        """A custom system (a, b or c) at tau on tau's ``grid``, from
+        ``data``, the grid's ``eigenbasis`` (built here when None);
+        ``vectors`` asks for a dual frame's vectors."""
         if data is None:
             data = self.eigenbasis(grid)
-        sign = -1 if self.config["system"] == "b" else 1
-        return _DualEvolution(data, sign, tau, vectors)
+        return _Evolution(data, self.config["system"], tau, vectors)
 
     def grid_policy(self, tau: float) -> tuple:
         """(tau's grid, whether GRID_CAP left it above the phase-per-step
@@ -503,10 +531,10 @@ class SystemBundle:
 
     def unitaries_for(self, tau: float, grid: np.ndarray):
         """Evolution operators of the configured path system on the grid.
-        A custom dual has none: its entries read the transition matrix from
-        Q (``evolution``)."""
+        A custom system (a, b or c) has none: its entries read the
+        transition matrix from Q (``evolution``)."""
         if self.path is None:
-            raise ValueError("a custom dual has no lab-frame evolution "
+            raise ValueError("a custom system has no lab-frame evolution "
                              "operators; read it through evolution(tau)")
         if self.closed_form and self._u_closed is not None:
             return self._u_closed.eval_batch(grid, tau)
@@ -518,7 +546,7 @@ class SystemBundle:
 def _entry_for_tau(bundle: SystemBundle, tau: float, grid: np.ndarray,
                    capped: bool, data) -> tuple:
     """(entry, series) of one tau on its ``grid`` (``grid_policy``);
-    ``data`` is the grid's ``_EigenbasisGrid`` for a custom dual, None
+    ``data`` is the grid's ``_EigenbasisGrid`` for a custom system, None
     otherwise."""
     diags = bundle.config["diagnostics"]
     if data is not None:
@@ -620,7 +648,10 @@ def _append_scaling(report: dict, thresholds: Thresholds):
     report["classification_inputs"] = {
         "qac_max": qac, "max_resonance": rmax, "f_norm_slope": f_slope,
     }
-    if qac is None or rmax is None:
+    # a capped entry's grid missed the phase-per-step target, so its
+    # values are not resolved enough to classify from
+    if (qac is None or rmax is None
+            or any(e["grid_capped"] for e in entries)):
         report["classification"] = None
         return
     try:
@@ -632,7 +663,7 @@ def _append_scaling(report: dict, thresholds: Thresholds):
 
 def _entries_on_grid(bundle: SystemBundle, items, threads: int) -> list:
     """(entry, series) of each (tau, grid, capped) of ``items``, which share
-    one grid; a custom dual's ``_EigenbasisGrid`` is built once for them
+    one grid; a custom system's ``_EigenbasisGrid`` is built once for them
     and freed on return."""
     data = (None if bundle.path is not None
             else bundle.eigenbasis(items[0][1]))

@@ -1,9 +1,9 @@
-"""The numeric route of custom duals: the base propagated in its own
-adiabatic basis (``propagate_eigenbasis``) and the transported dual frame
-built from it, checked against the lab-frame algebra it replaced and
-against the discrete frame of the same dual; and the premises an entry
-reads from its own frame, checked against the two-frame computation they
-replaced."""
+"""The numeric route of custom systems: the base propagated in its own
+adiabatic basis (``propagate_eigenbasis``), the base's discrete frame and
+the transported dual frame built from it, checked against the lab-frame
+algebra it replaced and against the discrete frame of the same system; and
+the premises an entry reads from its own frame, checked against the
+two-frame computation they replaced."""
 
 import dataclasses
 import json
@@ -17,7 +17,9 @@ import adiakit.gauge as gauge
 import adiakit.linalg as linalg
 import adiakit.scenario as sc
 from adiakit.diagnostics import (_intertwining_of, _kernel_summary,
-                                 _w_deviation_of, projector_drift_series,
+                                 _premises, _transition_probability_max,
+                                 _w_deviation_of, phase_rate_per_step,
+                                 projector_drift_series, qac_max,
                                  transition_matrix)
 from adiakit.exceptions import NonHermitianError, NumericalCheckError
 from adiakit.gauge import couplings, eigenframe
@@ -29,7 +31,7 @@ from adiakit.transforms import dual_of, negate
 
 CASES = dict(dim=st.integers(min_value=2, max_value=4),
              seed=st.integers(min_value=0, max_value=2**32 - 1),
-             system=st.sampled_from(["b", "c"]),
+             system=st.sampled_from(["a", "b", "c"]),
              tau=st.floats(min_value=2.0, max_value=12.0))
 
 
@@ -52,13 +54,17 @@ def _rel(value, ref):
 
 
 def _lab_frame(bundle, evo):
-    """The route's lab-frame reference at the frame's grid points: the dual
-    path sign U_tau^dag H U_tau, whose unitary U_tau = V Q_tau V(0)^dag is
-    known there only, and U_sys = V(0) Q_tau^dag (V(s)^dag U_sys V(0))
-    V(0)^dag, where V(s)^dag U_sys V(0) is V(s)^dag V(0) for the dual and
-    Q_2tau for the negated dual."""
+    """The route's lab-frame reference at the frame's grid points: the
+    system's path and U_sys. For the base these are the base path and
+    U_tau = V Q_tau V(0)^dag. For a dual they are the dual path sign
+    U_tau^dag H U_tau, whose unitary U_tau is known at the grid points
+    only, and U_sys = V(0) Q_tau^dag (V(s)^dag U_sys V(0)) V(0)^dag, where
+    V(s)^dag U_sys V(0) is V(s)^dag V(0) for the dual and Q_2tau for the
+    negated dual."""
     fr, q = evo.data.frame, evo.data.transition(evo.tau)
     v0 = fr.vectors[0]
+    if evo.system == "a":
+        return bundle.base, fr.vectors @ q @ dagger(v0)
 
     def base_propagator(s_values, tau):
         # the nearest grid point, which must lie within 1e-9
@@ -72,8 +78,8 @@ def _lab_frame(bundle, evo):
     dual = dual_of(bundle.base, UnitaryPath(bundle.base.dim, base_propagator,
                                             generator=bundle.base))
     inner = (dagger_dot(fr.vectors, np.broadcast_to(v0, fr.vectors.shape))
-             if evo.sign < 0 else evo.data.transition(2.0 * evo.tau))
-    return (dual if evo.sign < 0 else negate(dual),
+             if evo.system == "b" else evo.data.transition(2.0 * evo.tau))
+    return (dual if evo.system == "b" else negate(dual),
             v0 @ dagger(q) @ inner @ dagger(v0))
 
 
@@ -90,22 +96,25 @@ def _end_moduli(K, dim):
 @given(**CASES)
 def test_route_matches_lab_frame_propagators(dim, seed, system, tau):
     # the lab-frame algebra the route replaced: U_tau and U_2tau from a
-    # 32-substep midpoint run, U_sys = U_tau^dag (b) or U_tau^dag U_2tau
-    # (c), read on the same frame. Largest over 200 random cases:
-    # 8.4e-6 relative
+    # 32-substep midpoint run, U_sys = U_tau (a), U_tau^dag (b) or
+    # U_tau^dag U_2tau (c), read on the same frame. Largest over 200 random
+    # cases of b and c: 8.4e-6 relative
     bundle = _bundle(dim, seed, system, tau)
     grid = bundle.grid_for(tau)
     evo = bundle.evolution(tau, grid, vectors=True)
     M = evo.transition_matrix()
     u = propagate(bundle.base, tau, grid, substeps=32).unitaries
-    u_sys = dagger(u)
-    if system == "c":
-        u_sys = u_sys @ propagate(bundle.base, 2.0 * tau, grid,
-                                  substeps=32).unitaries
+    if system == "a":
+        u_sys, ref_frame = u, evo.frame
+    else:
+        u_sys = dagger(u)
+        if system == "c":
+            u_sys = u_sys @ propagate(bundle.base, 2.0 * tau, grid,
+                                      substeps=32).unitaries
+        # the projectors U_tau^dag P_n U_tau, with the reference U_tau
+        ref_frame = dataclasses.replace(
+            evo.frame, vectors=dagger(u) @ evo.data.frame.vectors)
     m_ref = transition_matrix(u_sys, evo.frame)
-    # the projectors U_tau^dag P_n U_tau, with the reference U_tau
-    ref_frame = dataclasses.replace(
-        evo.frame, vectors=dagger(u) @ evo.data.frame.vectors)
     assert _rel(np.max(_intertwining_of(M)),
                 np.max(_intertwining_of(m_ref))) <= 5e-5
     assert _rel(_w_deviation_of(M, evo.frame),
@@ -119,14 +128,15 @@ def test_route_matches_lab_frame_propagators(dim, seed, system, tau):
 def test_discrete_and_transported_frames_agree(dim, seed, system, tau):
     # the same dual, and the same U_sys, read in its discrete frame (an
     # eigensolve of U^dag H U per point) and in the route's transported
-    # one. The discrete frame orders levels by value, the transported one
-    # as the base does. Bounds as measured on the benchmark's 4-level
-    # config (tau 20-200, 8,193-32,769 points): intertwining 6.4e-12,
-    # w_deviation 2.4e-5 relative. On this test's coarser grids the kernel
-    # integrals differ more (largest over 200 random cases: 1.2e-7 for
-    # f_norm_max, 9.8e-7 of the largest resonance end value, against
-    # 1.1e-8 and 3.1e-6 on the benchmark config), so those bounds are 6e-7
-    # and 5e-6
+    # one; for the base, a discrete frame of its own against the route's,
+    # built once per grid. The discrete frame orders levels by value, the
+    # transported one as the base does. Bounds as measured on the
+    # benchmark's 4-level config (tau 20-200, 8,193-32,769 points):
+    # intertwining 6.4e-12, w_deviation 2.4e-5 relative. On this test's
+    # coarser grids the kernel integrals differ more (largest over 200
+    # random cases: 1.2e-7 for f_norm_max, 9.8e-7 of the largest resonance
+    # end value, against 1.1e-8 and 3.1e-6 on the benchmark config), so
+    # those bounds are 6e-7 and 5e-6
     bundle = _bundle(dim, seed, system, tau)
     grid = bundle.grid_for(tau)
     evo = bundle.evolution(tau, grid, vectors=True)
@@ -204,6 +214,122 @@ def test_custom_duals_have_no_lab_frame_unitaries():
         bundle.unitaries_for(6.0, bundle.grid_for(6.0))
 
 
+def test_custom_base_reads_the_eigenframe_of_the_base():
+    # the base's grid frame, re-bound to tau, and its couplings are those of
+    # an eigenframe of the base at tau, so every value that does not read M
+    # is the one the per-tau frame gave, bit for bit
+    tau = 8.0
+    bundle = _bundle(3, 11, "a", tau, grid=256,
+                     diagnostics=list(sc.ALL_DIAGNOSTICS))
+    report, (ser,) = sc.run(bundle.config)
+    entry, = report["entries"]
+    assert report["provenance"]["integrator"] == "eigenbasis-strang"
+    grid = bundle.grid_for(tau)
+    frame = eigenframe(bundle.base, tau, grid)
+    C = couplings(frame)
+    ref, ref_series = {}, {}
+    sc._kernel_entries(frame, C, sc.ALL_DIAGNOSTICS, ref, ref_series)
+    drift = projector_drift_series(frame)
+    ref.update(qac_max=qac_max(frame, C), min_gap=frame.min_gap,
+               projector_drift=float(np.max(drift)),
+               premises=_premises(frame, max(2, (len(grid) - 1) // 256)),
+               phase_rate_per_step=phase_rate_per_step(frame),
+               frame_construction="discrete")
+    ref_series.update(s=frame.grid, projector_drift=drift)
+    assert {"resonance_integrals", "f_norm_end", "f_norm_max"} <= set(ref)
+    for key, value in ref.items():
+        assert entry[key] == value, key
+    for key, value in ref_series.items():
+        assert np.array_equal(ser[key], value), key
+
+
+@pytest.mark.parametrize("dim, seed, tau", [(3, 11, 8.0), (4, 2, 20.0)])
+def test_custom_base_evolution_is_closer_to_a_fine_run(dim, seed, tau):
+    # the base's M = Q_tau, chained on the grid refined twice, against the
+    # lab-frame midpoint run it replaced (substeps 1), both measured from a
+    # 16-substep midpoint run on the same frame: measured 0.1294 of the
+    # lab-frame distance for all three values, on 257 and 1,025 points
+    bundle = _bundle(dim, seed, "a", tau, grid=256,
+                     diagnostics=["intertwining_defect", "w_deviation"])
+    entry = sc.run(bundle.config)[0]["entries"][0]
+    grid = bundle.grid_for(tau)
+    frame = eigenframe(bundle.base, tau, grid)
+
+    def values(substeps):
+        M = transition_matrix(propagate(bundle.base, tau, grid,
+                                        substeps=substeps), frame)
+        return {"intertwining_defect": float(np.max(_intertwining_of(M))),
+                "w_deviation": _w_deviation_of(M, frame),
+                "transition_probability_max": _transition_probability_max(M)}
+
+    ref, lab = values(16), values(1)
+    for key in ref:
+        assert abs(entry[key] - ref[key]) <= 0.14 * abs(lab[key] - ref[key])
+
+
+# the coefficients c / tau of the chains Q_c per tau that each diagnostic
+# set reads: a dual's Q_tau for its drift and its vectors (premises), the
+# base's Q_tau and the negated dual's Q_2tau for M
+CHAINS = {
+    ("qac_max", "f_norm"): {"a": [], "b": [], "c": []},
+    ("projector_drift",): {"a": [], "b": [1], "c": [1]},
+    ("intertwining_defect",): {"a": [1], "b": [], "c": [2]},
+    ("premises",): {"a": [], "b": [1], "c": [1]},
+    sc.DEFAULT_DIAGNOSTICS: {"a": [1], "b": [1], "c": [1, 2]},
+}
+
+
+@pytest.mark.parametrize("system", ["a", "b", "c"])
+@pytest.mark.parametrize("diags", list(CHAINS), ids=[
+    "qac_f_norm", "drift", "intertwining", "premises", "default"])
+def test_q_is_chained_only_where_it_is_read(diags, system, monkeypatch):
+    coefs = []
+    chain = sc.propagate_eigenbasis
+
+    def counted(values, overlaps, grid, coef, record_every):
+        coefs.append(coef)
+        return chain(values, overlaps, grid, coef, record_every)
+
+    monkeypatch.setattr(sc, "propagate_eigenbasis", counted)
+    taus = [10.0, 20.0]
+    bundle = _bundle(2, 5, system, 1.0, grid=256, auto_refine=False,
+                     diagnostics=list(diags))
+    cfg = dict(bundle.config, parameters=dict(bundle.config["parameters"],
+                                              tau_list=taus))
+    sc.run(cfg)
+    assert coefs == [k * tau for tau in taus for k in CHAINS[diags][system]]
+
+
+@pytest.mark.parametrize("system", ["a", "b", "c"])
+def test_custom_systems_read_one_frame_per_grid(system, monkeypatch):
+    # no lab-frame propagation and no per-tau eigenframe: one discrete frame
+    # per grid (two grids here), every value read from it and from Q
+    frames = []
+    discrete = sc._discrete_frame
+
+    def counted(*args, **kw):
+        frames.append(len(args[2]))
+        return discrete(*args, **kw)
+
+    def forbidden(*args, **kw):
+        raise AssertionError("a custom scan left the numeric route")
+
+    monkeypatch.setattr(sc, "_discrete_frame", counted)
+    for name in ("propagate", "eigenframe"):
+        monkeypatch.setattr(sc, name, forbidden)
+    monkeypatch.setattr(gauge, "eigenframe", forbidden)
+    bundle = _bundle(2, 5, system, 1.0, grid=256,
+                     diagnostics=list(sc.ALL_DIAGNOSTICS))
+    cfg = dict(bundle.config, parameters=dict(bundle.config["parameters"],
+                                              tau_list=[20.0, 40.0, 60.0]))
+    report, _ = sc.scan(cfg)
+    points = [e["grid_points"] for e in report["entries"]]
+    assert points == [257, 1025, 1025]
+    assert sorted(frames) == sorted(set(points))
+    with pytest.raises(ValueError, match="evolution"):
+        bundle.unitaries_for(20.0, bundle.grid_for(20.0))
+
+
 def _two_frame_premises(path, tau, grid):
     """The premises as computed before they were read from the entry's
     frame: one eigenframe on ``grid`` and one on its midpoint refinement."""
@@ -249,13 +375,13 @@ PREMISE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", [*PREMISE_CASES, "custom_c"])
+@pytest.mark.parametrize("case", [*PREMISE_CASES, "custom_a", "custom_c"])
 def test_premises_of_the_entry_frame_match_two_frames(case, monkeypatch):
     # the entry reads coarse and fine points of its own frame where two
     # frames were built; projectors at s values an ulp apart leave the
     # second differences to rounding (largest measured: 6e-11 relative)
-    if case == "custom_c":
-        bundle = _bundle(3, 11, "c", 8.0, grid=256)
+    if case.startswith("custom"):
+        bundle = _bundle(3, 11, case[-1], 8.0, grid=256)
         # the reference unitary cannot be probed off the frame grid, so its
         # transported frames go without the generator spot-check
         monkeypatch.setattr(gauge, "_check_transport_generator",

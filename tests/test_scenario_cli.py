@@ -369,9 +369,10 @@ def test_numeric_cache_fills_each_key_once_under_threads(monkeypatch):
 
 
 def test_two_grids_run_alike_on_one_and_two_threads(monkeypatch):
-    # negated dual of a custom path whose taus lie on two grids (256 and
-    # 1024 intervals): the taus run grouped by grid, each grid's refined
-    # points are factorized once, and the worker count changes no byte
+    # the base and the negated dual of a custom path whose taus lie on two
+    # grids (256 and 1024 intervals): the taus run grouped by grid, each
+    # grid's refined points are factorized once, and the worker count
+    # changes no byte
     rows = []
     eigh_batch = kernels.eigh_batch
 
@@ -380,29 +381,31 @@ def test_two_grids_run_alike_on_one_and_two_threads(monkeypatch):
         return eigh_batch(h)
 
     monkeypatch.setattr(kernels, "eigh_batch", counted_eigh)
-    cfg = {
-        "model": "custom_matrix_path",
-        "parameters": _two_level_custom_parameters([10.0, 30.0, 40.0]),
-        "system": "c",
-        "grid": 256,
-        "diagnostics": list(sc.ALL_DIAGNOSTICS),
-    }
-    single, single_series = sc.run(cfg, threads=1)
-    assert [e["grid_points"] for e in single["entries"]] == [257, 1025, 1025]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)   # switch threads often, to expose races
-    try:
-        rows.clear()
-        report, series = sc.run(cfg, threads=2)
-    finally:
-        sys.setswitchinterval(interval)
-    # each grid's probe (33 points), then its refined points
-    assert rows == [33, 33, 33, 513, 2049]
-    assert json.dumps(report, sort_keys=True) == \
-        json.dumps(single, sort_keys=True)
-    for a, b in zip(series, single_series):
-        assert a.keys() == b.keys()
-        assert all(np.array_equal(a[k], b[k]) for k in a)
+    for system in ("a", "c"):
+        cfg = {
+            "model": "custom_matrix_path",
+            "parameters": _two_level_custom_parameters([10.0, 30.0, 40.0]),
+            "system": system,
+            "grid": 256,
+            "diagnostics": list(sc.ALL_DIAGNOSTICS),
+        }
+        single, single_series = sc.run(cfg, threads=1)
+        assert [e["grid_points"] for e in single["entries"]] == \
+            [257, 1025, 1025]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # switch threads often, to expose races
+        try:
+            rows.clear()
+            report, series = sc.run(cfg, threads=2)
+        finally:
+            sys.setswitchinterval(interval)
+        # each grid's probe (33 points), then its refined points
+        assert rows == [33, 33, 33, 513, 2049], system
+        assert json.dumps(report, sort_keys=True) == \
+            json.dumps(single, sort_keys=True)
+        for a, b in zip(series, single_series):
+            assert a.keys() == b.keys()
+            assert all(np.array_equal(a[k], b[k]) for k in a)
 
 
 def test_numeric_route_peak_memory_is_bounded():
@@ -540,6 +543,25 @@ def test_grid_cap_is_named_in_the_entry(monkeypatch):
     entry = sc.run(cfg)[0]["entries"][0]
     assert entry["grid_capped"] is True
     assert entry["grid_points"] == 1025
+
+
+def test_capped_entries_leave_the_scan_unclassified(monkeypatch):
+    # tau = 1 meets the phase-per-step target on 257 points, the larger
+    # taus do not on GRID_CAP's 1025: the slopes are reported, the class
+    # is not
+    cfg = base_config(grid=256)
+    cfg["parameters"] = {"theta": THETA, "omega0": 1.0,
+                         "tau_list": [1.0, 100.0, 200.0]}
+    report, _ = sc.scan(cfg)
+    assert report["classification"] is not None
+    monkeypatch.setattr(sc, "GRID_CAP", 1024)
+    capped, _ = sc.scan(cfg)
+    assert [e["grid_capped"] for e in capped["entries"]] == \
+        [False, True, True]
+    assert capped["classification"] is None
+    assert sorted(capped["scaling"]) == sorted(report["scaling"])
+    assert set(capped["classification_inputs"]) == \
+        set(report["classification_inputs"])
 
 
 def test_premises_diagnostic_included_on_request():
