@@ -70,8 +70,12 @@ def _run_or_scan(args, scan_mode):
     for path in written:
         print(path)
     cls = report.get("classification")
+    capped = [e["tau"] for e in report["entries"] if e["grid_capped"]]
     if cls:
         print(f"classification: {cls}")
+    elif capped:
+        print("classification: none; grid_capped at tau "
+              + ", ".join(map(repr, capped)))
     return EXIT_OK
 
 

@@ -62,15 +62,20 @@ def qac_max(frame: EigenFrame, C: Optional[np.ndarray] = None) -> float:
     """Largest quantitative-adiabatic-condition ratio
     |<E_m|dE_n/ds>| / (tau |E_n - E_m|) over pairs and grid, in real time:
     the couplings are d/ds quantities, so the scaled-time ratio is divided
-    by tau."""
+    by tau. ``C`` is read as ``C[rows, m, n]`` (the pairs m != n on a block
+    of grid points, ``linalg._block_slices``), so a stand-in that forms
+    only those columns serves too (``scenario._DualCouplings``)."""
     if C is None:
         C = couplings(frame)
-    den = frame.values[:, None, :] - frame.values[:, :, None]
-    n = frame.dim
-    off = ~np.eye(n, dtype=bool)
-    ratio = np.abs(C[:, off]) / np.abs(den[:, off])
-    # 0 for a single level, which has no pair
-    return float(np.max(ratio, initial=0.0)) / frame.tau
+    m, n = np.nonzero(~np.eye(frame.dim, dtype=bool))
+    worst = []
+    for blk in _block_slices(frame.npoints):
+        w = frame.values[blk]
+        ratio = np.abs(C[blk, m, n])
+        ratio /= np.abs(w[:, n] - w[:, m])
+        # 0 for a single level, which has no pair
+        worst.append(np.max(ratio, initial=0.0))
+    return float(np.max(worst)) / frame.tau
 
 
 def _phase_spread(values: np.ndarray,
@@ -95,12 +100,19 @@ def _kernel_integrand(frame: EigenFrame, C: Optional[np.ndarray] = None):
     """(kernel coefficients, the phases left in them) of the pairs m > n,
     one column per pair: the integrand of the cumulative kernel K. K_mn is
     the integral of i e^{i(phi_m - phi_n)} C_mn, so the resonance integral
-    of the pair (m, n) is -i K_mn; K_nm = conj(K_mn)."""
+    of the pair (m, n) is -i K_mn; K_nm = conj(K_mn). Both are formed block
+    by block (``linalg._block_slices``), reading ``C`` as ``qac_max``
+    does, so their temporaries stay block-sized."""
     m, n = np.tril_indices(frame.dim, -1)
     theta = frame.integrand_phases()
     C = couplings(frame) if C is None else C
-    return (_dress_kernel(frame, C[:, m, n], m, n),
-            None if theta is None else theta[:, m] - theta[:, n])
+    coeff = np.empty((frame.npoints, len(m)), dtype=complex)
+    phase = None if theta is None else np.empty(coeff.shape)
+    for blk in _block_slices(frame.npoints):
+        coeff[blk] = _dress_kernel(frame, C[blk, m, n], m, n, blk)
+        if phase is not None:
+            np.subtract(theta[blk, m], theta[blk, n], out=phase[blk])
+    return coeff, phase
 
 
 def _kernel_summary(frame: EigenFrame, C: Optional[np.ndarray] = None):
@@ -219,13 +231,15 @@ def transition_matrix(U, frame: EigenFrame) -> np.ndarray:
     return sandwich(v, us, np.broadcast_to(v[0], us.shape))
 
 
-def _off_diagonal_populations(M: np.ndarray) -> np.ndarray:
-    """|M_mn|^2 with the diagonal set to 0; (N, n, n)."""
-    p = np.abs(M)
-    p *= p
+def _off_diagonal_populations(M: np.ndarray):
+    """(rows, |M_mn|^2 on them with the diagonal set to 0) per block of
+    ``linalg._block_slices``, so the populations stay block-sized."""
     n = M.shape[-1]
-    p[:, np.arange(n), np.arange(n)] = 0.0
-    return p
+    for blk in _block_slices(len(M)):
+        p = np.abs(M[blk])
+        p *= p
+        p[:, np.arange(n), np.arange(n)] = 0.0
+        yield blk, p
 
 
 def _intertwining_of(M: np.ndarray) -> np.ndarray:
@@ -234,20 +248,22 @@ def _intertwining_of(M: np.ndarray) -> np.ndarray:
     The off-diagonal entries are summed directly: 1 - |M_nn|^2 would lose
     the small values to cancellation.
     """
-    p = _off_diagonal_populations(M)
-    leak = p.sum(axis=1)
-    leak += p.sum(axis=2)
-    return np.sqrt(leak.max(axis=1))
+    out = np.empty(len(M))
+    for blk, p in _off_diagonal_populations(M):
+        leak = p.sum(axis=1)
+        leak += p.sum(axis=2)
+        out[blk] = np.sqrt(leak.max(axis=1))
+    return out
 
 
 def _w_deviation_of(M: np.ndarray, frame: EigenFrame) -> float:
     """max_s || diag(e^{i phi(s)}) M(s) - I ||_F, formed block by block
     (``linalg._block_slices``), so its temporaries stay block-sized."""
-    e = np.exp(1j * frame.phase_integrals())[:, :, None]
+    phase = frame.phase_integrals()
     n = M.shape[-1]
     worst = []
     for blk in _block_slices(len(M)):
-        w = e[blk] * M[blk]
+        w = np.exp(1j * phase[blk])[:, :, None] * M[blk]
         w[:, np.arange(n), np.arange(n)] -= 1.0
         worst.append(np.max(np.linalg.norm(w, axis=(1, 2))))
     return float(np.max(worst))
@@ -256,7 +272,8 @@ def _w_deviation_of(M: np.ndarray, frame: EigenFrame) -> float:
 def _transition_probability_max(M: np.ndarray) -> float:
     """max_s max_{m != n} |M_mn(s)|^2: the largest population that left
     its level."""
-    return float(np.max(_off_diagonal_populations(M)))
+    return float(np.max([np.max(p)
+                         for _, p in _off_diagonal_populations(M)]))
 
 
 def intertwining_series(U, frame: EigenFrame) -> np.ndarray:

@@ -421,13 +421,15 @@ def kernel_coefficients(frame: EigenFrame,
     return coeff
 
 
-def _dress_kernel(frame: EigenFrame, coeff: np.ndarray, rows, cols):
+def _dress_kernel(frame: EigenFrame, coeff: np.ndarray, rows, cols,
+                  points=slice(None)):
     """coeff <- i e^{i(phi_m - phi_n)} coeff in place, with m = ``rows`` and
     n = ``cols`` indexing the levels: the kernel coefficients of the
     couplings C_mn held in ``coeff`` (a full (N, n, n) stack, or the pair
-    columns of ``diagnostics._kernel_integrand``). Returns ``coeff``."""
+    columns of ``diagnostics._kernel_integrand``) at the grid points
+    ``points``. Returns ``coeff``."""
     # e^{i(phi_m - phi_n)} = e_m conj(e_n): n exponentials per point, not n^2
-    e = np.exp(1j * frame.phase_integrals())
+    e = np.exp(1j * frame.phase_integrals()[points])
     coeff *= e[:, rows]
     coeff *= e.conj()[:, cols]
     coeff *= 1j

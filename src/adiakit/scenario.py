@@ -31,12 +31,14 @@ follow from Q_tau and Q_2tau. The grids are those of a discrete frame
 (2 tau * gap), which the chain's steps need.
 
 Memory on that route: the taus run grouped by grid, and a grid's data (the
-refined overlaps, and the frame's vectors and couplings) is freed after
-its last tau, before the next grid is built. The refined eigenvectors live
-only while the grid is built, block by block. Per entry, a dual's Q_tau
-lives only while its drift is read, its frame's vectors only when the
-premises ask for them, its couplings and kernel until the kernel entries
-are read, and then M.
+refined overlaps, the frame's couplings, and its vectors where the
+configured diagnostics read them) is freed after its last tau, before the
+next grid is built. The refined eigenvectors live only while the grid is
+built, block by block. Per entry, the full-length stacks are the kernel's
+pair columns (the resonance series), a dual's Q_tau while its drift is
+read, its frame's vectors when the premises ask for them, and M; a dual's
+couplings are never formed whole (``_DualCouplings``), and qac_max and
+every reduction of M and Q work block by block.
 """
 
 import csv
@@ -292,9 +294,15 @@ class _EigenbasisGrid:
     couplings and int_0^s E on the frame grid, whose points are every
     ``refine``-th refined point. The refined eigenvectors live only while
     the grid is built; they are evaluated, solved, overlapped and checked
-    block by block (``linalg._block_slices``)."""
+    block by block (``linalg._block_slices``).
 
-    def __init__(self, base: HamiltonianPath, grid: np.ndarray, refine: int):
+    The frame keeps its vectors only with ``vectors``; otherwise they are
+    None once the couplings are formed, and V(0) alone is kept (``v0``).
+    With ``drift`` the base's projector drift, the same at every tau, is
+    formed once here (``drift``, None otherwise)."""
+
+    def __init__(self, base: HamiltonianPath, grid: np.ndarray, refine: int,
+                 vectors: bool = True, drift: bool = False):
         steps = np.arange(refine) / refine
         fine = np.append((grid[:-1, None]
                           + np.diff(grid)[:, None] * steps).ravel(), grid[-1])
@@ -325,6 +333,10 @@ class _EigenbasisGrid:
         self.couplings = couplings(self.frame)
         self.couplings.flags.writeable = False   # the base's, at every tau
         self.phase = self.frame.phase_integrals()   # tau = 1
+        self.drift = projector_drift_series(self.frame) if drift else None
+        self.v0 = self.frame.vectors[0].copy()
+        if not vectors:
+            self.frame = dataclasses.replace(self.frame, vectors=None)
 
     def transition(self, coef: float) -> np.ndarray:
         """Q_c(s) = V(s)^dagger U_c(s) V(0) on the frame grid, U_c the base
@@ -336,11 +348,12 @@ class _EigenbasisGrid:
 class _Evolution:
     """A custom system at one tau, read from its grid's ``_EigenbasisGrid``
     without lab-frame propagators. The base (system a) takes the grid's
-    discrete frame re-bound to tau, its couplings, and M = Q_tau. The dual
-    (system b) and the negated dual (system c) take the transported frame:
-    its vectors are U^dagger V e^{-i phi} = V(0) Q_tau^dagger e^{-i phi},
-    with phi = tau int_0^s E, its values sign E (sign -1 for b, +1 for c)
-    and its couplings the base's times e^{i(phi_m - phi_n)}.
+    discrete frame re-bound to tau, its couplings, its drift, and
+    M = Q_tau. The dual (system b) and the negated dual (system c) take the
+    transported frame: its vectors are U^dagger V e^{-i phi}
+    = V(0) Q_tau^dagger e^{-i phi}, with phi = tau int_0^s E, its values
+    sign E (sign -1 for b, +1 for c) and its couplings the base's times
+    e^{i(phi_m - phi_n)} (``_DualCouplings``).
 
     Q is chained only where it is read: a dual's Q_tau for its projector
     drift (``drift``) and for its frame's vectors, which the constructor
@@ -356,13 +369,12 @@ class _Evolution:
             self.frame = dataclasses.replace(fr, tau=self.tau,
                                              _phase_integrals=None)
             return
-        self.e = np.exp(1j * tau * data.phase)
         v = None
         if vectors:
             q = data.transition(tau)
             self._drift = _transported_drift(q)
-            v = fr.vectors[0] @ dagger(q)
-            v *= self.e.conj()[:, None, :]
+            v = data.v0 @ dagger(q)
+            v *= self.phase_factors().conj()[:, None, :]
         sign = -1 if system == "b" else 1
         self.frame = EigenFrame(grid=fr.grid, tau=self.tau,
                                 values=sign * fr.values, vectors=v,
@@ -374,26 +386,28 @@ class _Evolution:
     def drift(self) -> np.ndarray:
         """max_n ||P_n(s) - P_n(0)||_F per grid point, formed once."""
         if self._drift is None:
-            self._drift = (projector_drift_series(self.frame)
-                           if self.system == "a" else
+            self._drift = (self.data.drift if self.system == "a" else
                            _transported_drift(self.data.transition(self.tau)))
         return self._drift
 
-    def couplings(self) -> np.ndarray:
+    def couplings(self):
         """The frame's hf couplings: the grid's own (read-only) for the
-        base, formed anew on each call for a dual."""
+        base, and a ``_DualCouplings`` for a dual."""
         if self.system == "a":
             return self.data.couplings
-        C = self.data.couplings * self.e[:, :, None]
-        C *= self.e.conj()[:, None, :]
-        return C
+        return _DualCouplings(self.data.couplings, self.phase_factors)
+
+    def phase_factors(self, rows=slice(None)) -> np.ndarray:
+        """A dual's e^{i phi} on the grid points ``rows``, formed per call,
+        so a block's are formed for that block alone."""
+        return np.exp(1j * self.tau * self.data.phase[rows])
 
     def transition_matrix(self) -> np.ndarray:
         """M, which is ``diagnostics.transition_matrix`` on this frame:
         Q_tau for the base, and e^{i phi} V(s)^dagger U_sys(s) V(0) for a
-        dual, scaled in place. V(s)^dagger U_sys V(0) is V(s)^dagger V(0)
-        for the dual (U_sys = U_tau^dagger) and Q_2tau for the negated dual
-        (U_sys = U_tau^dagger U_2tau)."""
+        dual, scaled in place block by block. V(s)^dagger U_sys V(0) is
+        V(s)^dagger V(0) for the dual (U_sys = U_tau^dagger) and Q_2tau for
+        the negated dual (U_sys = U_tau^dagger U_2tau)."""
         if self.system == "a":
             return self.data.transition(self.tau)
         if self.system == "b":
@@ -401,15 +415,38 @@ class _Evolution:
             q = dagger_dot(v, np.broadcast_to(v[0], v.shape))
         else:
             q = self.data.transition(2.0 * self.tau)
-        return np.multiply(self.e[:, :, None], q, out=q)
+        for blk in _block_slices(len(q)):
+            np.multiply(self.phase_factors(blk)[:, :, None], q[blk],
+                        out=q[blk])
+        return q
+
+
+class _DualCouplings:
+    """A dual frame's hf couplings C_mn e_m conj(e_n), with C the base's
+    and e = e^{i phi} (``phase_factors(rows)``), formed only where read:
+    ``[rows, m, n]`` (a slice of grid points and index arrays of levels)
+    gives those columns, as the entries of the (N, n, n) product
+    C e[:, :, None] conj(e)[:, None, :] would hold them, bit for bit."""
+
+    def __init__(self, base: np.ndarray, phase_factors):
+        self.base, self.phase_factors = base, phase_factors
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, m, n = key
+        e = self.phase_factors(rows)
+        out = self.base[rows, m, n] * e[:, m]
+        out *= e.conj()[:, n]
+        return out
 
 
 def _transported_drift(q: np.ndarray) -> np.ndarray:
     """A dual frame's projector drift from Q_tau: max_n sqrt(2 sum_{m != n}
     |Q_tau,mn|^2), since the frame's vectors at s and 0 overlap by
     e^{i phi_n} Q_tau,nn and the columns of Q_tau are unit vectors."""
-    leak = _off_diagonal_populations(q).sum(axis=1)
-    return np.sqrt(2.0 * leak.max(axis=1))
+    out = np.empty(len(q))
+    for blk, p in _off_diagonal_populations(q):
+        out[blk] = np.sqrt(2.0 * p.sum(axis=1).max(axis=1))
+    return out
 
 
 class SystemBundle:
@@ -486,17 +523,29 @@ class SystemBundle:
 
     def eigenbasis(self, grid: np.ndarray) -> _EigenbasisGrid:
         """The numeric route's data on ``grid``, which serves every tau of
-        a custom system on that grid."""
-        return _EigenbasisGrid(self.base, grid, 2 * self.config["substeps"])
+        a custom system on that grid. Its frame keeps the full vectors only
+        where the configured diagnostics read them: the base's premises and
+        the dual's M (V(s)^dagger V(0)); the negated dual never reads them.
+        The base's drift, when asked for, is formed once here."""
+        system, diags = self.config["system"], self.config["diagnostics"]
+        return _EigenbasisGrid(
+            self.base, grid, 2 * self.config["substeps"],
+            vectors=("premises" in diags if system == "a"
+                     else system == "b" and _reads_evolution(diags)),
+            drift=system == "a" and "projector_drift" in diags)
 
     def evolution(self, tau: float, grid: np.ndarray, data=None,
                   vectors: bool = False) -> _Evolution:
         """A custom system (a, b or c) at tau on tau's ``grid``, from
-        ``data``, the grid's ``eigenbasis`` (built here when None);
-        ``vectors`` asks for a dual frame's vectors."""
+        ``data``, the grid's ``eigenbasis`` (built here when None, with
+        the frame's vectors and the base's drift kept whatever the
+        diagnostics); ``vectors`` asks for a dual frame's vectors."""
+        system = self.config["system"]
         if data is None:
-            data = self.eigenbasis(grid)
-        return _Evolution(data, self.config["system"], tau, vectors)
+            data = _EigenbasisGrid(self.base, grid,
+                                   2 * self.config["substeps"],
+                                   drift=system == "a")
+        return _Evolution(data, system, tau, vectors)
 
     def grid_policy(self, tau: float) -> tuple:
         """(tau's grid, whether GRID_CAP left it above the phase-per-step
@@ -576,7 +625,7 @@ def _entry_for_tau(bundle: SystemBundle, tau: float, grid: np.ndarray,
         dser = projector_drift_series(frame) if evo is None else evo.drift
         entry["projector_drift"] = float(np.max(dser))
         series["projector_drift"] = dser
-    if "intertwining_defect" in diags or "w_deviation" in diags:
+    if _reads_evolution(diags):
         M = (transition_matrix(bundle.unitaries_for(tau, grid), frame)
              if evo is None else evo.transition_matrix())
         entry["transition_probability_max"] = _transition_probability_max(M)
@@ -594,18 +643,25 @@ def _entry_for_tau(bundle: SystemBundle, tau: float, grid: np.ndarray,
     return entry, series
 
 
+def _reads_evolution(diags) -> bool:
+    """Whether ``diags`` read the transition matrix M."""
+    return "intertwining_defect" in diags or "w_deviation" in diags
+
+
 def _kernel_entries(frame: EigenFrame, C: np.ndarray, diags, entry: dict,
                     series: dict):
     """The resonance integrals and the kernel norm of ``diags`` into
-    ``entry`` and ``series``, from one pass over the frame's kernel, which
-    is freed on return."""
+    ``entry`` and ``series``, from one pass over the frame's kernel K:
+    its pair columns, scaled by -i in place, are the resonance series, and
+    it is freed on return when none is asked for."""
     K, peaks, fser, fmax = _kernel_summary(frame, C)
     if "resonance_integrals" in diags:
+        K *= -1j   # the resonance series -i K_mn, whose columns are kept
         # one pair of each mirror: the integral of (n, m) is -conj of (m, n)
         res = {}
         for m in range(frame.dim):
             for n in range(m):
-                ser = -1j * _pair_entry(K, m, n)
+                ser = _pair_entry(K, m, n)
                 res[f"{m},{n}"] = {
                     "end_re": float(ser[-1].real),
                     "end_im": float(ser[-1].imag),

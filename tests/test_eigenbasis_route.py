@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 import adiakit.gauge as gauge
 import adiakit.linalg as linalg
 import adiakit.scenario as sc
-from adiakit.diagnostics import (_intertwining_of, _kernel_summary,
-                                 _premises, _transition_probability_max,
+from adiakit.diagnostics import (_intertwining_of, _kernel_integrand,
+                                 _kernel_summary, _premises,
+                                 _transition_probability_max,
                                  _w_deviation_of, phase_rate_per_step,
                                  projector_drift_series, qac_max,
                                  transition_matrix)
@@ -200,8 +201,11 @@ def test_route_frame_is_the_transported_frame_of_the_dual(system):
     resid = H @ frame.vectors - frame.vectors * frame.values[:, None, :]
     assert np.max(np.abs(resid)) <= 1e-12
     assert frame.completeness_defect() <= 1e-12
-    # hf couplings of the dual path, whose unitary is U_tau on the grid
-    assert np.max(np.abs(couplings(frame) - evo.couplings())) <= 1e-12
+    # hf couplings of the dual path, whose unitary is U_tau on the grid,
+    # against the route's, read at every level pair
+    m, n = np.indices((3, 3)).reshape(2, -1)
+    assert np.max(np.abs(couplings(frame)[:, m, n]
+                         - evo.couplings()[:, m, n])) <= 1e-12
     assert np.max(np.abs(evo.drift
                          - projector_drift_series(frame))) <= 1e-12
     assert np.max(np.abs(evo.transition_matrix()
@@ -505,3 +509,132 @@ def test_blocked_entries_equal_one_block(monkeypatch):
         assert a.keys() == b.keys()
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
+
+
+def _full_populations(M):
+    """|M_mn|^2 off the diagonal, as one (N, n, n) stack."""
+    p = np.abs(M)
+    p *= p
+    n = M.shape[-1]
+    p[:, np.arange(n), np.arange(n)] = 0.0
+    return p
+
+
+def _full_reads(frame, C, M, q):
+    """qac_max, the kernel integrand, intertwining, the largest transition
+    probability and the dual drift in their full-stack forms: every
+    temporary (N, n, n) or (N, pairs) at once."""
+    den = frame.values[:, None, :] - frame.values[:, :, None]
+    off = ~np.eye(frame.dim, dtype=bool)
+    qac = float(np.max(np.abs(C[:, off]) / np.abs(den[:, off]),
+                       initial=0.0)) / frame.tau
+    m, n = np.tril_indices(frame.dim, -1)
+    e = np.exp(1j * frame.phase_integrals())
+    coeff = C[:, m, n] * e[:, m]
+    coeff *= e.conj()[:, n]
+    coeff *= 1j
+    p = _full_populations(M)
+    leak = p.sum(axis=1)
+    leak += p.sum(axis=2)
+    drift = (None if q is None else
+             np.sqrt(2.0 * _full_populations(q).sum(axis=1).max(axis=1)))
+    return qac, coeff, np.sqrt(leak.max(axis=1)), float(np.max(p)), drift
+
+
+@pytest.mark.parametrize("system", ["a", "b", "c"])
+def test_blocked_reads_equal_the_full_stacks(system, monkeypatch):
+    # blocks of 7 points, so the 257-point frame grid has a seam every
+    # 7th point and a partial last block; the dual's couplings are read
+    # as pair columns of the base's, never as an (N, n, n) stack
+    bundle = _bundle(3, 11, system, 8.0, grid=256,
+                     diagnostics=list(sc.ALL_DIAGNOSTICS))
+    grid = bundle.grid_for(8.0)
+    assert (len(grid) - 1) % 7 != 0
+    monkeypatch.setattr(linalg, "_BLOCK", 7)
+    evo = bundle.evolution(8.0, grid, vectors=True)
+    frame, data = evo.frame, evo.data
+    if system == "a":
+        C, q = data.couplings, None
+    else:
+        e = np.exp(1j * evo.tau * data.phase)
+        C = data.couplings * e[:, :, None]
+        C *= e.conj()[:, None, :]
+        q = data.transition(evo.tau)
+    pairs = evo.couplings()
+    m, n = np.indices((3, 3)).reshape(2, -1)
+    assert np.array_equal(pairs[:, m, n], C[:, m, n])
+    assert np.array_equal(pairs[5:12, m, n], C[5:12, m, n])
+    M = evo.transition_matrix()
+    if system == "b":
+        v = data.frame.vectors
+        ref_m = e[:, :, None] * dagger_dot(v, np.broadcast_to(v[0], v.shape))
+    elif system == "c":
+        ref_m = e[:, :, None] * data.transition(2.0 * evo.tau)
+    else:
+        ref_m = data.transition(evo.tau)
+    assert np.array_equal(M, ref_m)
+    qac, coeff, inter, prob, drift = _full_reads(frame, C, M, q)
+    assert qac_max(frame, pairs) == qac
+    assert np.array_equal(_kernel_integrand(frame, pairs)[0], coeff)
+    assert np.array_equal(_intertwining_of(M), inter)
+    assert _transition_probability_max(M) == prob
+    assert np.array_equal(evo.drift, projector_drift_series(frame)
+                          if drift is None else drift)
+    w = np.exp(1j * frame.phase_integrals())[:, :, None] * M
+    w[:, np.arange(3), np.arange(3)] -= 1.0
+    assert _w_deviation_of(M, frame) == \
+        float(np.max(np.linalg.norm(w, axis=(1, 2))))
+
+
+def test_blocked_reads_of_a_one_level_frame(monkeypatch):
+    # one level has no pair: ratio 0, no leak, no drift
+    monkeypatch.setattr(linalg, "_BLOCK", 7)
+    grid = np.linspace(0.0, 1.0, 30)
+    frame = gauge.EigenFrame(grid=grid, tau=3.0, values=grid[:, None],
+                             vectors=np.ones((30, 1, 1), dtype=complex),
+                             min_gap=np.inf)
+    C = np.zeros((30, 1, 1), dtype=complex)
+    M = np.exp(1j * grid)[:, None, None]
+    qac, _, inter, prob, drift = _full_reads(frame, C, M, M)
+    assert qac_max(frame, C) == qac == 0.0
+    assert _kernel_integrand(frame, C)[0].shape == (30, 0)
+    assert np.array_equal(_intertwining_of(M), inter)
+    assert _transition_probability_max(M) == prob == 0.0
+    assert np.array_equal(sc._transported_drift(M), drift)
+
+
+def test_custom_base_forms_its_drift_once_per_grid(monkeypatch):
+    # the base's drift is its grid frame's, the same at every tau on the
+    # grid: three taus on two grids form it twice
+    calls = []
+    drift = sc.projector_drift_series
+
+    def counted(frame):
+        calls.append(frame.npoints)
+        return drift(frame)
+
+    monkeypatch.setattr(sc, "projector_drift_series", counted)
+    bundle = _bundle(2, 5, "a", 1.0, grid=256)
+    cfg = dict(bundle.config, parameters=dict(bundle.config["parameters"],
+                                              tau_list=[20.0, 40.0, 60.0]))
+    report, series = sc.scan(cfg)
+    assert calls == [257, 1025]
+    for entry, ser in zip(report["entries"], series):
+        ref = drift(eigenframe(bundle.base, entry["tau"], ser["s"]))
+        assert np.array_equal(ser["projector_drift"], ref)
+        assert entry["projector_drift"] == float(np.max(ref))
+
+
+@pytest.mark.parametrize("system, diags, kept", [
+    ("a", sc.DEFAULT_DIAGNOSTICS, False), ("a", ["premises"], True),
+    ("b", sc.DEFAULT_DIAGNOSTICS, True), ("b", ["qac_max", "premises"], False),
+    ("c", sc.ALL_DIAGNOSTICS, False)])
+def test_grid_keeps_the_frame_vectors_only_where_read(system, diags, kept):
+    # the base's premises and the dual's M read them; V(0) is always kept
+    bundle = _bundle(2, 5, system, 6.0, grid=256, diagnostics=list(diags))
+    data = bundle.eigenbasis(bundle.grid_for(6.0))
+    assert (data.frame.vectors is not None) == kept
+    assert (data.drift is not None) == (
+        system == "a" and "projector_drift" in diags)
+    full = sc._EigenbasisGrid(bundle.base, data.frame.grid, 2)
+    assert np.array_equal(data.v0, full.frame.vectors[0])
