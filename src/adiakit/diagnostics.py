@@ -259,11 +259,10 @@ def _intertwining_of(M: np.ndarray) -> np.ndarray:
 def _w_deviation_of(M: np.ndarray, frame: EigenFrame) -> float:
     """max_s || diag(e^{i phi(s)}) M(s) - I ||_F, formed block by block
     (``linalg._block_slices``), so its temporaries stay block-sized."""
-    phase = frame.phase_integrals()
     n = M.shape[-1]
     worst = []
     for blk in _block_slices(len(M)):
-        w = np.exp(1j * phase[blk])[:, :, None] * M[blk]
+        w = np.exp(1j * frame.phase_integrals(blk))[:, :, None] * M[blk]
         w[:, np.arange(n), np.arange(n)] -= 1.0
         worst.append(np.max(np.linalg.norm(w, axis=(1, 2))))
     return float(np.max(worst))

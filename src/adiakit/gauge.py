@@ -61,7 +61,9 @@ class EigenFrame:
     # frame folds into its vectors (G the unitary's generator); None for
     # discrete frames
     generator_rates: Optional[np.ndarray] = None
-    _phase_integrals: Optional[np.ndarray] = field(default=None, repr=False)
+    # int_0^s E per level (``_cumtrapz``), which does not depend on tau, so a
+    # frame re-bound to another tau (``dataclasses.replace``) keeps it
+    _value_integrals: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def npoints(self) -> int:
@@ -86,12 +88,12 @@ class EigenFrame:
         ds = np.diff(self.grid)[:, None]
         return float(np.max(np.abs(ov.imag) / ds))
 
-    def phase_integrals(self) -> np.ndarray:
-        """tau * cumulative integral (``_cumtrapz``) of the level values;
-        shape (N, n)."""
-        if self._phase_integrals is None:
-            self._phase_integrals = self.tau * _cumtrapz(self.values, self.grid)
-        return self._phase_integrals
+    def phase_integrals(self, rows=slice(None)) -> np.ndarray:
+        """tau * cumulative integral (``_cumtrapz``) of the level values on
+        the grid points ``rows``; shape (N, n) for all of them."""
+        if self._value_integrals is None:
+            self._value_integrals = _cumtrapz(self.values, self.grid)
+        return self.tau * self._value_integrals[rows]
 
     def integrand_phases(self) -> Optional[np.ndarray]:
         """tau * cumulative integral of E_n + f_n, with f the generator
@@ -429,7 +431,7 @@ def _dress_kernel(frame: EigenFrame, coeff: np.ndarray, rows, cols,
     columns of ``diagnostics._kernel_integrand``) at the grid points
     ``points``. Returns ``coeff``."""
     # e^{i(phi_m - phi_n)} = e_m conj(e_n): n exponentials per point, not n^2
-    e = np.exp(1j * frame.phase_integrals()[points])
+    e = np.exp(1j * frame.phase_integrals(points))
     coeff *= e[:, rows]
     coeff *= e.conj()[:, cols]
     coeff *= 1j

@@ -12,15 +12,15 @@ only one that knows how the rule works.
 """
 
 import math
+from collections import deque
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .linalg import _block_slices
 from .paths import (FD4_CENTRAL_NUMERATORS, FD4_DENOMINATOR,
                     FD4_FORWARD_NUMERATORS, is_uniform)
 
-# rows per block of the cumulative quadrature
-_QUADRATURE_BLOCK = 4096
 _FD4_CENTRAL = FD4_CENTRAL_NUMERATORS / FD4_DENOMINATOR
 _FD4_FORWARD = FD4_FORWARD_NUMERATORS / FD4_DENOMINATOR
 # Taylor coefficients of the Hermite moments w01 and w11 about delta = 0,
@@ -86,8 +86,7 @@ def _cumtrapz(y: np.ndarray, x: np.ndarray,
     no temporary as large as ``y`` appears.
     """
     out = _empty_integral(y, phase)
-    for _ in _integrate(out, y, x, phase):
-        pass
+    deque(_integrate(out, y, x, phase), maxlen=0)   # holds no block
     return out
 
 
@@ -137,6 +136,10 @@ def _cumtrapz_with_maxima(y: np.ndarray, x: np.ndarray,
                             *(a[hit][:, None] for a in model)))
             rows.append((norm_bound[hit_rows],
                          *(a[hit_rows] for a in model)))
+            del model
+        # the candidates are copies: nothing of the block is left alive
+        # while the next one is built
+        del piece, mag, bound
     # one search over the candidates that can still beat the grid maxima
     if columns:
         bound, p, *model = (np.concatenate(c) for c in zip(*columns))
@@ -164,21 +167,29 @@ def _integrate(out: np.ndarray, y: np.ndarray, x: np.ndarray,
                phase: Optional[np.ndarray]):
     """Fill ``out`` (row 0 holding the start value) with the cumulative
     integral of ``_cumtrapz``, one block at a time, and yield each block's
-    ``_Piece`` once the rows lo .. hi of ``out`` are final."""
-    for piece in _hermite_pieces(y, x, phase):
-        lo, hi = piece.lo, piece.hi
+    ``_Piece`` once the rows lo .. hi of ``out`` are final; the blocks are
+    the ``linalg._BLOCK`` intervals of ``linalg._block_slices``, and
+    nothing of a block is held here while the next one is built."""
+    x = np.asarray(x, dtype=float)
+    # point 1's stencil reaches point 5
+    uniform = len(x) >= 6 and is_uniform(x)
+    steps = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    for blk in _block_slices(len(x) - 1):
+        lo, hi = blk.start, blk.stop
+        piece = _hermite_piece(y, phase, steps, uniform, lo, hi)
         inc = out[lo + 1:hi + 1]
         if phase is None:
             np.add(piece.a0, piece.a1, out=inc)
             inc *= 0.5
             inc += (piece.s0 - piece.s1) / 12.0
         else:
-            w01, w11 = _hermite_moments(piece.delta)
-            _combine(w01, w11, piece.a0, piece.a1, piece.s0, piece.s1,
-                     piece.turn[:-1], piece.turn[1:], out=inc)
+            _combine(*_hermite_moments(piece.delta), piece.a0, piece.a1,
+                     piece.s0, piece.s1, piece.turn[:-1], piece.turn[1:],
+                     out=inc)
         inc *= piece.h
         np.cumsum(out[lo:hi + 1], axis=0, out=out[lo:hi + 1])
         yield piece
+        del piece
 
 
 def _combine(w01, w11, a0, a1, s0, s1, front, back, out=None):
@@ -198,43 +209,39 @@ def _combine(w01, w11, a0, a1, s0, s1, front, back, out=None):
     return out
 
 
-def _hermite_pieces(y: np.ndarray, x: np.ndarray,
-                    phase: Optional[np.ndarray]):
-    """The Filon-Hermite data of ``_cumtrapz`` (``_Piece``), one block of
-    ``_QUADRATURE_BLOCK`` intervals at a time. Without a phase the
-    amplitude is ``y`` itself."""
-    x = np.asarray(x, dtype=float)
-    npts = len(x)
-    uniform = npts >= 6 and is_uniform(x)   # point 1's stencil reaches point 5
-    steps = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
-    for lo in range(0, npts - 1, _QUADRATURE_BLOCK):
-        hi = min(lo + _QUADRATURE_BLOCK, npts - 1)
-        # rows [a, b) feed the stencils of points lo .. hi; the one-sided
-        # stencils of the two points next to an end read six rows there
-        a = max(min(lo - 2, npts - 6), 0)
-        b = min(max(hi + 3, 6), npts)
-        k0, k1 = lo - a, hi - a
-        amp = y[a:b]
-        if phase is not None:
-            e = np.exp(1j * phase[a:b])
-            amp = amp * e.conj()
-        left, right = amp[k0:k1], amp[k0 + 1:k1 + 1]
+def _hermite_piece(y: np.ndarray, phase: Optional[np.ndarray],
+                   steps: np.ndarray, uniform: bool, lo: int,
+                   hi: int) -> _Piece:
+    """The Filon-Hermite data of ``_cumtrapz`` on the intervals lo .. hi-1
+    of a grid of the ``steps``, with FD4 slopes where ``uniform`` and chords
+    otherwise. Without a phase the amplitude is ``y`` itself."""
+    npts = len(y)
+    # rows [a, b) feed the stencils of points lo .. hi; the one-sided
+    # stencils of the two points next to an end read six rows there
+    a = max(min(lo - 2, npts - 6), 0)
+    b = min(max(hi + 3, 6), npts)
+    k0, k1 = lo - a, hi - a
+    amp = y[a:b]
+    if phase is not None:
+        e = np.exp(1j * phase[a:b])
+        amp = amp * e.conj()
+    left, right = amp[k0:k1], amp[k0 + 1:k1 + 1]
+    if uniform:
+        slope = _fd4_steps(amp, k0, k1 + 1)
+        s_left, s_right = slope[:-1], slope[1:]
+    else:
+        s_left = s_right = right - left
+    delta = turn = None
+    if phase is not None:
+        th = phase[a:b]
+        delta = np.diff(th[k0:k1 + 1], axis=0)
         if uniform:
-            slope = _fd4_steps(amp, k0, k1 + 1)
-            s_left, s_right = slope[:-1], slope[1:]
-        else:
-            s_left = s_right = right - left
-        delta = turn = None
-        if phase is not None:
-            th = phase[a:b]
-            delta = np.diff(th[k0:k1 + 1], axis=0)
-            if uniform:
-                rate = _fd4_steps(th, k0, k1 + 1)     # h theta'
-                s_left = s_left + 1j * (rate[:-1] - delta) * left
-                s_right = s_right + 1j * (rate[1:] - delta) * right
-            turn = e[k0:k1 + 1]
-        yield _Piece(lo, hi, steps[lo:hi], left, right, s_left, s_right,
-                     delta, turn)
+            rate = _fd4_steps(th, k0, k1 + 1)     # h theta'
+            s_left = s_left + 1j * (rate[:-1] - delta) * left
+            s_right = s_right + 1j * (rate[1:] - delta) * right
+        turn = e[k0:k1 + 1]
+    return _Piece(lo, hi, steps[lo:hi], left, right, s_left, s_right,
+                  delta, turn)
 
 
 def _fd4_steps(y: np.ndarray, lo: int, hi: int) -> np.ndarray:

@@ -290,19 +290,21 @@ class _EigenbasisGrid:
     """The numeric route's data on one frame grid, shared by every tau the
     grid serves (a custom path ignores tau): the base's eigenvalues on the
     grid refined ``refine`` times, the overlaps V_{j+1}^dagger V_j of
-    neighbouring refined points, and the base's discrete frame, its hf
-    couplings and int_0^s E on the frame grid, whose points are every
-    ``refine``-th refined point. The refined eigenvectors live only while
-    the grid is built; they are evaluated, solved, overlapped and checked
-    block by block (``linalg._block_slices``).
+    neighbouring refined points, and the base's discrete frame (at tau = 1,
+    int_0^s E cached) and its hf couplings on the frame grid, whose points
+    are every ``refine``-th refined point. The refined eigenvectors live
+    only while the grid is built; they are evaluated, solved, overlapped
+    and checked block by block (``linalg._block_slices``).
 
-    The frame keeps its vectors only with ``vectors``; otherwise they are
-    None once the couplings are formed, and V(0) alone is kept (``v0``).
-    With ``drift`` the base's projector drift, the same at every tau, is
-    formed once here (``drift``, None otherwise)."""
+    What it keeps follows from the custom ``system`` (a, b or c) and its
+    ``diags`` alone: the frame's vectors where they are read (the base's
+    premises and the dual's M), otherwise None once the couplings are
+    formed, with V(0) kept (``v0``); the base's projector drift, the same
+    at every tau, where it is asked for (``drift``, None otherwise).
+    ``premises`` tells a dual's ``_Evolution`` to form its vectors."""
 
     def __init__(self, base: HamiltonianPath, grid: np.ndarray, refine: int,
-                 vectors: bool = True, drift: bool = False):
+                 system: str, diags):
         steps = np.arange(refine) / refine
         fine = np.append((grid[:-1, None]
                           + np.diff(grid)[:, None] * steps).ravel(), grid[-1])
@@ -330,12 +332,18 @@ class _EigenbasisGrid:
                 f"eigenvector overlaps are not unitary (defect "
                 f"{defect:.2e} > {OVERLAP_UNITARITY_TOL:.0e})",
                 (float(fine[k]), float(fine[k + 1])))
+        self.system, self.premises = system, "premises" in diags
         self.couplings = couplings(self.frame)
         self.couplings.flags.writeable = False   # the base's, at every tau
-        self.phase = self.frame.phase_integrals()   # tau = 1
-        self.drift = projector_drift_series(self.frame) if drift else None
+        # fills the frame's cache of int_0^s E, which every frame re-bound
+        # from it shares
+        self.frame.phase_integrals()
+        self.drift = (projector_drift_series(self.frame)
+                      if system == "a" and "projector_drift" in diags
+                      else None)
         self.v0 = self.frame.vectors[0].copy()
-        if not vectors:
+        if not (self.premises if system == "a"
+                else system == "b" and _reads_evolution(diags)):
             self.frame = dataclasses.replace(self.frame, vectors=None)
 
     def transition(self, coef: float) -> np.ndarray:
@@ -357,25 +365,24 @@ class _Evolution:
 
     Q is chained only where it is read: a dual's Q_tau for its projector
     drift (``drift``) and for its frame's vectors, which the constructor
-    forms only when ``vectors`` asks for them (otherwise they are None);
-    Q_tau of the base and Q_2tau of the negated dual for M."""
+    forms only where the grid's ``premises`` read them (otherwise they are
+    None); Q_tau of the base and Q_2tau of the negated dual for M. The
+    system is the grid's."""
 
-    def __init__(self, data: _EigenbasisGrid, system: str, tau: float,
-                 vectors: bool = False):
-        self.data, self.system, self.tau = data, system, float(tau)
+    def __init__(self, data: _EigenbasisGrid, tau: float):
+        self.data, self.system, self.tau = data, data.system, float(tau)
         fr = data.frame
         self._drift = None
-        if system == "a":
-            self.frame = dataclasses.replace(fr, tau=self.tau,
-                                             _phase_integrals=None)
+        if self.system == "a":
+            self.frame = dataclasses.replace(fr, tau=self.tau)
             return
         v = None
-        if vectors:
+        if data.premises:
             q = data.transition(tau)
             self._drift = _transported_drift(q)
             v = data.v0 @ dagger(q)
             v *= self.phase_factors().conj()[:, None, :]
-        sign = -1 if system == "b" else 1
+        sign = -1 if self.system == "b" else 1
         self.frame = EigenFrame(grid=fr.grid, tau=self.tau,
                                 values=sign * fr.values, vectors=v,
                                 min_gap=fr.min_gap,
@@ -399,8 +406,9 @@ class _Evolution:
 
     def phase_factors(self, rows=slice(None)) -> np.ndarray:
         """A dual's e^{i phi} on the grid points ``rows``, formed per call,
-        so a block's are formed for that block alone."""
-        return np.exp(1j * self.tau * self.data.phase[rows])
+        so a block's are formed for that block alone, from the phases of
+        the grid's frame at tau = 1."""
+        return np.exp(1j * self.tau * self.data.frame.phase_integrals(rows))
 
     def transition_matrix(self) -> np.ndarray:
         """M, which is ``diagnostics.transition_matrix`` on this frame:
@@ -458,29 +466,29 @@ class SystemBundle:
         p = config["parameters"]
         self.s_range = (0.0, S_WINDOW)   # the s interval every grid spans
         self.initial_vectors = None
+        self._u_closed = None   # the closed-form propagator, where used
 
         if model == "spin_half":
             theta, omega0 = float(p["theta"]), float(p["omega0"])
             base = spinhalf.hamiltonian(theta, omega0)
             u_base = spinhalf.exact_propagator(theta, omega0)
             self.initial_vectors = spinhalf.initial_vectors(theta)
-            self.closed_form = config["propagator"] in ("auto", "closed_form")
             system = config["system"]
             if system == "a":
-                self.path = base
-                self._u_closed = u_base
+                self.path, u_closed = base, u_base
             elif system == "b":
                 self.path = dual_of(base, u_base)
-                self._u_closed = spinhalf.dual_propagator(theta, omega0)
+                u_closed = spinhalf.dual_propagator(theta, omega0)
             elif system == "c":
                 self.path = negate(dual_of(base, u_base))
-                self._u_closed = spinhalf.negated_dual_propagator(theta, omega0)
+                u_closed = spinhalf.negated_dual_propagator(theta, omega0)
             else:
                 tr = config["transform"]
                 ux = self._build_ux(tr, base, u_base)
                 self.path = transform(base, ux, tr["sign"])
-                self._u_closed = None
-                self.closed_form = False
+                u_closed = None
+            if config["propagator"] != "numeric":
+                self._u_closed = u_closed
             self.base = base
         elif model == "driven_two_level":
             self.path = driven_two_level(float(p["omega0"]), float(p["amplitude"]),
@@ -488,17 +496,13 @@ class SystemBundle:
                                          scaled_frequency=p["scaled_frequency"],
                                          envelope=p["envelope"])
             self.base = self.path
-            self._u_closed = None
-            self.closed_form = False
         else:
             sgrid = np.asarray(p["grid"], dtype=float)
             mats = _parse_matrices(p["matrices"], len(sgrid))
             base = custom_matrix_path(sgrid, mats)
             self.s_range = (float(sgrid[0]), float(sgrid[-1]))
             self.base = base
-            self._u_closed = None
-            self.closed_form = False
-            # every system is read per tau through ``evolution``
+            # every system is read per tau through ``_Evolution``
             self.path = None
 
     @staticmethod
@@ -520,32 +524,6 @@ class SystemBundle:
             return out
 
         return UnitaryPath(2, _u_batch, generator=gen, name="rotating_z")
-
-    def eigenbasis(self, grid: np.ndarray) -> _EigenbasisGrid:
-        """The numeric route's data on ``grid``, which serves every tau of
-        a custom system on that grid. Its frame keeps the full vectors only
-        where the configured diagnostics read them: the base's premises and
-        the dual's M (V(s)^dagger V(0)); the negated dual never reads them.
-        The base's drift, when asked for, is formed once here."""
-        system, diags = self.config["system"], self.config["diagnostics"]
-        return _EigenbasisGrid(
-            self.base, grid, 2 * self.config["substeps"],
-            vectors=("premises" in diags if system == "a"
-                     else system == "b" and _reads_evolution(diags)),
-            drift=system == "a" and "projector_drift" in diags)
-
-    def evolution(self, tau: float, grid: np.ndarray, data=None,
-                  vectors: bool = False) -> _Evolution:
-        """A custom system (a, b or c) at tau on tau's ``grid``, from
-        ``data``, the grid's ``eigenbasis`` (built here when None, with
-        the frame's vectors and the base's drift kept whatever the
-        diagnostics); ``vectors`` asks for a dual frame's vectors."""
-        system = self.config["system"]
-        if data is None:
-            data = _EigenbasisGrid(self.base, grid,
-                                   2 * self.config["substeps"],
-                                   drift=system == "a")
-        return _Evolution(data, system, tau, vectors)
 
     def grid_policy(self, tau: float) -> tuple:
         """(tau's grid, whether GRID_CAP left it above the phase-per-step
@@ -581,11 +559,11 @@ class SystemBundle:
     def unitaries_for(self, tau: float, grid: np.ndarray):
         """Evolution operators of the configured path system on the grid.
         A custom system (a, b or c) has none: its entries read the
-        transition matrix from Q (``evolution``)."""
+        transition matrix from Q (``_Evolution``)."""
         if self.path is None:
             raise ValueError("a custom system has no lab-frame evolution "
-                             "operators; read it through evolution(tau)")
-        if self.closed_form and self._u_closed is not None:
+                             "operators; its entries read M from Q")
+        if self._u_closed is not None:
             return self._u_closed.eval_batch(grid, tau)
         res = propagate(self.path, tau, grid,
                         substeps=self.config["substeps"])
@@ -599,7 +577,7 @@ def _entry_for_tau(bundle: SystemBundle, tau: float, grid: np.ndarray,
     otherwise."""
     diags = bundle.config["diagnostics"]
     if data is not None:
-        evo = bundle.evolution(tau, grid, data, vectors="premises" in diags)
+        evo = _Evolution(data, tau)
         frame, C = evo.frame, evo.couplings()
     else:
         evo = None
@@ -721,8 +699,10 @@ def _entries_on_grid(bundle: SystemBundle, items, threads: int) -> list:
     """(entry, series) of each (tau, grid, capped) of ``items``, which share
     one grid; a custom system's ``_EigenbasisGrid`` is built once for them
     and freed on return."""
-    data = (None if bundle.path is not None
-            else bundle.eigenbasis(items[0][1]))
+    cfg = bundle.config
+    data = (None if bundle.path is not None else _EigenbasisGrid(
+        bundle.base, items[0][1], 2 * cfg["substeps"], cfg["system"],
+        cfg["diagnostics"]))
 
     def entry(item):
         return _entry_for_tau(bundle, *item, data)

@@ -50,9 +50,9 @@ def _spin_sweep(theta, omega0, taus, npts, systems=("a",), pinned=True):
     base, "b" the dual, "c" the negated dual) on the window's ``npts``-point
     grid, keyed by system, as ``eigenframe`` builds them, with the phases
     of ``spinhalf.initial_vectors`` when ``pinned``. H(s) does not depend
-    on tau, so the base frame is built once and re-bound to each tau (its
-    cached phase integrals reset), and the duals are built on it, both
-    from one evaluation of their unitary U_tau per tau."""
+    on tau, so the base frame is built once and re-bound to each tau, and
+    the duals are built on it, both from one evaluation of their unitary
+    U_tau per tau."""
     h = spinhalf.hamiltonian(theta, omega0)
     ua = spinhalf.exact_propagator(theta, omega0)
     duals = {"b": dual_of(h, ua), "c": negate(dual_of(h, ua))}
@@ -60,7 +60,7 @@ def _spin_sweep(theta, omega0, taus, npts, systems=("a",), pinned=True):
     base = eigenframe(h, taus[0], np.linspace(0.0, WINDOW, npts),
                       initial_vectors=iv)
     for tau in taus:
-        base = replace(base, tau=float(tau), _phase_integrals=None)
+        base = replace(base, tau=float(tau))
         u = ua.eval_batch(base.grid, tau) if set(systems) - {"a"} else None
         yield {sys_: base if sys_ == "a" else _transported_frame(
             duals[sys_], tau, base.grid, iv, base_frame=base, unitaries=u)

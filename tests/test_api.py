@@ -1,7 +1,10 @@
 """The public API and the report schema are pinned, so that a change to
 either is deliberate."""
 
+import ast
 import inspect
+import pathlib
+import sys
 
 import numpy as np
 import scipy.linalg
@@ -30,6 +33,29 @@ def test_public_api_is_pinned():
     ]
     for name in adiakit.__all__:
         assert hasattr(adiakit, name), name
+
+
+def test_the_package_imports_only_the_stdlib_and_numpy():
+    # the package depends on numpy alone; scipy and hypothesis are test
+    # extras, so a stray import of either would pass the tests and still
+    # break a plain install. Relative imports are the package's own
+    allowed = set(sys.stdlib_module_names) | {"numpy", "adiakit"}
+    modules = sorted(pathlib.Path(adiakit.__file__).parent.glob("*.py"))
+    stray, seen = [], set()
+    for module in modules:
+        for node in ast.walk(ast.parse(module.read_text(), str(module))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                seen.add(name.split(".")[0])
+                if name.split(".")[0] not in allowed:
+                    stray.append(f"{module.name}: {name}")
+    assert len(modules) >= 10 and "numpy" in seen
+    assert stray == []
 
 
 def test_signatures_are_pinned():

@@ -50,6 +50,26 @@ def _bundle(dim, seed, system, tau, grid=1024, **over):
     return sc.SystemBundle(sc.normalize_config(cfg))
 
 
+def _grid_data(bundle, grid, system=None, diags=sc.ALL_DIAGNOSTICS):
+    """The ``_EigenbasisGrid`` a scan of the bundle builds on ``grid``, for
+    its system (or ``system``) configured with ``diags``."""
+    return sc._EigenbasisGrid(bundle.base, grid,
+                              2 * bundle.config["substeps"],
+                              system or bundle.config["system"], diags)
+
+
+def _evolution(bundle, tau, grid):
+    """The bundle's system at tau as a scan with every diagnostic reads
+    it: the grid keeps what those read, and a dual forms its vectors."""
+    return sc._Evolution(_grid_data(bundle, grid), tau)
+
+
+def _base_frame(bundle, grid):
+    """The base's grid frame with its vectors, as the base's premises keep
+    it (the negated dual's grid does not)."""
+    return _grid_data(bundle, grid, "a", ["premises"]).frame
+
+
 def _rel(value, ref):
     return abs(value - ref) / abs(ref)
 
@@ -62,7 +82,7 @@ def _lab_frame(bundle, evo):
     only, and U_sys = V(0) Q_tau^dag (V(s)^dag U_sys V(0)) V(0)^dag, where
     V(s)^dag U_sys V(0) is V(s)^dag V(0) for the dual and Q_2tau for the
     negated dual."""
-    fr, q = evo.data.frame, evo.data.transition(evo.tau)
+    fr, q = _base_frame(bundle, evo.frame.grid), evo.data.transition(evo.tau)
     v0 = fr.vectors[0]
     if evo.system == "a":
         return bundle.base, fr.vectors @ q @ dagger(v0)
@@ -102,7 +122,7 @@ def test_route_matches_lab_frame_propagators(dim, seed, system, tau):
     # cases of b and c: 8.4e-6 relative
     bundle = _bundle(dim, seed, system, tau)
     grid = bundle.grid_for(tau)
-    evo = bundle.evolution(tau, grid, vectors=True)
+    evo = _evolution(bundle, tau, grid)
     M = evo.transition_matrix()
     u = propagate(bundle.base, tau, grid, substeps=32).unitaries
     if system == "a":
@@ -114,7 +134,7 @@ def test_route_matches_lab_frame_propagators(dim, seed, system, tau):
                                       substeps=32).unitaries
         # the projectors U_tau^dag P_n U_tau, with the reference U_tau
         ref_frame = dataclasses.replace(
-            evo.frame, vectors=dagger(u) @ evo.data.frame.vectors)
+            evo.frame, vectors=dagger(u) @ _base_frame(bundle, grid).vectors)
     m_ref = transition_matrix(u_sys, evo.frame)
     assert _rel(np.max(_intertwining_of(M)),
                 np.max(_intertwining_of(m_ref))) <= 5e-5
@@ -140,7 +160,7 @@ def test_discrete_and_transported_frames_agree(dim, seed, system, tau):
     # those bounds are 6e-7 and 5e-6
     bundle = _bundle(dim, seed, system, tau)
     grid = bundle.grid_for(tau)
-    evo = bundle.evolution(tau, grid, vectors=True)
+    evo = _evolution(bundle, tau, grid)
     transported = evo.frame
     path, u_sys = _lab_frame(bundle, evo)
     discrete = eigenframe(path, tau, grid, transport="discrete")
@@ -193,7 +213,7 @@ def test_route_frame_is_the_transported_frame_of_the_dual(system):
     tau = 8.0
     bundle = _bundle(3, 11, system, tau)
     grid = bundle.grid_for(tau)
-    evo = bundle.evolution(tau, grid, vectors=True)
+    evo = _evolution(bundle, tau, grid)
     path, u_sys = _lab_frame(bundle, evo)
     frame = dataclasses.replace(evo.frame, path=path)
     assert frame.construction == "transported"
@@ -397,7 +417,7 @@ def test_premises_of_the_entry_frame_match_two_frames(case, monkeypatch):
     got = report["entries"][0]["premises"]
     grid = bundle.grid_for(tau)
     path = (bundle.path if bundle.path is not None
-            else _lab_frame(bundle, bundle.evolution(tau, grid))[0])
+            else _lab_frame(bundle, _evolution(bundle, tau, grid))[0])
     step = max(2, (len(grid) - 1) // bundle.config["grid"])
     ref = _two_frame_premises(path, tau, grid[::step])
     assert sorted(got) == sorted(ref)
@@ -415,7 +435,7 @@ def test_every_diagnostic_runs_on_custom_duals(system):
     assert entry["frame_construction"] == "transported"
     assert report["provenance"]["integrator"] == "eigenbasis-strang"
     assert entry["premises"]["p2_min_gap"] > 0.5
-    evo = bundle.evolution(6.0, bundle.grid_for(6.0))
+    evo = _evolution(bundle, 6.0, bundle.grid_for(6.0))
     assert entry["projector_drift"] == np.max(evo.drift)
 
 
@@ -437,7 +457,7 @@ def test_overlaps_are_checked_for_unitarity(monkeypatch):
     bundle = _bundle(2, 5, "c", 6.0, grid=256)
     with pytest.raises(NumericalCheckError,
                        match="overlaps are not unitary") as err:
-        bundle.evolution(6.0, bundle.grid_for(6.0))
+        _grid_data(bundle, bundle.grid_for(6.0))
     assert isinstance(err.value, ValueError)
     assert err.value.interval in ((fine[0][80], fine[0][81]),
                                   (fine[0][81], fine[0][82]))
@@ -477,9 +497,12 @@ def test_blocked_grid_build_equals_one_block(defect, monkeypatch):
     grid = np.linspace(0.0, 1.0, 257)
     whole, blocked = _one_block_and_blocked(
         monkeypatch,
-        lambda: sc._EigenbasisGrid(_growing_path(defect), grid, 2))
-    for name in ("grid", "values", "overlaps", "couplings", "phase"):
+        lambda: sc._EigenbasisGrid(_growing_path(defect), grid, 2, "a",
+                                   ["premises"]))
+    for name in ("grid", "values", "overlaps", "couplings"):
         assert np.array_equal(getattr(blocked, name), getattr(whole, name))
+    assert np.array_equal(blocked.frame.phase_integrals(),
+                          whole.frame.phase_integrals())
     for name in ("grid", "values", "vectors"):
         assert np.array_equal(getattr(blocked.frame, name),
                               getattr(whole.frame, name))
@@ -489,7 +512,8 @@ def test_blocked_grid_build_equals_one_block(defect, monkeypatch):
 def test_blocked_grid_build_raises_the_one_block_error(monkeypatch):
     def build():
         with pytest.raises(NonHermitianError) as err:
-            sc._EigenbasisGrid(_growing_path(1e-7), np.linspace(0, 1, 257), 2)
+            sc._EigenbasisGrid(_growing_path(1e-7), np.linspace(0, 1, 257), 2,
+                               "a", ["premises"])
         return err.value.defect, err.value.tolerance
 
     whole, blocked = _one_block_and_blocked(monkeypatch, build)
@@ -498,9 +522,20 @@ def test_blocked_grid_build_raises_the_one_block_error(monkeypatch):
 
 
 def test_blocked_entries_equal_one_block(monkeypatch):
-    # every entry value, w_deviation's blocked maximum included
+    # every entry value, w_deviation's blocked maximum included. The Q
+    # chain keeps chunks of 4,096 steps: it groups its products by chunk,
+    # so its rounding follows the chunk (its chunks are checked against a
+    # step-by-step loop in test_propagate)
     bundle = _bundle(3, 11, "c", 8.0, grid=256,
                      diagnostics=list(sc.ALL_DIAGNOSTICS))
+    chain = sc.propagate_eigenbasis
+
+    def in_chunks_of_4096(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_BLOCK", 4096)
+            return chain(*args)
+
+    monkeypatch.setattr(sc, "propagate_eigenbasis", in_chunks_of_4096)
     whole, blocked = _one_block_and_blocked(
         monkeypatch, lambda: sc.run(bundle.config))
     assert json.dumps(blocked[0], sort_keys=True) == \
@@ -551,12 +586,12 @@ def test_blocked_reads_equal_the_full_stacks(system, monkeypatch):
     grid = bundle.grid_for(8.0)
     assert (len(grid) - 1) % 7 != 0
     monkeypatch.setattr(linalg, "_BLOCK", 7)
-    evo = bundle.evolution(8.0, grid, vectors=True)
+    evo = _evolution(bundle, 8.0, grid)
     frame, data = evo.frame, evo.data
     if system == "a":
         C, q = data.couplings, None
     else:
-        e = np.exp(1j * evo.tau * data.phase)
+        e = np.exp(1j * evo.tau * data.frame.phase_integrals())
         C = data.couplings * e[:, :, None]
         C *= e.conj()[:, None, :]
         q = data.transition(evo.tau)
@@ -632,9 +667,9 @@ def test_custom_base_forms_its_drift_once_per_grid(monkeypatch):
 def test_grid_keeps_the_frame_vectors_only_where_read(system, diags, kept):
     # the base's premises and the dual's M read them; V(0) is always kept
     bundle = _bundle(2, 5, system, 6.0, grid=256, diagnostics=list(diags))
-    data = bundle.eigenbasis(bundle.grid_for(6.0))
+    data = _grid_data(bundle, bundle.grid_for(6.0), diags=diags)
     assert (data.frame.vectors is not None) == kept
     assert (data.drift is not None) == (
         system == "a" and "projector_drift" in diags)
-    full = sc._EigenbasisGrid(bundle.base, data.frame.grid, 2)
-    assert np.array_equal(data.v0, full.frame.vectors[0])
+    full = _base_frame(bundle, data.frame.grid)
+    assert np.array_equal(data.v0, full.vectors[0])

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adiakit as ak
-from adiakit import _kernels_py, spinhalf
+from adiakit import _kernels_py, linalg, spinhalf
 from adiakit.exceptions import NonHermitianError, StepLimitError
 from adiakit.models import random_smooth_hamiltonian
 from adiakit.paths import HamiltonianPath, constant_hamiltonian
@@ -344,7 +344,7 @@ def test_eigenbasis_chain_matches_lab_frame_strang_loop(dim, record_every,
                                                         monkeypatch):
     # Q_k = V_k^dagger U_k V_0 with U_{j+1} = e^{-i c h H_{j+1}/2}
     # e^{-i c h H_j/2} U_j; a small chunk size carries Q across chunks
-    monkeypatch.setattr(propagate_module, "_EIGENBASIS_CHUNK", 4)
+    monkeypatch.setattr(linalg, "_BLOCK", 4)
     rng = np.random.default_rng(dim + 10 * record_every)
     m, coef = 12 * record_every, 7.5
     grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.05, m))])
