@@ -191,12 +191,14 @@ def f_norm_max(frame: EigenFrame, C: Optional[np.ndarray] = None) -> float:
 
 
 def projector_drift_series(frame: EigenFrame) -> np.ndarray:
-    """max_n || P_n(s_k) - P_n(0) ||_F per grid point; shape (N,)."""
+    """max_n || P_n(s_k) - P_n(0) ||_F per grid point; shape (N,), formed
+    block by block (``linalg._block_slices``)."""
     out = np.zeros(frame.npoints)
-    for j in range(frame.dim):
-        P = frame.projector(j)
-        d = np.linalg.norm(P - P[0], axis=(1, 2))
-        np.maximum(out, d, out=out)
+    P0 = [frame.projector(j, slice(0, 1)) for j in range(frame.dim)]
+    for blk in _block_slices(frame.npoints):
+        for j in range(frame.dim):
+            d = np.linalg.norm(frame.projector(j, blk) - P0[j], axis=(1, 2))
+            np.maximum(out[blk], d, out=out[blk])
     return out
 
 
@@ -231,15 +233,28 @@ def transition_matrix(U, frame: EigenFrame) -> np.ndarray:
     return sandwich(v, us, np.broadcast_to(v[0], us.shape))
 
 
-def _off_diagonal_populations(M: np.ndarray):
-    """(rows, |M_mn|^2 on them with the diagonal set to 0) per block of
-    ``linalg._block_slices``, so the populations stay block-sized."""
+def _populations(M: np.ndarray) -> np.ndarray:
+    """|M_mn|^2 of a block of M, with the diagonal set to 0."""
     n = M.shape[-1]
+    p = np.abs(M)
+    p *= p
+    p[:, np.arange(n), np.arange(n)] = 0.0
+    return p
+
+
+def _off_diagonal_populations(M: np.ndarray):
+    """(rows, ``_populations`` on them) per block of
+    ``linalg._block_slices``, so the populations stay block-sized."""
     for blk in _block_slices(len(M)):
-        p = np.abs(M[blk])
-        p *= p
-        p[:, np.arange(n), np.arange(n)] = 0.0
-        yield blk, p
+        yield blk, _populations(M[blk])
+
+
+def _leaks(p: np.ndarray) -> np.ndarray:
+    """max_n sqrt(sum_{a != n} p_an + sum_{b != n} p_nb) per point of the
+    populations ``p`` of a block."""
+    leak = p.sum(axis=1)
+    leak += p.sum(axis=2)
+    return np.sqrt(leak.max(axis=1))
 
 
 def _intertwining_of(M: np.ndarray) -> np.ndarray:
@@ -250,22 +265,24 @@ def _intertwining_of(M: np.ndarray) -> np.ndarray:
     """
     out = np.empty(len(M))
     for blk, p in _off_diagonal_populations(M):
-        leak = p.sum(axis=1)
-        leak += p.sum(axis=2)
-        out[blk] = np.sqrt(leak.max(axis=1))
+        out[blk] = _leaks(p)
     return out
+
+
+def _w_deviation_max(M: np.ndarray, phases: np.ndarray):
+    """max over a block of || diag(e^{i phi}) M - I ||_F, with phi the
+    block's ``phases``."""
+    n = M.shape[-1]
+    w = np.exp(1j * phases)[:, :, None] * M
+    w[:, np.arange(n), np.arange(n)] -= 1.0
+    return np.max(np.linalg.norm(w, axis=(1, 2)))
 
 
 def _w_deviation_of(M: np.ndarray, frame: EigenFrame) -> float:
     """max_s || diag(e^{i phi(s)}) M(s) - I ||_F, formed block by block
     (``linalg._block_slices``), so its temporaries stay block-sized."""
-    n = M.shape[-1]
-    worst = []
-    for blk in _block_slices(len(M)):
-        w = np.exp(1j * frame.phase_integrals(blk))[:, :, None] * M[blk]
-        w[:, np.arange(n), np.arange(n)] -= 1.0
-        worst.append(np.max(np.linalg.norm(w, axis=(1, 2))))
-    return float(np.max(worst))
+    return float(np.max([_w_deviation_max(M[blk], frame.phase_integrals(blk))
+                         for blk in _block_slices(len(M))]))
 
 
 def _transition_probability_max(M: np.ndarray) -> float:
@@ -273,6 +290,35 @@ def _transition_probability_max(M: np.ndarray) -> float:
     its level."""
     return float(np.max([np.max(p)
                          for _, p in _off_diagonal_populations(M)]))
+
+
+class _TransitionReads:
+    """The reductions of M an entry reports, fed one block of rows at a
+    time in row order (``read``), so that M is never formed whole: the
+    largest transition probability, and the intertwining series and
+    ``w_deviation`` where they are asked for. Any partition of the rows
+    gives the values of the whole-stack functions above, bit for bit."""
+
+    def __init__(self, frame: EigenFrame, intertwining: bool,
+                 w_deviation: bool):
+        self.frame, self.probabilities = frame, []
+        self.intertwining = np.empty(frame.npoints) if intertwining else None
+        self.deviations = [] if w_deviation else None
+
+    def read(self, rows: slice, M: np.ndarray):
+        p = _populations(M)
+        self.probabilities.append(np.max(p))
+        if self.intertwining is not None:
+            self.intertwining[rows] = _leaks(p)
+        if self.deviations is not None:
+            self.deviations.append(
+                _w_deviation_max(M, self.frame.phase_integrals(rows)))
+
+    def read_stack(self, M: np.ndarray) -> "_TransitionReads":
+        """``read`` of a whole stack in blocks (``linalg._block_slices``)."""
+        for blk in _block_slices(len(M)):
+            self.read(blk, M[blk])
+        return self
 
 
 def intertwining_series(U, frame: EigenFrame) -> np.ndarray:

@@ -64,6 +64,9 @@ class EigenFrame:
     # int_0^s E per level (``_cumtrapz``), which does not depend on tau, so a
     # frame re-bound to another tau (``dataclasses.replace``) keeps it
     _value_integrals: Optional[np.ndarray] = field(default=None, repr=False)
+    # int_0^s f per level, given where the frame's builder holds it (a
+    # custom dual: its grid frame's int_0^s E); formed per call otherwise
+    _rate_integrals: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def npoints(self) -> int:
@@ -73,9 +76,10 @@ class EigenFrame:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def projector(self, level: int) -> np.ndarray:
-        """P_level(s_k) for all k; shape (N, n, n)."""
-        v = self.vectors[:, :, level]
+    def projector(self, level: int, rows=slice(None)) -> np.ndarray:
+        """P_level(s_k) on the grid points ``rows``; shape (N, n, n) for
+        all of them."""
+        v = self.vectors[rows, :, level]
         return np.einsum("ki,kj->kij", v, v.conj())
 
     def completeness_defect(self) -> float:
@@ -103,8 +107,10 @@ class EigenFrame:
         left (the dual, whose E + f vanishes)."""
         if self.generator_rates is None:
             return self.phase_integrals()
-        theta = self.phase_integrals() + self.tau * _cumtrapz(
-            self.generator_rates, self.grid)
+        rates = self._rate_integrals
+        if rates is None:
+            rates = _cumtrapz(self.generator_rates, self.grid)
+        theta = self.phase_integrals() + self.tau * rates
         return theta if np.any(theta) else None
 
 
@@ -201,21 +207,25 @@ def _track_levels(W, V, grid):
     return W, V, _neighbor_overlaps(V)
 
 
-def _path_eigenpairs(path, tau, grid):
-    """Eigenpairs (W, V) of the Hermiticity-checked path on the grid, in
-    the eigensolver's order and gauge. The path is evaluated and solved
-    block by block (``linalg._block_slices``), so one block of H is alive
-    at a time; the check compares the largest defect of every block against
-    rtol times their largest norm, the decision on the whole stack, once
-    every block is solved."""
-    n = path.dim
-    W = np.empty((len(grid), n))
-    V = np.empty((len(grid), n, n), dtype=complex)
+def _path_eigenpairs(path, tau, grid, stride=1):
+    """Eigenpairs (W, V) of the Hermiticity-checked path on every
+    ``stride``-th point of the grid, in the eigensolver's order and gauge.
+    The path is evaluated at every point and solved block by block
+    (``linalg._block_slices``), so one block of H is alive at a time; the
+    check compares the largest defect of every block against rtol times
+    their largest norm, the decision on the whole stack, once every block
+    is solved."""
+    n, count = path.dim, (len(grid) - 1) // stride + 1
+    W = np.empty((count, n))
+    V = np.empty((count, n, n), dtype=complex)
     reads = []
     for blk in _block_slices(len(grid)):
         H = path.eval_batch(grid[blk], tau)
         reads.append(_hermiticity_reads(H))
-        W[blk], V[blk] = kernels.eigh_batch(H)
+        # the solved points of the block: its multiples of the stride
+        lo, hi = -(-blk.start // stride), -(-blk.stop // stride)
+        W[lo:hi], V[lo:hi] = kernels.eigh_batch(
+            H[lo * stride - blk.start::stride])
     _require_hermitian(reads, HERMITICITY_FRAME_RTOL)
     return W, V
 
@@ -376,19 +386,27 @@ def couplings(frame: EigenFrame, method: str = "auto") -> np.ndarray:
     if method == "hf":
         if frame.path is None:
             raise ValueError("frame has no path; use method='fd'")
-        Hd = frame.path.derivative_batch(frame.grid, frame.tau)
-        C = sandwich(frame.vectors, Hd, frame.vectors)
-        del Hd
-        den = frame.values[:, None, :] - frame.values[:, :, None]
-        n = frame.dim
+        # formed block by block (``linalg._block_slices``): the derivative,
+        # its sandwich and the level differences of one block are alive at
+        # a time, and the gap decision reads every block's smallest
+        n, v = frame.dim, frame.vectors
         eye = np.eye(n, dtype=bool)
-        # a single level has no pair: its coupling is 0
-        gap = float(np.min(np.abs(den[:, ~eye]), initial=np.inf))
+        C = np.empty((frame.npoints, n, n), dtype=complex)
+        gaps = []
+        for blk in _block_slices(frame.npoints):
+            Hd = frame.path.derivative_batch(frame.grid[blk], frame.tau)
+            C[blk] = sandwich(v[blk], Hd, v[blk])
+            del Hd
+            w = frame.values[blk]
+            den = w[:, None, :] - w[:, :, None]
+            # a single level has no pair: its coupling is 0
+            gaps.append(np.min(np.abs(den[:, ~eye]), initial=np.inf))
+            den[:, eye] = 1.0
+            C[blk] /= den
+        gap = float(np.min(gaps))
         if gap < GAP_FLOOR:
             raise EigenvalueCrossingError(
                 float(frame.grid[0]), float(frame.grid[-1]), gap, GAP_FLOOR)
-        den[:, eye] = 1.0
-        C /= den
         C[:, eye] = 0.0
         return C
     if method == "fd":

@@ -23,9 +23,14 @@ highly oscillatory problems that arise at large tau:
       D_j = diag(exp(-i c h_j E_j / 2)),
 
   second order like the midpoint rule. Nothing is factorized per
-  coefficient c, so one set of eigenpairs and overlaps serves every c; the
-  scenario runner propagates a tau-independent custom path at tau and
-  2 tau this way (after Jahnke & Lubich, Numer. Math. 94 (2003) 289-314).
+  coefficient c, so one set of eigenpairs and overlaps serves every c. It
+  is a chunk step: it chains the steps it is given from a carry (Q at the
+  chunk's first point) and returns the chunk's records, so a caller that
+  walks a fine grid in chunks of ``CHAIN_CHUNK`` steps holds one chunk's
+  eigenpairs, overlaps, steps and records at a time. The scenario runner
+  walks each grid of a tau-independent custom path once this way and
+  chains Q at tau and 2 tau for every tau on it, each from its own carry
+  (after Jahnke & Lubich, Numer. Math. 94 (2003) 289-314).
 * ``propagate_adaptive`` uses the fourth-order commutator-free Magnus rule
   CF4 (Blanes & Moan, Appl. Numer. Math. 56 (2006)): with the Gauss nodes
   c_1,2 = 1/2 -+ sqrt(3)/6, H_j = H(s + c_j ds) and b_1,2 = 1/4 +- sqrt(3)/6,
@@ -51,7 +56,6 @@ import numpy as np
 
 from ._backend import kernels
 from ._kernels_py import _matmul_stack, chain_records, chain_steps
-from . import linalg
 from .exceptions import StepLimitError
 from .linalg import check_hermitian, unitarity_defect
 from .paths import HamiltonianPath, check_grid, grid_index
@@ -62,6 +66,9 @@ STEP_CAP = 10**7
 # (``_kernels_py.propagate_steps``); in chunks of 4,096 steps, 4,096
 # intervals of 50 substeps took 0.067 s against 0.048 s (2 cores)
 _CHUNK_TARGET = 65536
+# steps per chunk of the eigenbasis chain (whole recorded intervals of
+# about this many), whose step buffer is (chunk, n, n)
+CHAIN_CHUNK = 4096
 _HERM_RTOL = 1e-10
 _NOISE_FLOOR = 64.0 * np.finfo(float).eps
 # step-doubling controller: steps compared per batch of CF4 steps, the
@@ -141,31 +148,25 @@ def propagate(path: HamiltonianPath, tau: float, grid,
 
 
 def propagate_eigenbasis(values: np.ndarray, overlaps: np.ndarray,
-                         grid: np.ndarray, coef: float,
-                         record_every: int) -> np.ndarray:
-    """Q(t_k) = V(t_k)^dagger U(t_k) V(t_0) for i dU/ds = coef H U on every
-    ``record_every``-th point t_k of ``grid`` (see the module docstring);
-    (len(grid) - 1) / record_every + 1 matrices, the first the identity.
+                         grid: np.ndarray, coef: float, record_every: int,
+                         carry: np.ndarray) -> np.ndarray:
+    """One chunk of the chain Q(t_k) = V(t_k)^dagger U(t_k) V(t_0) for
+    i dU/ds = coef H U (see the module docstring): from ``carry``, Q at
+    ``grid[0]``, the records at every ``record_every``-th point of
+    ``grid`` after its first; (len(grid) - 1) / record_every matrices.
 
     ``values`` (J + 1, n) are the eigenvalues of H at the grid points, with
     eigenvector columns V_j in any gauge and order, and ``overlaps``
-    (J, n, n) are V_{j+1}^dagger V_j. Global error is O(h^2).
+    (J, n, n) are V_{j+1}^dagger V_j. The step buffer is (J, n, n), so a
+    caller walks a long grid in chunks of ``CHAIN_CHUNK`` steps, each
+    chunk's last record the next one's carry. The products are grouped by
+    chunk, so the rounding follows the chunk length. Global error is
+    O(h^2).
     """
-    m, n = overlaps.shape[0], overlaps.shape[-1]
-    half = -0.5j * float(coef) * np.diff(grid)
-    out = np.empty((m // record_every + 1, n, n), dtype=complex)
-    out[0] = np.eye(n)
-    # chunk whole recorded intervals, about ``linalg._BLOCK`` steps; the
-    # step buffer is (chunk, n, n)
-    per_chunk = max(1, linalg._BLOCK // record_every) * record_every
-    for lo in range(0, m, per_chunk):
-        hi = min(lo + per_chunk, m)
-        h = half[lo:hi, None]
-        steps = overlaps[lo:hi] * np.exp(h * values[lo + 1:hi + 1])[:, :, None]
-        steps *= np.exp(h * values[lo:hi])[:, None, :]
-        k, kend = lo // record_every, hi // record_every
-        chain_records(steps, out[k], record_every, out=out[k + 1:kend + 1])
-    return out
+    h = -0.5j * float(coef) * np.diff(grid)[:, None]
+    steps = overlaps * np.exp(h * values[1:])[:, :, None]
+    steps *= np.exp(h * values[:-1])[:, None, :]
+    return chain_records(steps, carry, record_every)
 
 
 def _cf4_steps(path: HamiltonianPath, tau: float, lefts: np.ndarray,

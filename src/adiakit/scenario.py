@@ -15,30 +15,35 @@ with f_n the rate the transport folds into its vectors (see
 ``diagnostics.phase_rate_per_step``): none for the dual, whose grid is the
 configured density at every tau. A discrete frame refines on twice the
 dynamical phase, tau * gap. Refinement stops at GRID_CAP intervals, and the
-entry's ``grid_capped`` says when that left the target unmet.
+entry's ``grid_capped`` says when that left the target unmet. Where M comes
+from the lab-frame integrator (``propagate``), its substeps per interval
+resolve the discrete frame's rate, 2 tau * spread + 10, at the same 0.3 rad
+per substep, since the path turns at that rate even where the frame's
+integrands keep no phase; the entry records them (``integrator_substeps``).
 
 Numeric route: a custom path has no closed form and ignores tau, so its
 base (system a), dual (b) and negated dual (c) all read one set of data per
-grid. Each grid eigensolves the base once on the grid refined 2 *
-``substeps`` times, for every tau on that grid; the frame grid's points are
-among the refined ones, so the base's discrete frame needs no eigensolve of
-its own. Each tau reads every entry value from the base frame and from
-Q_c = V^dagger U_c V(0), chained in the base's eigenbasis
-(``propagate_eigenbasis``) at c = tau, and at 2 tau for the negated dual,
-only where an entry value needs it (``_Evolution``): the base's M is
-Q_tau; a dual's transported frame, projector drift and transition matrix
-follow from Q_tau and Q_2tau. The grids are those of a discrete frame
+grid (``_EigenbasisGrid``). Each grid solves the base at its frame points
+for the base's discrete frame and its couplings, then walks the grid
+refined 2 * ``substeps`` times once, in chunks: each chunk solves its
+refined points between the frame points, forms their overlaps, and chains
+Q_c = V^dagger U_c V(0) in the base's eigenbasis (``propagate_eigenbasis``)
+for every tau on the grid, at c = tau, and at 2 tau for the negated dual,
+only where an entry value needs it (``_Evolution``). Each chunk of Q goes
+straight into the values that read it: the base's M is Q_tau; a dual's
+projector drift and the vectors its premises read follow from Q_tau, and
+the negated dual's M from Q_2tau. The grids are those of a discrete frame
 (2 tau * gap), which the chain's steps need.
 
-Memory on that route: the taus run grouped by grid, and a grid's data (the
-refined overlaps, the frame's couplings, and its vectors where the
-configured diagnostics read them) is freed after its last tau, before the
-next grid is built. The refined eigenvectors live only while the grid is
-built, block by block. Per entry, the full-length stacks are the kernel's
-pair columns (the resonance series), a dual's Q_tau while its drift is
-read, its frame's vectors when the premises ask for them, and M; a dual's
-couplings are never formed whole (``_DualCouplings``), and qac_max and
-every reduction of M and Q work block by block.
+Memory on that route: the taus run grouped by grid, and a grid's data is
+freed after its last tau, before the next grid is built. Per grid, the
+full-length stacks are the frame's couplings and, until the pass ends, its
+vectors; the refined eigenvectors and overlaps, and the steps and records
+of one coefficient, live one chunk at a time. Per entry, M and Q are
+reduced as they stream; what is kept is the reported series, the kernel's
+pair columns (the resonance series) while its diagnostics run, and the
+vectors of the premise points, at most twice the configured density; a
+dual's couplings are never formed whole (``_DualCouplings``).
 """
 
 import csv
@@ -56,23 +61,21 @@ import numpy as np
 from . import __version__ as _version
 from ._backend import backend_name, kernels
 from . import spinhalf
-from .diagnostics import (Thresholds, _intertwining_of, _kernel_summary,
+from .diagnostics import (Thresholds, _TransitionReads, _kernel_summary,
                           _off_diagonal_populations, _pair_entry,
-                          _phase_spread, _premises,
-                          _transition_probability_max, _w_deviation_of,
-                          classify, phase_rate_per_step,
-                          projector_drift_series, qac_max, scaling_slope,
-                          transition_matrix)
+                          _phase_spread, _premises, classify,
+                          phase_rate_per_step, projector_drift_series,
+                          qac_max, scaling_slope, transition_matrix)
 from .exceptions import (ConfigError, NumericalCheckError,
                          ScalingUndefinedError)
 from .gauge import (EigenFrame, _discrete_frame, _generator_rates,
                     _path_eigenpairs, _uses_transport, couplings, eigenframe)
-from .linalg import (_block_slices, _unitarity_defects, dagger, dagger_dot,
-                     hermiticity_defect)
+from .linalg import _unitarity_defects, dagger, dagger_dot, hermiticity_defect
 from .models import driven_two_level
 from .paths import (HamiltonianPath, UnitaryPath, constant_hamiltonian,
                     identity_unitary)
-from .propagate import STEP_CAP, propagate, propagate_eigenbasis
+from .propagate import (CHAIN_CHUNK, STEP_CAP, propagate,
+                        propagate_eigenbasis)
 from .transforms import dual_of, negate, transform
 
 SCHEMA = "adiakit-scenario/1"
@@ -286,53 +289,49 @@ def custom_matrix_path(sgrid, matrices) -> HamiltonianPath:
                            name="custom_matrix_path")
 
 
-class _EigenbasisGrid:
-    """The numeric route's data on one frame grid, shared by every tau the
-    grid serves (a custom path ignores tau): the base's eigenvalues on the
-    grid refined ``refine`` times, the overlaps V_{j+1}^dagger V_j of
-    neighbouring refined points, and the base's discrete frame (at tau = 1,
-    int_0^s E cached) and its hf couplings on the frame grid, whose points
-    are every ``refine``-th refined point. The refined eigenvectors live
-    only while the grid is built; they are evaluated, solved, overlapped
-    and checked block by block (``linalg._block_slices``).
+def _refined(grid: np.ndarray, refine: int) -> np.ndarray:
+    """``grid`` with each interval split into ``refine`` equal steps; every
+    ``refine``-th point is a point of ``grid``, bit for bit."""
+    steps = np.arange(refine) / refine
+    inner = grid[:-1, None] + np.diff(grid)[:, None] * steps
+    return np.append(inner.ravel(), grid[-1])
 
-    What it keeps follows from the custom ``system`` (a, b or c) and its
-    ``diags`` alone: the frame's vectors where they are read (the base's
-    premises and the dual's M), otherwise None once the couplings are
-    formed, with V(0) kept (``v0``); the base's projector drift, the same
-    at every tau, where it is asked for (``drift``, None otherwise).
-    ``premises`` tells a dual's ``_Evolution`` to form its vectors."""
+
+def _premise_points(npoints: int, step: int) -> np.ndarray:
+    """The points ``_premises(frame, step)`` reads of an ``npoints`` frame:
+    every ``step // 2``-th point up to the last multiple of ``step``. Its
+    premises are ``_premises`` of the frame on these points at step 2."""
+    return np.arange(0, (npoints - 1) // step * step + 1, step // 2)
+
+
+class _EigenbasisGrid:
+    """The numeric route on one frame grid, for every tau it serves (a
+    custom path ignores tau). The constructor evaluates the base on the
+    grid refined ``refine`` times, block by block, for the Hermiticity
+    check only, and solves it at the frame points (every ``refine``-th
+    refined point) for its discrete frame (at tau = 1, int_0^s E cached)
+    and hf couplings. ``evolutions(taus)`` then walks the refined grid
+    once, in chunks of ``CHAIN_CHUNK`` steps: each chunk solves its other
+    points, forms the overlaps V_{j+1}^dagger V_j of neighbouring refined
+    points (the frame's vectors at the frame points, so Q comes out in the
+    frame's gauge and level order), checks them for unitarity (the first
+    largest defect raises after the pass), and chains in turn, each from
+    its own carry, every Q_c the taus' ``_Evolution``s read, handing each
+    chunk's records to its reader. The frame's vectors are freed after the
+    pass.
+
+    What it forms beyond that follows from the custom ``system`` (a, b or
+    c) and its ``diags`` alone: the base's projector drift, the same at
+    every tau (``drift``), and the base's frame on the premise points of
+    ``premise_step`` (``premise_frame``), each None unless asked for."""
 
     def __init__(self, base: HamiltonianPath, grid: np.ndarray, refine: int,
-                 system: str, diags):
-        steps = np.arange(refine) / refine
-        fine = np.append((grid[:-1, None]
-                          + np.diff(grid)[:, None] * steps).ravel(), grid[-1])
-        W, V = _path_eigenpairs(base, 1.0, fine)
+                 system: str, diags, premise_step: int = 2):
+        self.base, self.refine = base, refine
         self.frame = _discrete_frame(
-            base, 1.0, grid, None, eigenpairs=(W[::refine].copy(), V[::refine].copy()))
-        # the chain works in any gauge and level order per point; this one
-        # makes Q come out in the frame's on the frame grid
-        W[::refine], V[::refine] = self.frame.values, self.frame.vectors
-        self.values, self.grid, self.refine = W, fine, refine
-        self.overlaps = np.empty((len(fine) - 1,) + V.shape[1:],
-                                 dtype=complex)
-        worst = []   # (largest unitarity defect, its index) per block
-        for blk in _block_slices(len(fine) - 1):
-            ov = self.overlaps[blk]
-            ov[...] = dagger_dot(V[blk.start + 1:blk.stop + 1], V[blk])
-            defects = _unitarity_defects(ov)
-            k = int(np.argmax(defects))
-            worst.append((defects[k], blk.start + k))
-        del V
-        # the first largest defect (or NaN) of all blocks, as one argmax
-        defect, k = worst[int(np.argmax([d for d, _ in worst]))]
-        if defect > OVERLAP_UNITARITY_TOL:
-            raise NumericalCheckError(
-                f"eigenvector overlaps are not unitary (defect "
-                f"{defect:.2e} > {OVERLAP_UNITARITY_TOL:.0e})",
-                (float(fine[k]), float(fine[k + 1])))
-        self.system, self.premises = system, "premises" in diags
+            base, 1.0, grid, None, eigenpairs=_path_eigenpairs(
+                base, 1.0, _refined(grid, refine), stride=refine))
+        self.system, self.diags = system, diags
         self.couplings = couplings(self.frame)
         self.couplings.flags.writeable = False   # the base's, at every tau
         # fills the frame's cache of int_0^s E, which every frame re-bound
@@ -342,15 +341,70 @@ class _EigenbasisGrid:
                       if system == "a" and "projector_drift" in diags
                       else None)
         self.v0 = self.frame.vectors[0].copy()
-        if not (self.premises if system == "a"
-                else system == "b" and _reads_evolution(diags)):
-            self.frame = dataclasses.replace(self.frame, vectors=None)
+        self.premise_points = _premise_points(len(grid), premise_step)
+        self.premise_frame = None
+        if system == "a" and "premises" in diags:
+            pts, fr = self.premise_points, self.frame
+            self.premise_frame = EigenFrame(
+                grid=fr.grid[pts], tau=1.0, values=fr.values[pts],
+                vectors=fr.vectors[pts], min_gap=fr.min_gap)
 
-    def transition(self, coef: float) -> np.ndarray:
-        """Q_c(s) = V(s)^dagger U_c(s) V(0) on the frame grid, U_c the base
-        propagator at coefficient c and V the frame's vectors."""
-        return propagate_eigenbasis(self.values, self.overlaps, self.grid,
-                                    coef, self.refine)
+    def evolutions(self, taus) -> list:
+        """The ``_Evolution`` of each tau of ``taus``, after the one pass
+        (see the class docstring) that gives every reader the rows of its
+        Q_c (c None: V(s)^dagger V(0), the dual's M) on the frame grid,
+        row 0 first, then each chunk's; once per grid."""
+        evolutions = [_Evolution(self, tau) for tau in taus]
+        reads = [read for evo in evolutions for read in evo.chains()]
+        self._chain_pass(reads)
+        self.frame = dataclasses.replace(self.frame, vectors=None)
+        return evolutions
+
+    def _chain_pass(self, reads):
+        v, refine = self.frame.vectors, self.refine
+        n = v.shape[-1]
+        fine = _refined(self.frame.grid, refine)
+
+        def inner(rows):
+            return dagger_dot(v[rows], np.broadcast_to(v[0], v[rows].shape))
+
+        carries = [np.eye(n, dtype=complex) for _ in reads]
+        for (coef, reader), q0 in zip(reads, carries):
+            reader(slice(0, 1), q0[None].copy() if coef is not None
+                   else inner(slice(0, 1)))
+        worst = []   # (largest unitarity defect, its index) per chunk
+        steps = len(fine) - 1
+        per_chunk = max(1, CHAIN_CHUNK // refine) * refine
+        for lo in range(0, steps, per_chunk):
+            hi = min(lo + per_chunk, steps)
+            a, b = lo // refine, hi // refine
+            w = np.empty((hi - lo + 1, n))
+            u = np.empty((hi - lo + 1, n, n), dtype=complex)
+            w[::refine], u[::refine] = self.frame.values[a:b + 1], v[a:b + 1]
+            mid = np.arange(hi - lo + 1) % refine != 0
+            w[mid], u[mid] = kernels.eigh_batch(
+                self.base.eval_batch(fine[lo:hi + 1][mid], 1.0))
+            overlaps = dagger_dot(u[1:], u[:-1])
+            del u
+            defects = _unitarity_defects(overlaps)
+            k = int(np.argmax(defects))
+            worst.append((defects[k], lo + k))
+            rows = slice(a + 1, b + 1)
+            for i, (coef, reader) in enumerate(reads):
+                if coef is None:
+                    reader(rows, inner(rows))
+                    continue
+                q = propagate_eigenbasis(w, overlaps, fine[lo:hi + 1], coef,
+                                         refine, carries[i])
+                carries[i] = q[-1].copy()
+                reader(rows, q)
+        # the first largest defect (or NaN) of all chunks, as one argmax
+        defect, k = worst[int(np.argmax([d for d, _ in worst]))]
+        if defect > OVERLAP_UNITARITY_TOL:
+            raise NumericalCheckError(
+                f"eigenvector overlaps are not unitary (defect "
+                f"{defect:.2e} > {OVERLAP_UNITARITY_TOL:.0e})",
+                (float(fine[k]), float(fine[k + 1])))
 
 
 class _Evolution:
@@ -360,42 +414,79 @@ class _Evolution:
     M = Q_tau. The dual (system b) and the negated dual (system c) take the
     transported frame: its vectors are U^dagger V e^{-i phi}
     = V(0) Q_tau^dagger e^{-i phi}, with phi = tau int_0^s E, its values
-    sign E (sign -1 for b, +1 for c) and its couplings the base's times
+    sign E (sign -1 for b, +1 for c), its int_0^s of them sign times the
+    grid frame's cached int_0^s E, and its couplings the base's times
     e^{i(phi_m - phi_n)} (``_DualCouplings``).
 
-    Q is chained only where it is read: a dual's Q_tau for its projector
-    drift (``drift``) and for its frame's vectors, which the constructor
-    forms only where the grid's ``premises`` read them (otherwise they are
-    None); Q_tau of the base and Q_2tau of the negated dual for M. The
+    ``chains()`` lists what the grid's pass feeds it, only where a value
+    reads it: a dual's Q_tau for its projector drift (``drift``) and for its
+    vectors at the premise points (``premise_frame``); Q_tau of the base,
+    V(s)^dagger V(0) of the dual and Q_2tau of the negated dual as
+    M e^{-i phi}, which ``transitions`` reduces (``_TransitionReads``). The
     system is the grid's."""
 
     def __init__(self, data: _EigenbasisGrid, tau: float):
         self.data, self.system, self.tau = data, data.system, float(tau)
-        fr = data.frame
-        self._drift = None
+        fr, diags = data.frame, data.diags
+        self.drift, self.premise_frame = data.drift, data.premise_frame
         if self.system == "a":
-            self.frame = dataclasses.replace(fr, tau=self.tau)
-            return
-        v = None
-        if data.premises:
-            q = data.transition(tau)
-            self._drift = _transported_drift(q)
-            v = data.v0 @ dagger(q)
-            v *= self.phase_factors().conj()[:, None, :]
-        sign = -1 if self.system == "b" else 1
-        self.frame = EigenFrame(grid=fr.grid, tau=self.tau,
-                                values=sign * fr.values, vectors=v,
-                                min_gap=fr.min_gap,
-                                construction="transported",
-                                generator_rates=fr.values)
+            self.frame = dataclasses.replace(fr, tau=self.tau, vectors=None)
+        else:
+            sign = -1 if self.system == "b" else 1
+            ints = fr._value_integrals
+            self.frame = EigenFrame(grid=fr.grid, tau=self.tau,
+                                    values=sign * fr.values, vectors=None,
+                                    min_gap=fr.min_gap,
+                                    construction="transported",
+                                    generator_rates=fr.values,
+                                    _value_integrals=sign * ints,
+                                    _rate_integrals=ints)
+            if "projector_drift" in diags:
+                self.drift = np.empty(fr.npoints)
+            if "premises" in diags:
+                pts = data.premise_points
+                self.premise_frame = EigenFrame(
+                    grid=fr.grid[pts], tau=self.tau,
+                    values=self.frame.values[pts],
+                    vectors=np.empty((len(pts),) + fr.vectors.shape[1:],
+                                     dtype=complex), min_gap=fr.min_gap)
+        self.transitions = None
+        if _reads_evolution(diags):
+            self.transitions = _TransitionReads(
+                self.frame, "intertwining_defect" in diags,
+                "w_deviation" in diags)
 
-    @property
-    def drift(self) -> np.ndarray:
-        """max_n ||P_n(s) - P_n(0)||_F per grid point, formed once."""
-        if self._drift is None:
-            self._drift = (self.data.drift if self.system == "a" else
-                           _transported_drift(self.data.transition(self.tau)))
-        return self._drift
+    def chains(self) -> list:
+        """The (coefficient c, reader) pairs the grid's pass feeds, each
+        reader taking (rows, Q_c on them), in order."""
+        out = []
+        if self.system != "a" and (self.drift is not None
+                                   or self.premise_frame is not None):
+            out.append((self.tau, self._read_q_tau))
+        if self.transitions is not None:
+            coef = {"a": self.tau, "b": None, "c": 2.0 * self.tau}
+            out.append((coef[self.system], self._read_transitions))
+        return out
+
+    def _read_q_tau(self, rows: slice, q: np.ndarray):
+        if self.drift is not None:
+            self.drift[rows] = _transported_drift(q)
+        if self.premise_frame is not None:
+            pts = self.data.premise_points
+            first, last = np.searchsorted(pts, [rows.start, rows.stop])
+            at = pts[first:last]
+            vecs = self.data.v0 @ dagger(q[at - rows.start])
+            vecs *= self.phase_factors(at).conj()[:, None, :]
+            self.premise_frame.vectors[first:last] = vecs
+
+    def _read_transitions(self, rows: slice, q: np.ndarray):
+        """M on ``rows`` from V(s)^dagger U_sys V(0) there (``q``, scaled in
+        place by e^{i phi} for a dual): Q_tau for the base,
+        V(s)^dagger V(0) for the dual (U_sys = U_tau^dagger) and Q_2tau
+        for the negated dual (U_sys = U_tau^dagger U_2tau)."""
+        if self.system != "a":
+            np.multiply(self.phase_factors(rows)[:, :, None], q, out=q)
+        self.transitions.read(rows, q)
 
     def couplings(self):
         """The frame's hf couplings: the grid's own (read-only) for the
@@ -409,24 +500,6 @@ class _Evolution:
         so a block's are formed for that block alone, from the phases of
         the grid's frame at tau = 1."""
         return np.exp(1j * self.tau * self.data.frame.phase_integrals(rows))
-
-    def transition_matrix(self) -> np.ndarray:
-        """M, which is ``diagnostics.transition_matrix`` on this frame:
-        Q_tau for the base, and e^{i phi} V(s)^dagger U_sys(s) V(0) for a
-        dual, scaled in place block by block. V(s)^dagger U_sys V(0) is
-        V(s)^dagger V(0) for the dual (U_sys = U_tau^dagger) and Q_2tau for
-        the negated dual (U_sys = U_tau^dagger U_2tau)."""
-        if self.system == "a":
-            return self.data.transition(self.tau)
-        if self.system == "b":
-            v = self.data.frame.vectors
-            q = dagger_dot(v, np.broadcast_to(v[0], v.shape))
-        else:
-            q = self.data.transition(2.0 * self.tau)
-        for blk in _block_slices(len(q)):
-            np.multiply(self.phase_factors(blk)[:, :, None], q[blk],
-                        out=q[blk])
-        return q
 
 
 class _DualCouplings:
@@ -545,42 +618,64 @@ class SystemBundle:
         frame. A discrete frame takes 2 tau * gap: its couplings come from
         the vectors' own rotation, which the eigenvalues do not show, and
         the factor 2 keeps that rotation resolved."""
-        probe = np.linspace(*self.s_range, 33)
         if _uses_transport(self.path, "auto"):
+            probe = np.linspace(*self.s_range, 33)
             w, v = kernels.eigh_batch(self.path.base.eval_batch(probe, tau))
             f = _generator_rates(self.path, tau, probe, w, v)
             return tau * _phase_spread(self.path.sign * w, f)
+        return self._dynamical_rate(tau)
+
+    def _dynamical_rate(self, tau: float) -> float:
+        """2 tau times the base's largest level spread at 33 points of the
+        window: the rate a discrete frame's grid resolves. A transformed
+        path sign U^dagger H U has the base's spread."""
+        probe = np.linspace(*self.s_range, 33)
         w, _ = kernels.eigh_batch(self.base.eval_batch(probe, tau))
         return 2.0 * tau * _phase_spread(w)
+
+    def integrator_substeps(self, tau: float, grid: np.ndarray):
+        """Midpoint substeps per grid interval of ``unitaries_for``'s
+        ``propagate`` (None where it has no such run): the configured
+        ``substeps``, raised until one substep advances the phase of
+        ``_dynamical_rate`` + 10 by at most PHASE_PER_STEP_TARGET. The lab
+        frame turns at that rate even where the frame's integrands keep no
+        phase (the dual), whose grid does not resolve it."""
+        if self.path is None or self._u_closed is not None:
+            return None
+        rate = self._dynamical_rate(tau) + 10.0
+        ds = float(np.max(np.diff(grid)))
+        return max(self.config["substeps"],
+                   math.ceil(rate * ds / PHASE_PER_STEP_TARGET))
 
     def grid_for(self, tau: float) -> np.ndarray:
         return self.grid_policy(tau)[0]
 
-    def unitaries_for(self, tau: float, grid: np.ndarray):
-        """Evolution operators of the configured path system on the grid.
-        A custom system (a, b or c) has none: its entries read the
-        transition matrix from Q (``_Evolution``)."""
+    def unitaries_for(self, tau: float, grid: np.ndarray, substeps=None):
+        """Evolution operators of the configured path system on the grid,
+        ``propagate``d with ``substeps`` (``integrator_substeps`` when
+        None) where there is no closed form. A custom system (a, b or c)
+        has none: its entries read the transition matrix from Q
+        (``_Evolution``)."""
         if self.path is None:
             raise ValueError("a custom system has no lab-frame evolution "
                              "operators; its entries read M from Q")
         if self._u_closed is not None:
             return self._u_closed.eval_batch(grid, tau)
-        res = propagate(self.path, tau, grid,
-                        substeps=self.config["substeps"])
+        if substeps is None:
+            substeps = self.integrator_substeps(tau, grid)
+        res = propagate(self.path, tau, grid, substeps=substeps)
         return res.unitaries
 
 
 def _entry_for_tau(bundle: SystemBundle, tau: float, grid: np.ndarray,
-                   capped: bool, data) -> tuple:
-    """(entry, series) of one tau on its ``grid`` (``grid_policy``);
-    ``data`` is the grid's ``_EigenbasisGrid`` for a custom system, None
-    otherwise."""
+                   capped: bool, evo) -> tuple:
+    """(entry, series) of one tau on its ``grid`` (``grid_policy``); ``evo``
+    is the tau's ``_Evolution`` for a custom system, whose grid's pass has
+    run, None otherwise."""
     diags = bundle.config["diagnostics"]
-    if data is not None:
-        evo = _Evolution(data, tau)
+    if evo is not None:
         frame, C = evo.frame, evo.couplings()
     else:
-        evo = None
         frame = eigenframe(bundle.path, tau, grid,
                            initial_vectors=bundle.initial_vectors)
         C = couplings(frame)
@@ -604,21 +699,35 @@ def _entry_for_tau(bundle: SystemBundle, tau: float, grid: np.ndarray,
         entry["projector_drift"] = float(np.max(dser))
         series["projector_drift"] = dser
     if _reads_evolution(diags):
-        M = (transition_matrix(bundle.unitaries_for(tau, grid), frame)
-             if evo is None else evo.transition_matrix())
-        entry["transition_probability_max"] = _transition_probability_max(M)
+        if evo is None:
+            substeps = bundle.integrator_substeps(tau, grid)
+            if substeps is not None:
+                entry["integrator_substeps"] = substeps
+            U = bundle.unitaries_for(tau, grid, substeps)
+            reads = _TransitionReads(
+                frame, "intertwining_defect" in diags, "w_deviation" in diags
+            ).read_stack(transition_matrix(U, frame))
+            del U
+        else:
+            reads = evo.transitions
+        entry["transition_probability_max"] = float(
+            np.max(reads.probabilities))
         if "intertwining_defect" in diags:
-            iser = _intertwining_of(M)
-            entry["intertwining_defect"] = float(np.max(iser))
-            series["intertwining"] = iser
+            entry["intertwining_defect"] = float(np.max(reads.intertwining))
+            series["intertwining"] = reads.intertwining
         if "w_deviation" in diags:
-            entry["w_deviation"] = _w_deviation_of(M, frame)
+            entry["w_deviation"] = float(np.max(reads.deviations))
     if "premises" in diags:
-        # at the configured density (a stride of 2 or a power of 4) and at
-        # its midpoints
-        entry["premises"] = _premises(
-            frame, max(2, (len(grid) - 1) // bundle.config["grid"]))
+        entry["premises"] = (
+            _premises(frame, _premise_step(grid, bundle.config))
+            if evo is None else _premises(evo.premise_frame, 2))
     return entry, series
+
+
+def _premise_step(grid: np.ndarray, config: dict) -> int:
+    """The premises' coarse stride on ``grid``: the configured density (a
+    stride of 2 or a power of 4), whose midpoints are the fine points."""
+    return max(2, (len(grid) - 1) // config["grid"])
 
 
 def _reads_evolution(diags) -> bool:
@@ -697,20 +806,25 @@ def _append_scaling(report: dict, thresholds: Thresholds):
 
 def _entries_on_grid(bundle: SystemBundle, items, threads: int) -> list:
     """(entry, series) of each (tau, grid, capped) of ``items``, which share
-    one grid; a custom system's ``_EigenbasisGrid`` is built once for them
-    and freed on return."""
+    one grid; a custom system's ``_EigenbasisGrid`` runs its pass once for
+    them and is freed on return. The entries' frame diagnostics run
+    threaded over the taus when ``threads > 1``."""
     cfg = bundle.config
-    data = (None if bundle.path is not None else _EigenbasisGrid(
-        bundle.base, items[0][1], 2 * cfg["substeps"], cfg["system"],
-        cfg["diagnostics"]))
+    evolutions = [None] * len(items)
+    if bundle.path is None:
+        grid = items[0][1]
+        evolutions = _EigenbasisGrid(
+            bundle.base, grid, 2 * cfg["substeps"], cfg["system"],
+            cfg["diagnostics"], _premise_step(grid, cfg)).evolutions(
+                [tau for tau, _, _ in items])
 
-    def entry(item):
-        return _entry_for_tau(bundle, *item, data)
+    def entry(k):
+        return _entry_for_tau(bundle, *items[k], evolutions[k])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(entry, items))
-    return [entry(item) for item in items]
+            return list(pool.map(entry, range(len(items))))
+    return [entry(k) for k in range(len(items))]
 
 
 def _run_normalized(config: dict, threads: int):

@@ -131,3 +131,19 @@ def test_report_schema_is_pinned():
         "s", "resonance[1,0].re", "resonance[1,0].im", "resonance[2,0].re",
         "resonance[2,0].im", "resonance[2,1].re", "resonance[2,1].im",
         "f_norm", "projector_drift", "intertwining"]
+
+
+def test_lab_frame_entries_add_their_substeps():
+    # an entry whose M comes from ``propagate`` names the integrator's
+    # substeps per grid interval; every other key is the custom entry's
+    report, _ = scenario.run({
+        "model": "spin_half", "system": "b", "propagator": "numeric",
+        "parameters": {"theta": 0.7, "tau": 20.0}, "grid": 256,
+        "diagnostics": list(scenario.ALL_DIAGNOSTICS)})
+    entry, = report["entries"]
+    assert sorted(entry) == [
+        "f_norm_end", "f_norm_max", "frame_construction", "grid_capped",
+        "grid_points", "integrator_substeps", "intertwining_defect",
+        "min_gap", "phase_rate_per_step", "premises", "projector_drift",
+        "qac_max", "resonance_integrals", "tau",
+        "transition_probability_max", "w_deviation", "window_real_time"]

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import adiakit.gauge as gauge
 import adiakit.linalg as linalg
 import adiakit.scenario as sc
+from adiakit import _kernels_py as kernels
 from adiakit.diagnostics import (_intertwining_of, _kernel_integrand,
                                  _kernel_summary, _premises,
                                  _transition_probability_max,
@@ -53,21 +54,70 @@ def _bundle(dim, seed, system, tau, grid=1024, **over):
 def _grid_data(bundle, grid, system=None, diags=sc.ALL_DIAGNOSTICS):
     """The ``_EigenbasisGrid`` a scan of the bundle builds on ``grid``, for
     its system (or ``system``) configured with ``diags``."""
-    return sc._EigenbasisGrid(bundle.base, grid,
-                              2 * bundle.config["substeps"],
-                              system or bundle.config["system"], diags)
+    cfg = bundle.config
+    return sc._EigenbasisGrid(bundle.base, grid, 2 * cfg["substeps"],
+                              system or cfg["system"], diags,
+                              sc._premise_step(grid, cfg))
 
 
 def _evolution(bundle, tau, grid):
     """The bundle's system at tau as a scan with every diagnostic reads
-    it: the grid keeps what those read, and a dual forms its vectors."""
-    return sc._Evolution(_grid_data(bundle, grid), tau)
+    it: its grid's pass has fed every value those read."""
+    evo, = _grid_data(bundle, grid).evolutions([tau])
+    return evo
 
 
 def _base_frame(bundle, grid):
-    """The base's grid frame with its vectors, as the base's premises keep
-    it (the negated dual's grid does not)."""
-    return _grid_data(bundle, grid, "a", ["premises"]).frame
+    """The base's discrete frame on ``grid`` with its vectors: the frame
+    the grid builds (a custom path ignores tau), before its pass frees
+    them."""
+    return eigenframe(bundle.base, 1.0, grid)
+
+
+def _full_transition(base, grid, coef, refine=2):
+    """Q_coef of the custom ``base`` on the frame grid as one (N, n, n)
+    stack, chained as the grid's pass chains it: the base's eigenpairs on
+    the grid refined ``refine`` times, the frame's at the frame points, in
+    chunks of ``CHAIN_CHUNK`` steps, each from the last record of the one
+    before."""
+    fr = eigenframe(base, 1.0, grid)
+    fine = sc._refined(grid, refine)
+    w, v = kernels.eigh_batch(base.eval_batch(fine, 1.0))
+    w[::refine], v[::refine] = fr.values, fr.vectors
+    overlaps = dagger_dot(v[1:], v[:-1])
+    q = [np.eye(fr.dim, dtype=complex)[None]]
+    chunk = max(1, sc.CHAIN_CHUNK // refine) * refine
+    for lo in range(0, len(overlaps), chunk):
+        hi = min(lo + chunk, len(overlaps))
+        q.append(sc.propagate_eigenbasis(w[lo:hi + 1], overlaps[lo:hi],
+                                         fine[lo:hi + 1], coef, refine,
+                                         q[-1][-1]))
+    return np.concatenate(q)
+
+
+def _full_m(bundle, evo):
+    """M of ``evo`` as one (N, n, n) stack: Q_tau for the base, and
+    e^{i phi} V(s)^dagger V(0) (dual) or e^{i phi} Q_2tau (negated dual)."""
+    grid = evo.frame.grid
+    if evo.system == "a":
+        return _full_transition(bundle.base, grid, evo.tau)
+    e = evo.phase_factors()[:, :, None]
+    if evo.system == "b":
+        v = _base_frame(bundle, grid).vectors
+        return e * dagger_dot(v, np.broadcast_to(v[0], v.shape))
+    return e * _full_transition(bundle.base, grid, 2.0 * evo.tau)
+
+
+def _with_vectors(bundle, evo):
+    """``evo``'s frame with its vectors on every grid point: the base
+    frame's (a), or V(0) Q_tau^dagger e^{-i phi} (a dual)."""
+    fr = _base_frame(bundle, evo.frame.grid)
+    if evo.system == "a":
+        return dataclasses.replace(evo.frame, vectors=fr.vectors)
+    v = fr.vectors[0] @ dagger(_full_transition(bundle.base, fr.grid,
+                                                evo.tau))
+    v *= evo.phase_factors().conj()[:, None, :]
+    return dataclasses.replace(evo.frame, vectors=v)
 
 
 def _rel(value, ref):
@@ -82,7 +132,8 @@ def _lab_frame(bundle, evo):
     only, and U_sys = V(0) Q_tau^dag (V(s)^dag U_sys V(0)) V(0)^dag, where
     V(s)^dag U_sys V(0) is V(s)^dag V(0) for the dual and Q_2tau for the
     negated dual."""
-    fr, q = _base_frame(bundle, evo.frame.grid), evo.data.transition(evo.tau)
+    fr = _base_frame(bundle, evo.frame.grid)
+    q = _full_transition(bundle.base, fr.grid, evo.tau)
     v0 = fr.vectors[0]
     if evo.system == "a":
         return bundle.base, fr.vectors @ q @ dagger(v0)
@@ -99,7 +150,8 @@ def _lab_frame(bundle, evo):
     dual = dual_of(bundle.base, UnitaryPath(bundle.base.dim, base_propagator,
                                             generator=bundle.base))
     inner = (dagger_dot(fr.vectors, np.broadcast_to(v0, fr.vectors.shape))
-             if evo.system == "b" else evo.data.transition(2.0 * evo.tau))
+             if evo.system == "b"
+             else _full_transition(bundle.base, fr.grid, 2.0 * evo.tau))
     return (dual if evo.system == "b" else negate(dual),
             v0 @ dagger(q) @ inner @ dagger(v0))
 
@@ -123,10 +175,10 @@ def test_route_matches_lab_frame_propagators(dim, seed, system, tau):
     bundle = _bundle(dim, seed, system, tau)
     grid = bundle.grid_for(tau)
     evo = _evolution(bundle, tau, grid)
-    M = evo.transition_matrix()
+    reads = evo.transitions
     u = propagate(bundle.base, tau, grid, substeps=32).unitaries
     if system == "a":
-        u_sys, ref_frame = u, evo.frame
+        u_sys, ref_frame = u, _with_vectors(bundle, evo)
     else:
         u_sys = dagger(u)
         if system == "c":
@@ -135,10 +187,10 @@ def test_route_matches_lab_frame_propagators(dim, seed, system, tau):
         # the projectors U_tau^dag P_n U_tau, with the reference U_tau
         ref_frame = dataclasses.replace(
             evo.frame, vectors=dagger(u) @ _base_frame(bundle, grid).vectors)
-    m_ref = transition_matrix(u_sys, evo.frame)
-    assert _rel(np.max(_intertwining_of(M)),
+    m_ref = transition_matrix(u_sys, _with_vectors(bundle, evo))
+    assert _rel(np.max(reads.intertwining),
                 np.max(_intertwining_of(m_ref))) <= 5e-5
-    assert _rel(_w_deviation_of(M, evo.frame),
+    assert _rel(np.max(reads.deviations),
                 _w_deviation_of(m_ref, evo.frame)) <= 5e-5
     assert _rel(np.max(evo.drift),
                 np.max(projector_drift_series(ref_frame))) <= 5e-5
@@ -161,7 +213,7 @@ def test_discrete_and_transported_frames_agree(dim, seed, system, tau):
     bundle = _bundle(dim, seed, system, tau)
     grid = bundle.grid_for(tau)
     evo = _evolution(bundle, tau, grid)
-    transported = evo.frame
+    transported = _with_vectors(bundle, evo)
     path, u_sys = _lab_frame(bundle, evo)
     discrete = eigenframe(path, tau, grid, transport="discrete")
     assert discrete.construction == "discrete"
@@ -215,8 +267,11 @@ def test_route_frame_is_the_transported_frame_of_the_dual(system):
     grid = bundle.grid_for(tau)
     evo = _evolution(bundle, tau, grid)
     path, u_sys = _lab_frame(bundle, evo)
-    frame = dataclasses.replace(evo.frame, path=path)
+    frame = dataclasses.replace(_with_vectors(bundle, evo), path=path)
     assert frame.construction == "transported"
+    # the route's vectors at the premise points (here every point)
+    assert np.array_equal(evo.premise_frame.grid, grid)
+    assert np.array_equal(evo.premise_frame.vectors, frame.vectors)
     H = frame.path.eval_batch(grid, tau)
     resid = H @ frame.vectors - frame.vectors * frame.values[:, None, :]
     assert np.max(np.abs(resid)) <= 1e-12
@@ -228,7 +283,7 @@ def test_route_frame_is_the_transported_frame_of_the_dual(system):
                          - evo.couplings()[:, m, n])) <= 1e-12
     assert np.max(np.abs(evo.drift
                          - projector_drift_series(frame))) <= 1e-12
-    assert np.max(np.abs(evo.transition_matrix()
+    assert np.max(np.abs(_full_m(bundle, evo)
                          - transition_matrix(u_sys, frame))) <= 1e-12
 
 
@@ -310,12 +365,12 @@ def test_q_is_chained_only_where_it_is_read(diags, system, monkeypatch):
     coefs = []
     chain = sc.propagate_eigenbasis
 
-    def counted(values, overlaps, grid, coef, record_every):
+    def counted(values, overlaps, grid, coef, record_every, carry):
         coefs.append(coef)
-        return chain(values, overlaps, grid, coef, record_every)
+        return chain(values, overlaps, grid, coef, record_every, carry)
 
     monkeypatch.setattr(sc, "propagate_eigenbasis", counted)
-    taus = [10.0, 20.0]
+    taus = [10.0, 20.0]   # one grid of 512 refined steps: one chunk
     bundle = _bundle(2, 5, system, 1.0, grid=256, auto_refine=False,
                      diagnostics=list(diags))
     cfg = dict(bundle.config, parameters=dict(bundle.config["parameters"],
@@ -352,6 +407,28 @@ def test_custom_systems_read_one_frame_per_grid(system, monkeypatch):
     assert sorted(frames) == sorted(set(points))
     with pytest.raises(ValueError, match="evolution"):
         bundle.unitaries_for(20.0, bundle.grid_for(20.0))
+
+
+@pytest.mark.parametrize("system", ["b", "c"])
+def test_custom_duals_integrate_no_phases_of_their_own(system, monkeypatch):
+    # a dual's int_0^s sign E and the int_0^s E of its generator rates are
+    # sign and 1 times its grid frame's cached int_0^s E: three taus on two
+    # grids integrate twice (eight times when each entry integrated its own)
+    calls = []
+    cumtrapz = gauge._cumtrapz
+
+    def counted(y, x, phase=None):
+        calls.append(len(x))
+        return cumtrapz(y, x, phase)
+
+    monkeypatch.setattr(gauge, "_cumtrapz", counted)
+    bundle = _bundle(2, 5, system, 1.0, grid=256,
+                     diagnostics=list(sc.ALL_DIAGNOSTICS))
+    cfg = dict(bundle.config, parameters=dict(bundle.config["parameters"],
+                                              tau_list=[20.0, 40.0, 60.0]))
+    report, _ = sc.scan(cfg)
+    assert [e["grid_points"] for e in report["entries"]] == [257, 1025, 1025]
+    assert calls == [257, 1025]
 
 
 def _two_frame_premises(path, tau, grid):
@@ -443,24 +520,23 @@ def test_overlaps_are_checked_for_unitarity(monkeypatch):
     # the eigenvectors of one refined point between two frame points
     # skewed: the overlaps on either side of it are not unitary, and the
     # typed error (a ValueError too) names the s-interval of the worse one
-    eigenpairs = sc._path_eigenpairs
-    fine = []
+    eigh_batch = kernels.eigh_batch
 
-    def skewed(path, tau, grid):
-        w, v = eigenpairs(path, tau, grid)
-        if len(grid) > 257:   # the refined grid, not the policy probe
-            fine.append(grid)
-            v[81] *= 1.001
+    def skewed(h):
+        w, v = eigh_batch(h)
+        if len(h) == 256:   # the grid's 256 midpoints, not the probe (33
+            v[40] *= 1.001  # points) or the frame (257): refined point 81
         return w, v
 
-    monkeypatch.setattr(sc, "_path_eigenpairs", skewed)
+    monkeypatch.setattr(kernels, "eigh_batch", skewed)
     bundle = _bundle(2, 5, "c", 6.0, grid=256)
+    grid = bundle.grid_for(6.0)
+    fine = sc._refined(grid, 2)
     with pytest.raises(NumericalCheckError,
                        match="overlaps are not unitary") as err:
-        _grid_data(bundle, bundle.grid_for(6.0))
+        _grid_data(bundle, grid).evolutions([6.0])
     assert isinstance(err.value, ValueError)
-    assert err.value.interval in ((fine[0][80], fine[0][81]),
-                                  (fine[0][81], fine[0][82]))
+    assert err.value.interval in ((fine[80], fine[81]), (fine[81], fine[82]))
 
 
 def _growing_path(defect):
@@ -492,21 +568,38 @@ def _one_block_and_blocked(monkeypatch, build):
 # (threshold 1.5e-8), not against those of the blocks near s = 0 (< 1e-9)
 @pytest.mark.parametrize("defect", [0.0, 3e-9])
 def test_blocked_grid_build_equals_one_block(defect, monkeypatch):
-    # the refined grid evaluated, solved, overlapped and checked 7 points at
-    # a time, block seams at every phase of the refinement
+    # the refined grid evaluated and checked 7 points at a time, the frame
+    # points solved and the couplings formed in blocks of 7, block seams at
+    # every phase of the refinement; the frame equals a frame of the path
+    # on the grid, and the pass's Q_tau that of the full-stack chain
+    path = _growing_path(defect)
     grid = np.linspace(0.0, 1.0, 257)
+    diags = ["premises", "intertwining_defect", "w_deviation"]
+
+    def build(data):
+        return data, data.evolutions([3.0])[0]
+
     whole, blocked = _one_block_and_blocked(
         monkeypatch,
-        lambda: sc._EigenbasisGrid(_growing_path(defect), grid, 2, "a",
-                                   ["premises"]))
-    for name in ("grid", "values", "overlaps", "couplings"):
-        assert np.array_equal(getattr(blocked, name), getattr(whole, name))
-    assert np.array_equal(blocked.frame.phase_integrals(),
-                          whole.frame.phase_integrals())
-    for name in ("grid", "values", "vectors"):
-        assert np.array_equal(getattr(blocked.frame, name),
-                              getattr(whole.frame, name))
-    assert blocked.frame.min_gap == whole.frame.min_gap
+        lambda: build(sc._EigenbasisGrid(path, grid, 2, "a", diags)))
+    ref = eigenframe(path, 1.0, grid)
+    for data, _ in (whole, blocked):
+        assert np.array_equal(data.couplings, couplings(ref))
+        assert np.array_equal(data.frame.phase_integrals(),
+                              ref.phase_integrals())
+        for name in ("grid", "values"):
+            assert np.array_equal(getattr(data.frame, name),
+                                  getattr(ref, name))
+        # the premise frame holds every point's vectors at step 2
+        assert np.array_equal(data.premise_frame.vectors, ref.vectors)
+        assert data.frame.min_gap == ref.min_gap
+    m = _full_transition(path, grid, 3.0)
+    at_tau = dataclasses.replace(ref, tau=3.0)
+    for _, evo in (whole, blocked):
+        reads = evo.transitions
+        assert np.array_equal(reads.intertwining, _intertwining_of(m))
+        assert float(np.max(reads.deviations)) == \
+            _w_deviation_of(m, at_tau)
 
 
 def test_blocked_grid_build_raises_the_one_block_error(monkeypatch):
@@ -523,19 +616,10 @@ def test_blocked_grid_build_raises_the_one_block_error(monkeypatch):
 
 def test_blocked_entries_equal_one_block(monkeypatch):
     # every entry value, w_deviation's blocked maximum included. The Q
-    # chain keeps chunks of 4,096 steps: it groups its products by chunk,
-    # so its rounding follows the chunk (its chunks are checked against a
-    # step-by-step loop in test_propagate)
+    # chain's chunks (``CHAIN_CHUNK``) do not follow the block size (its
+    # chunks are checked against a step-by-step loop in test_propagate)
     bundle = _bundle(3, 11, "c", 8.0, grid=256,
                      diagnostics=list(sc.ALL_DIAGNOSTICS))
-    chain = sc.propagate_eigenbasis
-
-    def in_chunks_of_4096(*args):
-        with monkeypatch.context() as patch:
-            patch.setattr(linalg, "_BLOCK", 4096)
-            return chain(*args)
-
-    monkeypatch.setattr(sc, "propagate_eigenbasis", in_chunks_of_4096)
     whole, blocked = _one_block_and_blocked(
         monkeypatch, lambda: sc.run(bundle.config))
     assert json.dumps(blocked[0], sort_keys=True) == \
@@ -579,13 +663,16 @@ def _full_reads(frame, C, M, q):
 @pytest.mark.parametrize("system", ["a", "b", "c"])
 def test_blocked_reads_equal_the_full_stacks(system, monkeypatch):
     # blocks of 7 points, so the 257-point frame grid has a seam every
-    # 7th point and a partial last block; the dual's couplings are read
-    # as pair columns of the base's, never as an (N, n, n) stack
+    # 7th point and a partial last block, and chain chunks of 14 steps
+    # (7 frame intervals), so the pass hands over 37 record blocks and
+    # carries Q across 36 seams; the dual's couplings are read as pair
+    # columns of the base's, never as an (N, n, n) stack
     bundle = _bundle(3, 11, system, 8.0, grid=256,
                      diagnostics=list(sc.ALL_DIAGNOSTICS))
     grid = bundle.grid_for(8.0)
     assert (len(grid) - 1) % 7 != 0
     monkeypatch.setattr(linalg, "_BLOCK", 7)
+    monkeypatch.setattr(sc, "CHAIN_CHUNK", 14)
     evo = _evolution(bundle, 8.0, grid)
     frame, data = evo.frame, evo.data
     if system == "a":
@@ -594,31 +681,28 @@ def test_blocked_reads_equal_the_full_stacks(system, monkeypatch):
         e = np.exp(1j * evo.tau * data.frame.phase_integrals())
         C = data.couplings * e[:, :, None]
         C *= e.conj()[:, None, :]
-        q = data.transition(evo.tau)
+        q = _full_transition(bundle.base, grid, evo.tau)
     pairs = evo.couplings()
     m, n = np.indices((3, 3)).reshape(2, -1)
     assert np.array_equal(pairs[:, m, n], C[:, m, n])
     assert np.array_equal(pairs[5:12, m, n], C[5:12, m, n])
-    M = evo.transition_matrix()
-    if system == "b":
-        v = data.frame.vectors
-        ref_m = e[:, :, None] * dagger_dot(v, np.broadcast_to(v[0], v.shape))
-    elif system == "c":
-        ref_m = e[:, :, None] * data.transition(2.0 * evo.tau)
-    else:
-        ref_m = data.transition(evo.tau)
-    assert np.array_equal(M, ref_m)
+    M = _full_m(bundle, evo)
     qac, coeff, inter, prob, drift = _full_reads(frame, C, M, q)
     assert qac_max(frame, pairs) == qac
     assert np.array_equal(_kernel_integrand(frame, pairs)[0], coeff)
     assert np.array_equal(_intertwining_of(M), inter)
     assert _transition_probability_max(M) == prob
-    assert np.array_equal(evo.drift, projector_drift_series(frame)
-                          if drift is None else drift)
     w = np.exp(1j * frame.phase_integrals())[:, :, None] * M
     w[:, np.arange(3), np.arange(3)] -= 1.0
-    assert _w_deviation_of(M, frame) == \
-        float(np.max(np.linalg.norm(w, axis=(1, 2))))
+    w_max = float(np.max(np.linalg.norm(w, axis=(1, 2))))
+    assert _w_deviation_of(M, frame) == w_max
+    # the pass's reductions of its record blocks
+    reads = evo.transitions
+    assert np.array_equal(reads.intertwining, inter)
+    assert float(np.max(reads.probabilities)) == prob
+    assert float(np.max(reads.deviations)) == w_max
+    assert np.array_equal(evo.drift, projector_drift_series(
+        _with_vectors(bundle, evo)) if drift is None else drift)
 
 
 def test_blocked_reads_of_a_one_level_frame(monkeypatch):
@@ -665,10 +749,15 @@ def test_custom_base_forms_its_drift_once_per_grid(monkeypatch):
     ("b", sc.DEFAULT_DIAGNOSTICS, True), ("b", ["qac_max", "premises"], False),
     ("c", sc.ALL_DIAGNOSTICS, False)])
 def test_grid_keeps_the_frame_vectors_only_where_read(system, diags, kept):
-    # the base's premises and the dual's M read them; V(0) is always kept
+    # the base's premises (at the premise points) and the dual's M (in the
+    # pass) read them; the pass frees them, and V(0) is always kept
     bundle = _bundle(2, 5, system, 6.0, grid=256, diagnostics=list(diags))
     data = _grid_data(bundle, bundle.grid_for(6.0), diags=diags)
-    assert (data.frame.vectors is not None) == kept
+    evo, = data.evolutions([6.0])
+    assert data.frame.vectors is None
+    read = data.premise_frame is not None or any(
+        coef is None for coef, _ in evo.chains())
+    assert read == kept
     assert (data.drift is not None) == (
         system == "a" and "projector_drift" in diags)
     full = _base_frame(bundle, data.frame.grid)

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adiakit as ak
-from adiakit import _kernels_py, linalg, spinhalf
+from adiakit import _kernels_py, spinhalf
 from adiakit.exceptions import NonHermitianError, StepLimitError
 from adiakit.models import random_smooth_hamiltonian
 from adiakit.paths import HamiltonianPath, constant_hamiltonian
@@ -340,19 +340,24 @@ def _scrambled_eigenpairs(rng, H):
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 @pytest.mark.parametrize("record_every", [1, 3])
-def test_eigenbasis_chain_matches_lab_frame_strang_loop(dim, record_every,
-                                                        monkeypatch):
+def test_eigenbasis_chain_matches_lab_frame_strang_loop(dim, record_every):
     # Q_k = V_k^dagger U_k V_0 with U_{j+1} = e^{-i c h H_{j+1}/2}
-    # e^{-i c h H_j/2} U_j; a small chunk size carries Q across chunks
-    monkeypatch.setattr(linalg, "_BLOCK", 4)
+    # e^{-i c h H_j/2} U_j; chunks of 4 steps (3 for record_every 3), each
+    # chained from the last record of the one before
     rng = np.random.default_rng(dim + 10 * record_every)
     m, coef = 12 * record_every, 7.5
     grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.05, m))])
     H = _random_hermitian_stack(rng, m + 1, dim)
     w, v = _scrambled_eigenpairs(rng, H)
     overlaps = np.conj(np.swapaxes(v[1:], 1, 2)) @ v[:-1]
-    q = propagate_module.propagate_eigenbasis(w, overlaps, grid, coef,
-                                              record_every)
+    q = [np.eye(dim, dtype=complex)[None]]
+    chunk = max(1, 4 // record_every) * record_every
+    for lo in range(0, m, chunk):
+        hi = lo + chunk
+        q.append(propagate_module.propagate_eigenbasis(
+            w[lo:hi + 1], overlaps[lo:hi], grid[lo:hi + 1], coef,
+            record_every, q[-1][-1]))
+    q = np.concatenate(q)
     u, ref = np.eye(dim), [np.eye(dim)]
     for j in range(m):
         h = coef * (grid[j + 1] - grid[j]) / 2
@@ -373,7 +378,8 @@ def test_eigenbasis_chain_convergence_order_two():
         grid = np.linspace(0.0, WINDOW, n + 1)
         w, v = _kernels_py.eigh_batch(h.eval_batch(grid, tau))
         overlaps = np.conj(np.swapaxes(v[1:], 1, 2)) @ v[:-1]
-        q = propagate_module.propagate_eigenbasis(w, overlaps, grid, tau, n)
+        q = propagate_module.propagate_eigenbasis(w, overlaps, grid, tau, n,
+                                                  np.eye(2, dtype=complex))
         ref = spinhalf.propagator_matrix(THETA, OMEGA0, 1.0 / tau,
                                          np.array([WINDOW]))[0]
         errs.append(np.linalg.norm(v[-1] @ q[-1] @ v[0].conj().T - ref))

@@ -330,8 +330,9 @@ def test_numeric_cache_fills_each_key_once_under_threads(monkeypatch):
     # negated dual of a custom path: each tau chains Q at tau and at 2 tau
     # in the base's eigenbasis. The three taus share one grid, so its
     # refined points (256 intervals, two steps each) are factorized once
-    # (2x2: their SU(2) components), whichever worker comes first, and
-    # nothing else is factorized
+    # (2x2: their SU(2) components), in the grid's one pass before any
+    # worker starts: the 257 frame points, then the 256 midpoints of its
+    # one chunk. Nothing else is factorized
     rows, components = [], []
     eigh_batch, su2_components = kernels.eigh_batch, kernels.su2_components
 
@@ -361,7 +362,7 @@ def test_numeric_cache_fills_each_key_once_under_threads(monkeypatch):
             rows.clear()
             components.clear()
             report, _ = sc.scan(cfg, threads=threads)
-            assert rows == components == [513]
+            assert rows == components == [257, 256]
             assert json.dumps(report, sort_keys=True) == \
                 json.dumps(single, sort_keys=True)
     finally:
@@ -399,8 +400,9 @@ def test_two_grids_run_alike_on_one_and_two_threads(monkeypatch):
             report, series = sc.run(cfg, threads=2)
         finally:
             sys.setswitchinterval(interval)
-        # each grid's probe (33 points), then its refined points
-        assert rows == [33, 33, 33, 513, 2049], system
+        # each grid's probe (33 points), then per grid its frame points
+        # and the midpoints of its one chunk
+        assert rows == [33, 33, 33, 257, 256, 1025, 1024], system
         assert json.dumps(report, sort_keys=True) == \
             json.dumps(single, sort_keys=True)
         for a, b in zip(series, single_series):
@@ -408,10 +410,57 @@ def test_two_grids_run_alike_on_one_and_two_threads(monkeypatch):
             assert all(np.array_equal(a[k], b[k]) for k in a)
 
 
-def _numeric_route_peak():
-    """The traced peak of a run of a 3-level negated dual whose taus lie on
-    two grids (4,096 and 16,384 intervals), in stacks of the larger grid's
-    refined points: (2 * 16,384 + 1) 3x3 complex matrices."""
+def test_written_reports_match_on_one_and_two_threads(tmp_path):
+    # the negated dual of a custom path on two grids, every diagnostic:
+    # the grid's one pass runs before the workers, which share its data,
+    # and report.json and every CSV are byte-identical
+    cfg = {"model": "custom_matrix_path", "system": "c", "grid": 256,
+           "parameters": _two_level_custom_parameters([10.0, 30.0, 40.0]),
+           "diagnostics": list(sc.ALL_DIAGNOSTICS)}
+    written = []
+    for threads in (1, 2):
+        report, series = sc.scan(cfg, threads=threads)
+        assert [e["grid_points"] for e in report["entries"]] == \
+            [257, 1025, 1025]
+        out = tmp_path / str(threads)
+        paths = sc.write_report(report, series, str(out))
+        written.append({os.path.basename(p): open(p, "rb").read()
+                        for p in paths})
+    assert len(written[0]) == 5
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("system, extra", [
+    ("b", {"propagator": "numeric"}),
+    ("x", {"transform": {"sign": -1, "unitary": "base_propagator"}})])
+def test_lab_frame_dual_resolves_its_rotation(system, extra):
+    # the dual's integrands keep no phase, so its grid stays at 2,049
+    # points, but -U^dag H U turns at tau * gap: the integrator's substeps
+    # follow 2 tau * spread + 10 at 0.3 rad per substep. The closed form's
+    # intertwining is 1; measured 0.99953 (0.0333 at the configured single
+    # substep)
+    cfg = dict(base_config(
+        system=system, grid=2048, diagnostics=["intertwining_defect"],
+        parameters={"theta": np.pi / 4, "omega0": 1.0, "tau": 1e4}),
+        **extra)
+    entry, = sc.run(cfg)[0]["entries"]
+    assert entry["grid_points"] == 2049
+    assert entry["integrator_substeps"] == 205
+    assert abs(entry["intertwining_defect"] - 1.0) <= 1e-3
+
+
+def test_closed_form_entries_name_no_substeps():
+    entry, = sc.run(base_config(
+        system="b", grid=256, diagnostics=["intertwining_defect"],
+        parameters={"theta": np.pi / 4, "tau": 1e4}))[0]["entries"]
+    assert "integrator_substeps" not in entry
+
+
+def _numeric_route_peak(system="c", diagnostics=None):
+    """The traced peak of a run of a 3-level custom ``system`` (the default
+    diagnostics unless ``diagnostics``) whose taus lie on two grids (4,096
+    and 16,384 intervals), in stacks of the larger grid's refined points:
+    (2 * 16,384 + 1) 3x3 complex matrices."""
     import tracemalloc
 
     from adiakit.models import random_smooth_hamiltonian
@@ -419,11 +468,13 @@ def _numeric_route_peak():
                                      base_gap=1.0, wobble=0.3)
     s = np.linspace(0.0, 1.0, 33)
     mats = path.eval_batch(s)
-    cfg = sc.normalize_config({
-        "model": "custom_matrix_path", "system": "c", "grid": 256,
-        "parameters": {"grid": s.tolist(), "tau_list": [80.0, 1000.0],
-                       "matrices": np.stack([mats.real, mats.imag],
-                                            -1).tolist()}})
+    raw = {"model": "custom_matrix_path", "system": system, "grid": 256,
+           "parameters": {"grid": s.tolist(), "tau_list": [80.0, 1000.0],
+                          "matrices": np.stack([mats.real, mats.imag],
+                                               -1).tolist()}}
+    if diagnostics is not None:
+        raw["diagnostics"] = list(diagnostics)
+    cfg = sc.normalize_config(raw)
     bundle = sc.SystemBundle(cfg)
     intervals = [len(bundle.grid_for(t)) - 1 for t in (80.0, 1000.0)]
     assert intervals == [4096, 16384]
@@ -439,10 +490,21 @@ def _numeric_route_peak():
 
 
 def test_numeric_route_peak_memory_is_bounded():
-    # one grid's data is alive at a time, Q_tau is dropped after its drift
-    # is read, and the grid is built in blocks (6.9 stacks when every grid
-    # was kept to the end of the run)
-    assert _numeric_route_peak() <= 5.5
+    # one grid's data is alive at a time, its refined vectors and overlaps
+    # one chunk at a time, M and Q one record block at a time, and the
+    # frame's vectors until the grid's pass ends: measured 2.14 stacks
+    # (3.31 when the grid kept its refined overlaps and each entry formed
+    # M and Q as whole stacks); the bound is within 10% of it
+    assert _numeric_route_peak() <= 2.35
+
+
+@pytest.mark.parametrize("system, bound", [("a", 2.15), ("b", 2.35)])
+def test_numeric_route_peak_memory_with_every_diagnostic(system, bound):
+    # as above, where the base's premises keep its vectors at the premise
+    # points and the dual's M reads the frame's vectors in the pass:
+    # measured 1.99 (a) and 2.16 (b) stacks, against 4.08 and 4.38 when the
+    # grid kept its refined overlaps and M was one stack per entry
+    assert _numeric_route_peak(system, sc.ALL_DIAGNOSTICS) <= bound
 
 
 def test_numeric_route_entries_hold_block_sized_temporaries():
